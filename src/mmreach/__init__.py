@@ -25,9 +25,9 @@ from .embed import (
     ReachSpec,
     Trajectory,
     backward_reach_box,
-    embedding_function,
     forward_reach_box,
     integrate,
+    reach_box,
     trajectory_boxes,
 )
 from .exprlang import ExprAst, evaluate, parse, partial, to_source
@@ -41,8 +41,6 @@ from .geometry import (
     clip_intersection_2d,
     convex_hull_2d,
     leq,
-    polygon_area,
-    ptope_membership,
     ptope_polygon,
     ptope_vertices,
     se_leq,

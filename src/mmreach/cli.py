@@ -19,8 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import ProblemConfig, load_config, preset_names
-from .decomp import make_decomposition
-from .embed import ReachSpec, backward_reach_box, forward_reach_box
+from .embed import ReachSpec, reach_box
 from .errors import ConfigError, MmreachError
 from .geometry import (
     Box,
@@ -37,7 +36,6 @@ from .oracle import (
     backward_witnesses,
     sample_endpoints,
 )
-from .sysdef import reverse_time
 
 
 @dataclasses.dataclass
@@ -49,6 +47,8 @@ class ReachOutcome:
     parallelotopes: list = dataclasses.field(default_factory=list)
     intersection: object = None
     areas: list = dataclasses.field(default_factory=list)
+    volume: float | None = None
+    volume_ci: float | None = None
 
     def audit_region(self):
         if self.kind == "box":
@@ -77,26 +77,18 @@ def run_reach(cfg: ProblemConfig):
     system = cfg.system
     spec = cfg.spec
     if cfg.transforms is not None:
-        plan = TransformPlan(tuple(cfg.transforms), spec,
-                             (cfg.method,) * len(cfg.transforms))
+        plan = TransformPlan(tuple(cfg.transforms), spec)
         result = reach_intersection(system, plan, _initial_vertices(cfg),
-                                    **cfg.method_options)
+                                    cfg.method, **cfg.method_options)
         return ReachOutcome(
             kind="intersection",
             parallelotopes=result.parallelotopes,
             intersection=result.intersection,
             areas=result.areas,
+            volume=result.volume,
+            volume_ci=result.volume_ci,
         )
     init = cfg.initial_set
-    if isinstance(init, Box):
-        if spec.direction == "backward":
-            d = make_decomposition(reverse_time(system), cfg.method,
-                                   **cfg.method_options)
-            box = backward_reach_box(system, d, init, spec)
-        else:
-            d = make_decomposition(system, cfg.method, **cfg.method_options)
-            box = forward_reach_box(system, d, init, spec)
-        return ReachOutcome(kind="box", boxes=[(spec.horizon, box)])
     if isinstance(init, Parallelotope):
         ptope = reach_parallelotope(system, init.shape, init, spec, cfg.method,
                                     **cfg.method_options)
@@ -104,15 +96,11 @@ def run_reach(cfg: ProblemConfig):
     if isinstance(init, UnionInitialSet):
         ptopes = reach_union(system, init, spec, cfg.method, **cfg.method_options)
         return ReachOutcome(kind="union", parallelotopes=ptopes)
-    # bare vertex polytope without transforms: bound it by its own hull box
-    verts = np.array([np.asarray(v) for v in init])
-    box0 = Box(verts.min(axis=0), verts.max(axis=0))
-    if spec.direction == "backward":
-        d = make_decomposition(reverse_time(system), cfg.method, **cfg.method_options)
-        box = backward_reach_box(system, d, box0, spec)
-    else:
-        d = make_decomposition(system, cfg.method, **cfg.method_options)
-        box = forward_reach_box(system, d, box0, spec)
+    if not isinstance(init, Box):
+        # bare vertex polytope without transforms: bound it by its own hull box
+        verts = np.array([np.asarray(v) for v in init])
+        init = Box(verts.min(axis=0), verts.max(axis=0))
+    box = reach_box(system, init, spec, cfg.method, **cfg.method_options)
     return ReachOutcome(kind="box", boxes=[(spec.horizon, box)])
 
 
@@ -211,6 +199,9 @@ def result_json(cfg: ProblemConfig, outcome: ReachOutcome, seed, timestamp=None)
         doc["intersection_polygon"] = outcome.intersection.to_jsonable()
     if outcome.areas:
         doc["area_curve"] = [[k + 1, a] for k, a in enumerate(outcome.areas)]
+    if outcome.volume is not None:
+        doc["volume"] = outcome.volume
+        doc["volume_ci95"] = outcome.volume_ci
     return doc
 
 

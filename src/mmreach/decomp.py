@@ -73,19 +73,18 @@ def _numeric_partial(system, i, is_state, j, x, w, h=SIGN_FD_STEP):
 
 
 class Decomposition:
-    """Evaluator d(x, w, xh, wh) with construction metadata.
+    """Evaluator d(x, w, xh, wh) tagged with its construction method.
 
     ``domain`` records the state box over which sign conditions were
     certified, when the construction is domain-dependent.
     """
 
-    def __init__(self, system, method, component_fn, domain=None, meta=None):
+    def __init__(self, system, method, component_fn, domain=None):
         self.system = system
         self.method = method
         self.n = system.n
         self.m = system.m
         self.domain = domain
-        self.meta = dict(meta or {})
         self._component_fn = component_fn
 
     def __repr__(self):
@@ -110,15 +109,6 @@ class Decomposition:
         return np.array(
             [self.evaluate_component(i, x, w, xh, wh) for i in range(self.n)]
         )
-
-    def to_jsonable(self):
-        out = {"method": self.method}
-        if self.domain is not None:
-            out["domain"] = self.domain.to_jsonable()
-        out.update(
-            {k: v for k, v in self.meta.items() if isinstance(v, (int, float, str, list))}
-        )
-        return out
 
 
 # --- tight construction -------------------------------------------------------
@@ -258,7 +248,7 @@ def tight_decomposition(system):
     def component(i, x, w, xh, wh):
         return _tight_component(system, i, x, w, xh, wh)
 
-    return Decomposition(system, "tight", component, meta={"optimizer_tol": OPTIMIZER_TOL})
+    return Decomposition(system, "tight", component)
 
 
 # --- Jacobian-sign and monotone constructions ---------------------------------
@@ -325,13 +315,7 @@ def jacobian_sign_decomposition(system, domain, samples=200, seed=0):
         zeta = [w[k] if sign_w[i][k] >= 0 else wh[k] for k in range(m)]
         return system.field_component(i, xi, zeta)
 
-    meta = {
-        "samples": samples,
-        "seed": seed,
-        "sign_x": [row[:] for row in sign_x],
-        "sign_w": [row[:] for row in sign_w],
-    }
-    return Decomposition(system, "jacobian_sign", component, domain=domain, meta=meta)
+    return Decomposition(system, "jacobian_sign", component, domain=domain)
 
 
 def monotone_decomposition(system, domain, samples=200, seed=0):
@@ -359,8 +343,7 @@ def monotone_decomposition(system, domain, samples=200, seed=0):
     def component(i, x, w, xh, wh):
         return system.field_component(i, x, w)
 
-    meta = {"samples": samples, "seed": seed}
-    return Decomposition(system, "monotone", component, domain=domain, meta=meta)
+    return Decomposition(system, "monotone", component, domain=domain)
 
 
 # --- combination and closed forms ---------------------------------------------
@@ -381,8 +364,7 @@ def combine(d1: Decomposition, d2: Decomposition):
         return max(a, b) if sign > 0 else min(a, b)
 
     domain = d1.domain if d1.domain is not None else d2.domain
-    meta = {"parts": [d1.method, d2.method]}
-    return Decomposition(d1.system, "combined", component, domain=domain, meta=meta)
+    return Decomposition(d1.system, "combined", component, domain=domain)
 
 
 def parse_closed_form(system, sources):
@@ -415,8 +397,7 @@ def closed_form_decomposition(system, exprs):
     def component(i, x, w, xh, wh):
         return fns[i](list(x) + list(xh), list(w) + list(wh))
 
-    meta = {"sources": [e.source for e in exprs]}
-    return Decomposition(system, "closed_form", component, meta=meta)
+    return Decomposition(system, "closed_form", component)
 
 
 # --- validation ----------------------------------------------------------------
@@ -440,19 +421,6 @@ class CheckReport:
 
     def ok(self, consistency_tol=1e-6):
         return self.violations == 0 and self.consistency_residual <= consistency_tol
-
-    def to_jsonable(self):
-        return {
-            "probes": self.probes,
-            "seed": self.seed,
-            "consistency_residual": self.consistency_residual,
-            "violations": {
-                "cond2": self.violations_cond2,
-                "cond3": self.violations_cond3,
-                "cond4": self.violations_cond4,
-            },
-            "witnesses": [list(map(str, wit)) for wit in self.witnesses],
-        }
 
 
 def _ordered_pair(rng, lo, hi, gap_min):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import Decomposition
+from .decomp import Decomposition, make_decomposition
 from .errors import (
     DimensionMismatchError,
     DivergenceError,
@@ -19,6 +19,7 @@ from .errors import (
     StepOrderError,
 )
 from .geometry import Box, EmbeddingState
+from .sysdef import reverse_time
 
 ORDER_CLIP_TOL = 1e-9
 MAX_STEPS = 10**8
@@ -83,13 +84,6 @@ class Trajectory:
     def final_time(self):
         return float(self.times[-1])
 
-    def to_csv(self, path):
-        dim = self.states.shape[1]
-        header = "time," + ",".join(f"s{i + 1}" for i in range(dim))
-        rows = np.column_stack([self.times, self.states])
-        np.savetxt(path, rows, delimiter=",", header=header, comments="",
-                   fmt="%.17g")
-
 
 class EmbeddingFunction:
     """Disturbance-free 2n-dimensional field built from a decomposition.
@@ -115,11 +109,6 @@ class EmbeddingFunction:
         return out
 
 
-def embedding_function(d: Decomposition):
-    """Embedding field with the disturbance bounds of d's system baked in."""
-    return EmbeddingFunction(d)
-
-
 def _split_ordered(a, n, context):
     """Split a stacked embedding state, clipping rounding-scale order noise.
 
@@ -143,6 +132,35 @@ def _split_ordered(a, n, context):
     return lower, upper
 
 
+def _step_sizes(horizon, dt):
+    """Full ``dt`` steps up to ``horizon`` plus one shorter remainder step;
+    a remainder at rounding scale is dropped."""
+    n_full = int(np.floor(horizon / dt + 1e-12))
+    remainder = horizon - n_full * dt
+    sizes = [dt] * n_full
+    if remainder >= 1e-12 * max(1.0, horizon):
+        sizes.append(remainder)
+    return sizes
+
+
+def _rk4(f, x, sizes, post):
+    """Classical 4th-order Runge-Kutta over the step list ``sizes``.
+
+    ``f(x, t)`` is the field. After step ``s`` ends at time ``t``,
+    ``post(x, x_new, t, s)`` does the caller's bookkeeping and returns the
+    state to continue from. Returns the final state.
+    """
+    t = 0.0
+    for s, h in enumerate(sizes):
+        k1 = f(x, t)
+        k2 = f(x + 0.5 * h * k1, t + 0.5 * h)
+        k3 = f(x + 0.5 * h * k2, t + 0.5 * h)
+        k4 = f(x + h * k3, t + h)
+        t += h
+        x = post(x, x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t, s)
+    return x
+
+
 def integrate(E: EmbeddingFunction, a0: EmbeddingState, spec: ReachSpec):
     """Classical fixed-step 4th-order integration of the embedding system.
 
@@ -155,37 +173,14 @@ def integrate(E: EmbeddingFunction, a0: EmbeddingState, spec: ReachSpec):
         raise DimensionMismatchError(
             f"initial state has dimension {a0.dim}, embedding expects {n}"
         )
+    times = [0.0]
+    states = [a0.concat()]
 
     def rhs(a, t):
         lower, upper = _split_ordered(a, n, f"inside a step near t={t:.6g}")
         return E(lower, upper)
 
-    a = a0.concat()
-    times = [0.0]
-    states = [a.copy()]
-    if spec.horizon == 0.0:
-        return Trajectory(np.array(times), np.array(states))
-
-    n_full = int(np.floor(spec.horizon / spec.dt + 1e-12))
-    remainder = spec.horizon - n_full * spec.dt
-    if remainder < 1e-12 * max(1.0, spec.horizon):
-        remainder = 0.0
-    steps = [spec.dt] * n_full + ([remainder] if remainder > 0.0 else [])
-
-    t = 0.0
-    for h in steps:
-        try:
-            k1 = rhs(a, t)
-            k2 = rhs(a + 0.5 * h * k1, t + 0.5 * h)
-            k3 = rhs(a + 0.5 * h * k2, t + 0.5 * h)
-            k4 = rhs(a + h * k3, t + h)
-        except EvalError as exc:
-            raise DivergenceError(
-                f"embedding field diverged near t={t:.6g}: {exc}",
-                last_time=times[-1],
-            ) from exc
-        a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
+    def record(_a, a, t, _s):
         if not np.all(np.isfinite(a)):
             raise DivergenceError(
                 f"embedding state diverged near t={t:.6g}", last_time=times[-1]
@@ -193,7 +188,16 @@ def integrate(E: EmbeddingFunction, a0: EmbeddingState, spec: ReachSpec):
         lower, upper = _split_ordered(a, n, f"after the step to t={t:.6g}")
         a = np.concatenate([lower, upper])
         times.append(t)
-        states.append(a.copy())
+        states.append(a)
+        return a
+
+    try:
+        _rk4(rhs, states[0], _step_sizes(spec.horizon, spec.dt), record)
+    except EvalError as exc:
+        raise DivergenceError(
+            f"embedding field diverged near t={times[-1]:.6g}: {exc}",
+            last_time=times[-1],
+        ) from exc
     # the step list sums to the horizon up to rounding; pin the final time
     times[-1] = spec.horizon
     return Trajectory(np.array(times), np.array(states))
@@ -213,7 +217,7 @@ def forward_reach_box(system, d: Decomposition, x0: Box, spec: ReachSpec):
         raise DimensionMismatchError(
             "decomposition was built for a different system"
         )
-    traj = integrate(embedding_function(d), EmbeddingState(x0.lo, x0.hi), spec)
+    traj = integrate(EmbeddingFunction(d), EmbeddingState(x0.lo, x0.hi), spec)
     final = traj.final_state
     return Box(final[: system.n], final[system.n:])
 
@@ -236,6 +240,19 @@ def backward_reach_box(system, d_neg: Decomposition, x0: Box, spec: ReachSpec):
                 "d_neg does not match the time-reversed field on the diagonal",
                 f"at x={list(p)}",
             )
-    traj = integrate(embedding_function(d_neg), EmbeddingState(x0.lo, x0.hi), spec)
+    traj = integrate(EmbeddingFunction(d_neg), EmbeddingState(x0.lo, x0.hi), spec)
     final = traj.final_state
     return Box(final[: system.n], final[system.n:])
+
+
+def reach_box(system, x0: Box, spec: ReachSpec, method="tight", **options):
+    """Box over-approximation of the reachable set from ``x0``.
+
+    Builds the ``method`` decomposition of the field (of the time-reversed
+    field for a backward ``spec``) and integrates its embedding.
+    """
+    if spec.direction == "backward":
+        d_neg = make_decomposition(reverse_time(system), method, **options)
+        return backward_reach_box(system, d_neg, x0, spec)
+    d = make_decomposition(system, method, **options)
+    return forward_reach_box(system, d, x0, spec)

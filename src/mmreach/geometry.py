@@ -238,11 +238,6 @@ def se_leq(a: EmbeddingState, b: EmbeddingState):
     return leq(a.lower, b.lower) and leq(b.upper, a.upper)
 
 
-def ptope_membership(p: Parallelotope, x, tol=MEMBERSHIP_TOL):
-    """True iff shape^-1 x lies in the coordinate box (within ``tol``)."""
-    return p.contains(x, tol=tol)
-
-
 def ptope_vertices(p: Parallelotope):
     """Images under ``shape`` of the corners of the coordinate box.
 
@@ -368,11 +363,6 @@ class Polygon2D:
 
     def to_jsonable(self):
         return [[float(v[0]), float(v[1])] for v in self.vertices]
-
-
-def polygon_area(poly: Polygon2D):
-    """Shoelace area; zero for polygons with fewer than three vertices."""
-    return poly.area()
 
 
 def convex_hull_2d(points):

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .decomp import make_decomposition
-from .embed import ReachSpec, backward_reach_box, forward_reach_box
+from .embed import ReachSpec, reach_box
 from .errors import DimensionMismatchError, EmptyIntersectionError
 from .geometry import (
     Parallelotope,
@@ -23,7 +22,7 @@ from .geometry import (
     clip_intersection_2d,
     ptope_polygon,
 )
-from .sysdef import reverse_time, transform
+from .sysdef import transform
 
 __all__ = [
     "TransformPlan",
@@ -38,25 +37,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """Shape matrices to apply, each with a decomposition method tag."""
+    """Shape matrices to apply, all under one reach spec."""
 
     transforms: tuple
     spec: ReachSpec
-    methods: tuple = ()
 
     def __post_init__(self):
         transforms = tuple(np.array(t, dtype=float) for t in self.transforms)
         if not transforms:
             raise DimensionMismatchError("transform plan is empty")
-        methods = tuple(self.methods) if self.methods else ("tight",) * len(transforms)
-        if len(methods) != len(transforms):
-            raise DimensionMismatchError(
-                f"{len(methods)} method tags for {len(transforms)} transforms"
-            )
         for t in transforms:
             t.flags.writeable = False
         object.__setattr__(self, "transforms", transforms)
-        object.__setattr__(self, "methods", methods)
 
 
 def reach_parallelotope(system, shape, x0: Parallelotope, spec: ReachSpec,
@@ -73,13 +65,8 @@ def reach_parallelotope(system, shape, x0: Parallelotope, spec: ReachSpec,
         raise DimensionMismatchError(
             "initial parallelotope shape differs from the requested transform"
         )
-    trans = transform(system, shape)
-    if spec.direction == "backward":
-        d_neg = make_decomposition(reverse_time(trans), method, **method_options)
-        box = backward_reach_box(trans, d_neg, x0.coords, spec)
-    else:
-        d = make_decomposition(trans, method, **method_options)
-        box = forward_reach_box(trans, d, x0.coords, spec)
+    box = reach_box(transform(system, shape), x0.coords, spec, method,
+                    **method_options)
     return Parallelotope(shape, box)
 
 
@@ -88,27 +75,14 @@ class IntersectionResult:
     """Per-transform parallelotopes plus their running intersection."""
 
     parallelotopes: list
-    polygons: list
     intersection: Polygon2D | None
     areas: list
     volume: float | None = None
     volume_ci: float | None = None
     initial_sets: list = field(default_factory=list)
 
-    def to_jsonable(self):
-        out = {
-            "parallelotopes": [p.to_jsonable() for p in self.parallelotopes],
-            "area_curve": [[k + 1, a] for k, a in enumerate(self.areas)],
-        }
-        if self.intersection is not None:
-            out["intersection_polygon"] = self.intersection.to_jsonable()
-        if self.volume is not None:
-            out["volume"] = self.volume
-            out["volume_ci95"] = self.volume_ci
-        return out
 
-
-def reach_intersection(system, plan: TransformPlan, x0_vertices,
+def reach_intersection(system, plan: TransformPlan, x0_vertices, method="tight",
                        volume_samples=10**6, seed=0, **method_options):
     """Reach under every transform of the plan and intersect the results.
 
@@ -121,11 +95,10 @@ def reach_intersection(system, plan: TransformPlan, x0_vertices,
     vertices = [np.asarray(v, dtype=float) for v in x0_vertices]
     ptopes = []
     initial_sets = []
-    polygons = []
     areas = []
     running = None
     planar = system.n == 2
-    for shape, method in zip(plan.transforms, plan.methods):
+    for shape in plan.transforms:
         coords = bounding_coords(vertices, shape)
         x0 = Parallelotope(shape, coords)
         initial_sets.append(x0)
@@ -134,7 +107,6 @@ def reach_intersection(system, plan: TransformPlan, x0_vertices,
         ptopes.append(ptope)
         if planar:
             poly = ptope_polygon(ptope)
-            polygons.append(poly)
             running = poly if running is None else clip_intersection_2d([running, poly])
             if running is None:
                 raise EmptyIntersectionError(
@@ -144,15 +116,14 @@ def reach_intersection(system, plan: TransformPlan, x0_vertices,
             areas.append(running.area())
     result = IntersectionResult(
         parallelotopes=ptopes,
-        polygons=polygons,
         intersection=running,
         areas=areas,
         initial_sets=initial_sets,
     )
     if not planar:
-        volume, ci = oracle.intersection_volume_mc(ptopes, volume_samples, seed)
-        result.volume = volume
-        result.volume_ci = ci
+        result.volume, result.volume_ci = oracle.intersection_volume_mc(
+            ptopes, volume_samples, seed
+        )
     return result
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import ReachSpec, Trajectory
+from .embed import ReachSpec, Trajectory, _rk4, _step_sizes
 from .errors import DimensionMismatchError
 from .geometry import Box, Parallelotope, Polygon2D, UnionInitialSet, ptope_vertices
 
@@ -61,15 +61,9 @@ class SampleResult:
 
     points: np.ndarray
     divergent: int
-    requested: int
 
     def __len__(self):
         return len(self.points)
-
-    def to_csv(self, path):
-        header = ",".join(f"x{i + 1}" for i in range(self.points.shape[1]))
-        np.savetxt(path, self.points, delimiter=",", header=header,
-                   comments="", fmt="%.17g")
 
 
 @dataclass(frozen=True)
@@ -99,17 +93,6 @@ class ContainmentReport:
             "worst_margin": self.worst_margin,
             "witnesses": [list(map(float, w)) for w in self.witnesses],
         }
-
-
-def _step_sizes(horizon, dt):
-    n_full = int(np.floor(horizon / dt + 1e-12))
-    remainder = horizon - n_full * dt
-    if remainder < 1e-12 * max(1.0, horizon):
-        remainder = 0.0
-    sizes = [dt] * n_full
-    if remainder > 0.0:
-        sizes.append(remainder)
-    return np.array(sizes)
 
 
 def _region_corners(region):
@@ -185,31 +168,45 @@ def _rejection_sample(rng, bbox, count, accept):
 
 def _integrate_batch(system, X, levels, switch_steps, sizes):
     """Vectorized fixed-step 4th-order integration with piecewise-constant
-    disturbances. Returns (endpoints, alive mask)."""
-    N = X.shape[0]
-    alive = np.ones(N, dtype=bool)
-    rows = np.arange(N)
+    disturbances. Rows that turn non-finite keep their last finite state.
+    Returns (endpoints, alive mask)."""
+    rows = np.arange(X.shape[0])
+    alive = np.ones(X.shape[0], dtype=bool)
+
+    def level_at(s):
+        return levels[rows, (switch_steps <= s).sum(axis=1), :]
+
+    W = level_at(0)
+
+    def field(X, _t):
+        return system.eval_field_batch(X, W)
+
+    def freeze(X, X_new, _t, s):
+        nonlocal W, alive
+        good = np.all(np.isfinite(X_new), axis=1)
+        alive &= good
+        if s + 1 < len(sizes):
+            W = level_at(s + 1)
+        return np.where(good[:, None], X_new, X)
+
     with np.errstate(all="ignore"):
-        for s, h in enumerate(sizes):
-            seg = (switch_steps <= s).sum(axis=1)
-            W = levels[rows, seg, :]
-            k1 = system.eval_field_batch(X, W)
-            k2 = system.eval_field_batch(X + 0.5 * h * k1, W)
-            k3 = system.eval_field_batch(X + 0.5 * h * k2, W)
-            k4 = system.eval_field_batch(X + h * k3, W)
-            X_new = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            good = np.all(np.isfinite(X_new), axis=1)
-            X = np.where(good[:, None], X_new, X)
-            alive &= good
+        X = _rk4(field, X, sizes, freeze)
     return X, alive
 
 
-def _draw_signals(rng, count, segments, m, w_lo, w_hi):
-    levels = rng.uniform(w_lo, w_hi, size=(count, segments, m))
+def _draw_signals(rng, count, switch_count, dist: Box, spec: ReachSpec, steps):
+    """Levels (count, switch_count + 1, m) and switch steps (count,
+    switch_count) of ``count`` piecewise-constant disturbance signals."""
+    segments = switch_count + 1
+    levels = rng.uniform(dist.lo, dist.hi, size=(count, segments, dist.dim))
     pick = rng.uniform(size=(count, segments))
-    levels[pick < 0.5 * _CORNER_LEVEL_PROB] = w_lo
-    levels[(pick >= 0.5 * _CORNER_LEVEL_PROB) & (pick < _CORNER_LEVEL_PROB)] = w_hi
-    return levels
+    levels[pick < 0.5 * _CORNER_LEVEL_PROB] = dist.lo
+    levels[(pick >= 0.5 * _CORNER_LEVEL_PROB) & (pick < _CORNER_LEVEL_PROB)] = dist.hi
+    del pick  # release it before the switch draw so that draw can reuse its pages
+    if switch_count == 0:
+        return levels, np.zeros((count, 0), dtype=int)
+    raw = rng.uniform(0.0, spec.horizon, size=(count, switch_count))
+    return levels, np.clip(np.round(raw / spec.dt).astype(int), 0, steps)
 
 
 def sample_endpoints(system, x0, spec: ReachSpec, cfg: SampleConfig):
@@ -219,9 +216,6 @@ def sample_endpoints(system, x0, spec: ReachSpec, cfg: SampleConfig):
     and counted in the result.
     """
     sizes = _step_sizes(spec.horizon, spec.dt)
-    n, m = system.n, system.m
-    w_lo, w_hi = system.dist.lo, system.dist.hi
-    segments = cfg.switch_count + 1
     rng = np.random.default_rng(cfg.seed)
 
     starts_blocks = []
@@ -230,33 +224,21 @@ def sample_endpoints(system, x0, spec: ReachSpec, cfg: SampleConfig):
     remaining = cfg.count
 
     if cfg.init_mode == "corners_plus_uniform":
-        corners = _region_corners(x0)
-        block = []
-        block_levels = []
-        for corner in corners:
-            for level in (w_lo, w_hi):
-                if len(block) >= remaining:
-                    break
-                block.append(np.asarray(corner, dtype=float))
-                block_levels.append(np.tile(level, (segments, 1)))
-        if block:
-            starts_blocks.append(np.array(block))
-            levels_blocks.append(np.array(block_levels))
-            switches_blocks.append(
-                np.zeros((len(block), cfg.switch_count), dtype=int)
-            )
-            remaining -= len(block)
+        # corner starts under the two extreme constant signals come first
+        extremes = (system.dist.lo, system.dist.hi)
+        pairs = [(c, w) for c in _region_corners(x0) for w in extremes][:remaining]
+        starts_blocks.append(np.array([np.asarray(c, dtype=float) for c, _ in pairs]))
+        segments = cfg.switch_count + 1
+        levels_blocks.append(np.array([np.tile(w, (segments, 1)) for _, w in pairs]))
+        switches_blocks.append(np.zeros((len(pairs), cfg.switch_count), dtype=int))
+        remaining -= len(pairs)
 
     if remaining > 0:
         starts_blocks.append(_sample_initial(x0, remaining, rng))
-        levels_blocks.append(_draw_signals(rng, remaining, segments, m, w_lo, w_hi))
-        if cfg.switch_count > 0:
-            raw = rng.uniform(0.0, spec.horizon, size=(remaining, cfg.switch_count))
-            switches_blocks.append(
-                np.clip(np.round(raw / spec.dt).astype(int), 0, len(sizes))
-            )
-        else:
-            switches_blocks.append(np.zeros((remaining, 0), dtype=int))
+        levels, switches = _draw_signals(rng, remaining, cfg.switch_count,
+                                         system.dist, spec, len(sizes))
+        levels_blocks.append(levels)
+        switches_blocks.append(switches)
 
     starts = np.concatenate(starts_blocks)
     levels = np.concatenate(levels_blocks)
@@ -265,7 +247,7 @@ def sample_endpoints(system, x0, spec: ReachSpec, cfg: SampleConfig):
     endpoints = []
     divergent = 0
     if len(sizes) == 0:  # zero horizon
-        return SampleResult(points=starts, divergent=0, requested=cfg.count)
+        return SampleResult(points=starts, divergent=0)
     for start in range(0, cfg.count, _CHUNK):
         stop = min(start + _CHUNK, cfg.count)
         X, alive = _integrate_batch(
@@ -274,10 +256,10 @@ def sample_endpoints(system, x0, spec: ReachSpec, cfg: SampleConfig):
         )
         divergent += int((~alive).sum())
         endpoints.append(X[alive])
-    points = np.concatenate(endpoints) if endpoints else np.empty((0, n))
+    points = np.concatenate(endpoints) if endpoints else np.empty((0, system.n))
     if divergent:
         log.warning("excluded %d divergent trajectories of %d", divergent, cfg.count)
-    return SampleResult(points=points, divergent=divergent, requested=cfg.count)
+    return SampleResult(points=points, divergent=divergent)
 
 
 def _margins_batch(region, pts):
@@ -365,21 +347,14 @@ def backward_witnesses(system, x0: Parallelotope, spec: ReachSpec,
     Returns an (k, n) array; logs a warning when no witnesses were found.
     """
     sizes = _step_sizes(spec.horizon, spec.dt)
-    m = system.m
-    w_lo, w_hi = system.dist.lo, system.dist.hi
-    segments = cfg.switch_count + 1
     rng = np.random.default_rng(cfg.seed)
 
     found = []
     for start in range(0, cfg.count, _CHUNK):
         count = min(_CHUNK, cfg.count - start)
         starts = rng.uniform(search_box.lo, search_box.hi, size=(count, system.n))
-        levels = _draw_signals(rng, count, segments, m, w_lo, w_hi)
-        if cfg.switch_count > 0:
-            raw = rng.uniform(0.0, spec.horizon, size=(count, cfg.switch_count))
-            switches = np.clip(np.round(raw / spec.dt).astype(int), 0, len(sizes))
-        else:
-            switches = np.zeros((count, 0), dtype=int)
+        levels, switches = _draw_signals(rng, count, cfg.switch_count,
+                                         system.dist, spec, len(sizes))
         X, alive = _integrate_batch(system, starts.copy(), levels, switches, sizes)
         coords = X @ x0.shape_inv.T
         inside = np.all(
@@ -403,29 +378,20 @@ def simulate(system, x0, w, spec: ReachSpec):
     ``w`` is either a constant vector or a callable t -> vector (evaluated at
     the stage times of each step).
     """
-    sizes = _step_sizes(spec.horizon, spec.dt)
     w_of = w if callable(w) else (lambda _t, _w=[float(v) for v in w]: _w)
-    x = [float(v) for v in x0]
     times = [0.0]
-    states = [list(x)]
-    t = 0.0
-    for h in sizes:
-        k1 = system.field_values(x, w_of(t))
-        x2 = [x[i] + 0.5 * h * k1[i] for i in range(len(x))]
-        k2 = system.field_values(x2, w_of(t + 0.5 * h))
-        x3 = [x[i] + 0.5 * h * k2[i] for i in range(len(x))]
-        k3 = system.field_values(x3, w_of(t + 0.5 * h))
-        x4 = [x[i] + h * k3[i] for i in range(len(x))]
-        k4 = system.field_values(x4, w_of(t + h))
-        x = [
-            x[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-            for i in range(len(x))
-        ]
-        t += h
+    states = [np.array(x0, dtype=float)]
+
+    def field(x, t):
+        return np.array(system.field_values(x.tolist(), w_of(t)))
+
+    def record(_x, x, t, _s):
         times.append(t)
-        states.append(list(x))
-    if len(times) > 1:
-        times[-1] = spec.horizon
+        states.append(x)
+        return x
+
+    _rk4(field, states[0], _step_sizes(spec.horizon, spec.dt), record)
+    times[-1] = spec.horizon
     return Trajectory(np.array(times), np.array(states))
 
 

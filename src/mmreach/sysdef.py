@@ -18,7 +18,7 @@ class SystemDef:
     after construction and safe to share across threads.
     """
 
-    def __init__(self, n, m, field, dist: Box, name="", statespace_note=""):
+    def __init__(self, n, m, field, dist: Box, name=""):
         if len(field) != n:
             raise DimensionMismatchError(
                 f"expected {n} field expressions, got {len(field)}"
@@ -37,14 +37,13 @@ class SystemDef:
         self.field = tuple(field)
         self.dist = dist
         self.name = name
-        self.statespace_note = statespace_note
         self._scalar_fns = tuple(e.scalar_fn() for e in self.field)
         self._batch_fns = tuple(e.batch_fn() for e in self.field)
 
     @classmethod
-    def from_strings(cls, n, m, sources, w_lo, w_hi, name="", statespace_note=""):
+    def from_strings(cls, n, m, sources, w_lo, w_hi, name=""):
         field = [exprlang.parse(src, n, m) for src in sources]
-        return cls(n, m, field, Box(w_lo, w_hi), name, statespace_note)
+        return cls(n, m, field, Box(w_lo, w_hi), name)
 
     def __repr__(self):
         srcs = ", ".join(e.source for e in self.field)
@@ -126,8 +125,7 @@ class TransformedSystem(SystemDef):
             for i in range(base.n)
         ]
         name = f"{base.name}@T" if base.name else ""
-        super().__init__(base.n, base.m, field, base.dist, name,
-                         base.statespace_note)
+        super().__init__(base.n, base.m, field, base.dist, name)
         mat.flags.writeable = False
         inv.flags.writeable = False
         self.base = base
@@ -151,8 +149,7 @@ def reverse_time(system):
         return transform(reverse_time(system.base), system.shape)
     field = [e.negated() for e in system.field]
     name = f"-{system.name}" if system.name else ""
-    return SystemDef(system.n, system.m, field, system.dist, name,
-                     system.statespace_note)
+    return SystemDef(system.n, system.m, field, system.dist, name)
 
 
 _PRESETS = {

@@ -191,7 +191,7 @@ def test_criterion_5_monotone_tightness(ex3):
                    abs(hi_end[j] - ptope1.coords.hi[j])) <= 1e-3, (
             f"upper face {j + 1} not attained"
         )
-    area1 = mm.polygon_area(mm.ptope_polygon(ptope1))
+    area1 = mm.ptope_polygon(ptope1).area()
     area_int = outcome.areas[-1]
     assert area_int < area1, (
         f"intersection area {area_int:.4f} not below {area1:.4f}"

@@ -96,6 +96,31 @@ def test_reach_intersection_outputs(tmp_path):
     assert len(csv) == 4
 
 
+def test_reach_intersection_3d_writes_volume(tmp_path):
+    raw = {
+        "system": {"n": 3, "m": 1, "field": ["-x1 + w1", "-x2 + w1", "-x3 + w1"],
+                   "w_lo": [0.0], "w_hi": [0.1]},
+        "initial_set": {"type": "box", "lo": [0.0, 0.0, 0.0],
+                        "hi": [0.5, 0.5, 0.5]},
+        "horizon": 0.5,
+        "dt": 0.01,
+        "transforms": {"matrices": [np.eye(3).tolist(),
+                                    [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
+                                     [0.0, 0.0, 1.0]]]},
+    }
+    out = tmp_path / "out"
+    assert main(["reach", "--config", _write(tmp_path, raw), "--out", str(out),
+                 "--quiet"]) == 0
+    doc = json.loads((out / "result.json").read_text())
+    assert "intersection_polygon" not in doc and "area_curve" not in doc
+    assert len(doc["parallelotopes"]) == 2
+    lo = np.array(doc["parallelotopes"][0]["lo"])
+    hi = np.array(doc["parallelotopes"][0]["hi"])
+    # the sheared member cuts corners off the identity box
+    assert 0.0 < doc["volume"] < np.prod(hi - lo)
+    assert doc["volume_ci95"] > 0.0
+
+
 def test_reach_deterministic_modulo_timestamp(tmp_path):
     cfg = _write(tmp_path, _fast_box_config())
     docs = []

