@@ -36,6 +36,7 @@ from .geometry import (
     EmbeddingState,
     Parallelotope,
     Polygon2D,
+    RegionIntersection,
     UnionInitialSet,
     bounding_coords,
     clip_intersection_2d,
@@ -55,7 +56,6 @@ from .multiorder import (
 )
 from .oracle import (
     ContainmentReport,
-    RegionIntersection,
     SampleConfig,
     SampleResult,
     audit_containment,

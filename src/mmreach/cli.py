@@ -24,18 +24,14 @@ from .errors import ConfigError, MmreachError
 from .geometry import (
     Box,
     Parallelotope,
+    RegionIntersection,
     UnionInitialSet,
     convex_hull_2d,
     ptope_polygon,
     ptope_vertices,
 )
 from .multiorder import TransformPlan, reach_intersection, reach_parallelotope, reach_union
-from .oracle import (
-    RegionIntersection,
-    audit_containment,
-    backward_witnesses,
-    sample_endpoints,
-)
+from .oracle import audit_containment, backward_witnesses, sample_endpoints
 
 
 @dataclasses.dataclass
@@ -57,7 +53,7 @@ class ReachOutcome:
             return self.parallelotopes[0]
         if self.kind == "intersection":
             return RegionIntersection(tuple(self.parallelotopes))
-        return list(self.parallelotopes)
+        return UnionInitialSet(tuple(self.parallelotopes))
 
 
 def _initial_vertices(cfg: ProblemConfig):
@@ -258,10 +254,8 @@ def _scaled_region(region, scale):
         if isinstance(obj, Parallelotope):
             return Parallelotope(obj.shape, shrink(obj.coords))
         raise ConfigError(f"cannot scale region of type {type(obj).__name__}")
-    if isinstance(region, RegionIntersection):
-        return RegionIntersection(tuple(shrink(p) for p in region.members))
-    if isinstance(region, list):
-        return [shrink(p) for p in region]
+    if isinstance(region, (RegionIntersection, UnionInitialSet)):
+        return type(region)(tuple(shrink(p) for p in region.members))
     return shrink(region)
 
 

@@ -9,7 +9,7 @@ file path or the name of a shipped preset.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -86,7 +86,6 @@ class ProblemConfig:
     sampling: SampleConfig
     search_box: Box | None
     output_dir: str
-    raw: dict = field(repr=False, default_factory=dict)
 
     @property
     def initial_kind(self):
@@ -306,7 +305,6 @@ def parse_config(raw: dict):
         sampling=sampling,
         search_box=search_box,
         output_dir=output_dir,
-        raw=raw,
     )
 
 

@@ -53,25 +53,6 @@ def _sign_tol(f_plus, f_minus):
     return 1e-9 * max(1.0, abs(f_plus), abs(f_minus))
 
 
-def _numeric_partial(system, i, is_state, j, x, w, h=SIGN_FD_STEP):
-    """Central difference of F_i in one coordinate; returns (fd, zero_tol)."""
-    target = list(x) if is_state else list(w)
-    step = h * max(1.0, abs(target[j]))
-    target[j] += step
-    f_plus = (
-        system.field_component(i, target, w)
-        if is_state
-        else system.field_component(i, x, target)
-    )
-    target[j] -= 2.0 * step
-    f_minus = (
-        system.field_component(i, target, w)
-        if is_state
-        else system.field_component(i, x, target)
-    )
-    return (f_plus - f_minus) / (2.0 * step), _sign_tol(f_plus, f_minus)
-
-
 class Decomposition:
     """Evaluator d(x, w, xh, wh) tagged with its construction method.
 
@@ -254,7 +235,13 @@ def tight_decomposition(system):
 # --- Jacobian-sign and monotone constructions ---------------------------------
 
 
-def _sample_points(system, domain, samples, seed):
+def _sampled_partials(system, domain, samples, seed):
+    """Central differences of every off-diagonal state entry and every
+    disturbance entry of the Jacobian at ``samples`` random points.
+
+    Yields (i, is_state, j, x, w, fd, zero_tol) entry by entry: for each
+    component i, its state entries j != i, then its disturbance entries.
+    """
     if domain.dim != system.n:
         raise DimensionMismatchError(
             f"domain has dimension {domain.dim}, state dimension is {system.n}"
@@ -264,7 +251,17 @@ def _sample_points(system, domain, samples, seed):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(domain.lo, domain.hi, size=(samples, system.n))
     ws = rng.uniform(system.dist.lo, system.dist.hi, size=(samples, system.m))
-    return xs, ws
+    for i in range(system.n):
+        fi = system.component_fn(i)
+        entries = [(True, j) for j in range(system.n) if j != i]
+        entries += [(False, k) for k in range(system.m)]
+        for is_state, j in entries:
+            for x, w in zip(xs, ws):
+                x, w = list(x), list(w)
+                probe = (lambda v: fi(v, w)) if is_state else (lambda v: fi(x, v))
+                fd, f_plus, f_minus = exprlang.central_difference(
+                    probe, x if is_state else w, j, SIGN_FD_STEP)
+                yield i, is_state, j, x, w, fd, _sign_tol(f_plus, f_minus)
 
 
 def jacobian_sign_decomposition(system, domain, samples=200, seed=0):
@@ -275,45 +272,30 @@ def jacobian_sign_decomposition(system, domain, samples=200, seed=0):
     partial is estimated at ``samples`` random points; a sign-indefinite
     entry raises SignIndefiniteError naming the entry and two witnesses.
     """
-    xs, ws = _sample_points(system, domain, samples, seed)
     n, m = system.n, system.m
     sign_x = [[0] * n for _ in range(n)]
     sign_w = [[0] * m for _ in range(n)]
-    seen = {}  # (i, kind, j, sign) -> witness point
+    seen = {}  # (i, kind, j, sign) -> latest witness point
 
-    def classify(i, is_state, j, store):
-        has_pos = has_neg = False
-        for x, w in zip(xs, ws):
-            fd, tol = _numeric_partial(system, i, is_state, j, list(x), list(w))
-            if fd > tol:
-                has_pos = True
-                seen[(i, is_state, j, 1)] = (list(x), list(w), fd)
-            elif fd < -tol:
-                has_neg = True
-                seen[(i, is_state, j, -1)] = (list(x), list(w), fd)
-            if has_pos and has_neg:
-                kind = "x" if is_state else "w"
-                raise SignIndefiniteError(
-                    f"dF{i + 1}/d{kind}{j + 1} changes sign over the sampled domain",
-                    entry=(i + 1, j + 1),
-                    witnesses=[
-                        seen[(i, is_state, j, 1)],
-                        seen[(i, is_state, j, -1)],
-                    ],
-                )
-        store[i][j] = 1 if has_pos else (-1 if has_neg else 0)
-
-    for i in range(n):
-        for j in range(n):
-            if j != i:
-                classify(i, True, j, sign_x)
-        for k in range(m):
-            classify(i, False, k, sign_w)
+    for i, is_state, j, x, w, fd, tol in _sampled_partials(system, domain,
+                                                            samples, seed):
+        if not abs(fd) > tol:  # within the zero tolerance, or NaN
+            continue
+        sign = 1 if fd > 0 else -1
+        seen[(i, is_state, j, sign)] = (x, w, fd)
+        if (i, is_state, j, -sign) in seen:
+            kind = "x" if is_state else "w"
+            raise SignIndefiniteError(
+                f"dF{i + 1}/d{kind}{j + 1} changes sign over the sampled domain",
+                entry=(i + 1, j + 1),
+                witnesses=[seen[(i, is_state, j, 1)], seen[(i, is_state, j, -1)]],
+            )
+        (sign_x if is_state else sign_w)[i][j] = sign
 
     def component(i, x, w, xh, wh):
         xi = [x[j] if (j == i or sign_x[i][j] >= 0) else xh[j] for j in range(n)]
         zeta = [w[k] if sign_w[i][k] >= 0 else wh[k] for k in range(m)]
-        return system.field_component(i, xi, zeta)
+        return system.component_fn(i)(xi, zeta)
 
     return Decomposition(system, "jacobian_sign", component, domain=domain)
 
@@ -325,23 +307,17 @@ def monotone_decomposition(system, domain, samples=200, seed=0):
     nonnegative at every sampled point; a violation raises NotMonotoneError
     with the witness.
     """
-    xs, ws = _sample_points(system, domain, samples, seed)
-    n, m = system.n, system.m
-    for i in range(n):
-        targets = [(True, j) for j in range(n) if j != i]
-        targets += [(False, k) for k in range(m)]
-        for is_state, j in targets:
-            for x, w in zip(xs, ws):
-                fd, tol = _numeric_partial(system, i, is_state, j, list(x), list(w))
-                if fd < -tol:
-                    kind = "x" if is_state else "w"
-                    raise NotMonotoneError(
-                        f"dF{i + 1}/d{kind}{j + 1} = {fd:.3e} < 0 at a sampled point",
-                        witness=(list(x), list(w), fd),
-                    )
+    for i, is_state, j, x, w, fd, tol in _sampled_partials(system, domain,
+                                                            samples, seed):
+        if fd < -tol:
+            kind = "x" if is_state else "w"
+            raise NotMonotoneError(
+                f"dF{i + 1}/d{kind}{j + 1} = {fd:.3e} < 0 at a sampled point",
+                witness=(x, w, fd),
+            )
 
     def component(i, x, w, xh, wh):
-        return system.field_component(i, x, w)
+        return system.component_fn(i)(x, w)
 
     return Decomposition(system, "monotone", component, domain=domain)
 
@@ -465,14 +441,12 @@ def check_decomposition(d: Decomposition, probes=1000, seed=0, domain=None,
         if len(witnesses) < 10:
             witnesses.append((cond, i + 1, j + 1, side, fd))
 
-    def fd_of(i, group, j, args, step):
+    def fd_of(i, group, j, args):
         # group: 0 = x, 1 = w, 2 = xh, 3 = wh
-        args = [list(a) for a in args]
-        args[group][j] += step
-        hi_v = d.evaluate_component(i, *args)
-        args[group][j] -= 2.0 * step
-        lo_v = d.evaluate_component(i, *args)
-        return (hi_v - lo_v) / (2.0 * step)
+        def f(v):
+            return d.evaluate_component(i, *args[:group], v, *args[group + 1:])
+
+        return exprlang.central_difference(f, args[group], j, h)[0]
 
     for p in range(probes):
         x_lo, x_hi = _ordered_pair(rng, domain.lo, domain.hi, gap_min)
@@ -485,19 +459,18 @@ def check_decomposition(d: Decomposition, probes=1000, seed=0, domain=None,
             args = (list(x_hi), list(w_hi), list(x_lo), list(w_lo))
         for i in range(n):
             for j in range(n):
-                step = h * max(1.0, abs(args[0][j]))
                 if j != i:
-                    fd = fd_of(i, 0, j, args, step)
+                    fd = fd_of(i, 0, j, args)
                     if fd < -slack:
                         record(2, i, j, side, fd)
-                fd = fd_of(i, 2, j, args, h * max(1.0, abs(args[2][j])))
+                fd = fd_of(i, 2, j, args)
                 if fd > slack:
                     record(3, i, j, side, fd)
             for k in w_active:
-                fd = fd_of(i, 1, k, args, h * max(1.0, abs(args[1][k])))
+                fd = fd_of(i, 1, k, args)
                 if fd < -slack:
                     record(4, i, k, side, fd)
-                fd = fd_of(i, 3, k, args, h * max(1.0, abs(args[3][k])))
+                fd = fd_of(i, 3, k, args)
                 if fd > slack:
                     record(4, i, k, side, fd)
 

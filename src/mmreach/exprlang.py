@@ -496,6 +496,22 @@ def evaluate(expr: ExprAst, x, w):
     return value
 
 
+def central_difference(f, v, index, h):
+    """Central difference of ``f`` in coordinate ``index`` of the vector ``v``.
+
+    The step is h * max(1, |v[index]|). Returns (fd, f_plus, f_minus); the
+    values are not checked for finiteness.
+    """
+    v = list(v)
+    base = v[index]
+    step = h * max(1.0, abs(base))
+    v[index] = base + step
+    f_plus = f(v)
+    v[index] = base - step
+    f_minus = f(v)
+    return (f_plus - f_minus) / (2.0 * step), f_plus, f_minus
+
+
 def partial(expr: ExprAst, kind, index, x, w, h=DEFAULT_FD_STEP):
     """Central finite difference of the expression.
 
@@ -512,15 +528,6 @@ def partial(expr: ExprAst, kind, index, x, w, h=DEFAULT_FD_STEP):
     target = x if kind == "state" else w
     if index < 0 or index >= len(target):
         raise DimensionMismatchError(f"{kind} index {index} out of range")
-    step = h * max(1.0, abs(target[index]))
-    plus = list(target)
-    minus = list(target)
-    plus[index] += step
-    minus[index] -= step
-    if kind == "state":
-        hi = evaluate(expr, plus, w)
-        lo = evaluate(expr, minus, w)
-    else:
-        hi = evaluate(expr, x, plus)
-        lo = evaluate(expr, x, minus)
-    return (hi - lo) / (2.0 * step)
+    f = ((lambda v: evaluate(expr, v, w)) if kind == "state"
+         else (lambda v: evaluate(expr, x, v)))
+    return central_difference(f, target, index, h)[0]

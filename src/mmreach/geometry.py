@@ -6,6 +6,7 @@ construction and frozen, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -54,8 +55,28 @@ def invert_shape(shape):
     return np.linalg.inv(mat), det
 
 
+class Region:
+    """Membership through ``margins(pts)``: one signed margin per row of an
+    (N, dim) array, >= 0 exactly for the points inside the region."""
+
+    def _points(self, pts):
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"points have shape {pts.shape}, region has dimension {self.dim}"
+            )
+        return pts
+
+    def margin(self, x):
+        """Signed margin of one point: positive inside, negative outside."""
+        return float(self.margins(np.asarray(x, dtype=float).reshape(1, -1))[0])
+
+    def contains(self, x, tol=MEMBERSHIP_TOL):
+        return self.margin(x) >= -tol
+
+
 @dataclass(frozen=True)
-class Box:
+class Box(Region):
     """Hyperrectangle [lo, hi] in R^k with lo <= hi componentwise."""
 
     lo: np.ndarray
@@ -85,18 +106,14 @@ class Box:
     def center(self):
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.lo.shape:
-            raise DimensionMismatchError(
-                f"point has dimension {x.shape}, box has {self.lo.shape}"
-            )
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-
-    def margin(self, x):
-        """Signed distance to the boundary: positive inside, negative outside."""
-        x = np.asarray(x, dtype=float)
-        return float(np.minimum(x - self.lo, self.hi - x).min())
+    def margins(self, pts):
+        """Signed gap to the nearest face, measured along the coordinates."""
+        pts = self._points(pts)
+        out = np.full(len(pts), np.inf)
+        for k in range(self.dim):  # by column: no (N, dim) temporaries
+            np.minimum(out, pts[:, k] - self.lo[k], out=out)
+            np.minimum(out, self.hi[k] - pts[:, k], out=out)
+        return out
 
     def corners(self):
         """All 2^k corner points, lexicographic in (lo, hi) choices."""
@@ -110,7 +127,7 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Parallelotope:
+class Parallelotope(Region):
     """Linear image under ``shape`` of a coordinate box.
 
     Membership is exact: x lies in the set iff shape^-1 x lies in ``coords``.
@@ -136,17 +153,9 @@ class Parallelotope:
     def dim(self):
         return self.coords.dim
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise DimensionMismatchError(
-                f"point has dimension {x.shape[-1]}, parallelotope has {self.dim}"
-            )
-        return self.coords.contains(self.shape_inv @ x, tol=tol)
-
-    def margin(self, x):
-        """Margin of the transformed point within the coordinate box."""
-        return self.coords.margin(self.shape_inv @ np.asarray(x, dtype=float))
+    def margins(self, pts):
+        """Margins of the transformed points within the coordinate box."""
+        return self.coords.margins(self._points(pts) @ self.shape_inv.T)
 
     def to_jsonable(self):
         return {
@@ -187,15 +196,17 @@ class EmbeddingState:
 
 
 @dataclass(frozen=True)
-class UnionInitialSet:
-    """Exact union of parallelotopes (no hull is taken)."""
+class _MemberSet(Region):
+    """Non-empty tuple of member regions of one dimension."""
 
     members: tuple
 
     def __post_init__(self):
         members = tuple(self.members)
         if not members:
-            raise DimensionMismatchError("union needs at least one member")
+            raise DimensionMismatchError(
+                f"{type(self).__name__} needs at least one member"
+            )
         dims = {m.dim for m in members}
         if len(dims) != 1:
             raise DimensionMismatchError(f"members have mixed dimensions: {dims}")
@@ -205,12 +216,14 @@ class UnionInitialSet:
     def dim(self):
         return self.members[0].dim
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return any(m.contains(x, tol=tol) for m in self.members)
 
-    def margin(self, x):
+@dataclass(frozen=True)
+class UnionInitialSet(_MemberSet):
+    """Exact union of parallelotopes (no hull is taken)."""
+
+    def margins(self, pts):
         """Margin of the best member: positive iff inside some member."""
-        return max(m.margin(x) for m in self.members)
+        return functools.reduce(np.maximum, (m.margins(pts) for m in self.members))
 
     def bounding_box(self):
         verts = np.array(
@@ -220,6 +233,15 @@ class UnionInitialSet:
 
     def to_jsonable(self):
         return {"members": [m.to_jsonable() for m in self.members]}
+
+
+@dataclass(frozen=True)
+class RegionIntersection(_MemberSet):
+    """Points inside every member region."""
+
+    def margins(self, pts):
+        """Margin of the worst member: positive iff inside all members."""
+        return functools.reduce(np.minimum, (m.margins(pts) for m in self.members))
 
 
 def leq(a, b):
@@ -317,7 +339,7 @@ def _check_convex(pts):
 
 
 @dataclass(frozen=True)
-class Polygon2D:
+class Polygon2D(Region):
     """Convex polygon, counterclockwise, lexicographically smallest vertex first."""
 
     vertices: np.ndarray
@@ -334,32 +356,35 @@ class Polygon2D:
     def __len__(self):
         return len(self.vertices)
 
+    @property
+    def dim(self):
+        return 2
+
     def area(self):
         if len(self.vertices) < 3:
             return 0.0
         return abs(_signed_area(self.vertices))
 
-    def contains(self, x, tol=1e-9):
-        return self.margin(x) >= -tol
+    def margins(self, pts):
+        """Signed distance to the boundary: positive inside, negative outside.
 
-    def margin(self, x):
-        """Signed distance to the boundary: positive inside, negative outside."""
-        x = np.asarray(x, dtype=float)
-        pts = self.vertices
-        if len(pts) < 3:
-            return -float(np.min(np.linalg.norm(pts - x, axis=1)))
-        best = np.inf
-        k = len(pts)
-        for i in range(k):
-            a, b = pts[i], pts[(i + 1) % k]
+        With one or two vertices this is minus the distance to the point or
+        segment.
+        """
+        pts = self._points(pts)
+        verts = self.vertices
+        if len(verts) < 3:
+            a, e = verts[0], verts[-1] - verts[0]
+            t = np.clip((pts - a) @ e / (float(e @ e) or 1.0), 0.0, 1.0)
+            gap = pts - a - t[:, None] * e
+            return -np.hypot(gap[:, 0], gap[:, 1])
+        best = np.full(len(pts), np.inf)
+        for a, b in zip(verts, np.roll(verts, -1, axis=0)):
             e = b - a
-            nrm = float(np.linalg.norm(e))
-            if nrm <= DEDUP_TOL:
-                continue
             # distance to the edge line, positive on the interior (left) side
-            d = (e[0] * (x[1] - a[1]) - e[1] * (x[0] - a[0])) / nrm
-            best = min(best, d)
-        return float(best)
+            d = e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0])
+            best = np.minimum(best, d / np.hypot(e[0], e[1]))
+        return best
 
     def to_jsonable(self):
         return [[float(v[0]), float(v[1])] for v in self.vertices]

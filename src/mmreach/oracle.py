@@ -14,7 +14,15 @@ import numpy as np
 
 from .embed import ReachSpec, Trajectory, _rk4, _step_sizes
 from .errors import DimensionMismatchError
-from .geometry import Box, Parallelotope, Polygon2D, UnionInitialSet, ptope_vertices
+from .geometry import (
+    Box,
+    Parallelotope,
+    Polygon2D,
+    Region,
+    RegionIntersection,
+    UnionInitialSet,
+    ptope_vertices,
+)
 
 log = logging.getLogger(__name__)
 
@@ -66,13 +74,6 @@ class SampleResult:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class RegionIntersection:
-    """Audit region meaning membership in every member (lists mean unions)."""
-
-    members: tuple
-
-
 @dataclass
 class ContainmentReport:
     """Outcome of a membership audit of sampled points against a region."""
@@ -118,19 +119,8 @@ def _sample_initial(region, count, rng):
         )
         return coords @ region.shape.T
     if isinstance(region, UnionInitialSet):
-        bbox = region.bounding_box()
-
-        def inside_union(batch):
-            inside = np.zeros(len(batch), dtype=bool)
-            for member in region.members:
-                coords = batch @ member.shape_inv.T
-                inside |= np.all(
-                    (coords >= member.coords.lo) & (coords <= member.coords.hi),
-                    axis=1,
-                )
-            return inside
-
-        return _rejection_sample(rng, bbox, count, inside_union)
+        return _rejection_sample(rng, region.bounding_box(), count,
+                                 lambda batch: region.margins(batch) >= 0.0)
     if isinstance(region, Polygon2D):
         verts = region.vertices
         if len(verts) == 1:
@@ -142,6 +132,7 @@ def _sample_initial(region, count, rng):
         edges = [(verts[i], verts[(i + 1) % len(verts)])
                  for i in range(len(verts))]
 
+        # not margins: this unnormalized edge test rounds differently
         def inside_poly(batch):
             ok = np.ones(len(batch), dtype=bool)
             for a, b in edges:
@@ -262,53 +253,27 @@ def sample_endpoints(system, x0, spec: ReachSpec, cfg: SampleConfig):
     return SampleResult(points=points, divergent=divergent)
 
 
-def _margins_batch(region, pts):
-    if isinstance(region, Box):
-        return np.minimum(pts - region.lo, region.hi - pts).min(axis=1)
-    if isinstance(region, Parallelotope):
-        coords = pts @ region.shape_inv.T
-        return np.minimum(
-            coords - region.coords.lo, region.coords.hi - coords
-        ).min(axis=1)
-    if isinstance(region, UnionInitialSet):
-        stacked = np.stack([_margins_batch(m, pts) for m in region.members])
-        return stacked.max(axis=0)
-    if isinstance(region, (list, tuple)):
-        stacked = np.stack([_margins_batch(m, pts) for m in region])
-        return stacked.max(axis=0)
-    if isinstance(region, RegionIntersection):
-        stacked = np.stack([_margins_batch(m, pts) for m in region.members])
-        return stacked.min(axis=0)
-    if isinstance(region, Polygon2D):
-        verts = region.vertices
-        k = len(verts)
-        best = np.full(len(pts), np.inf)
-        for i in range(k):
-            a, b = verts[i], verts[(i + 1) % k]
-            e = b - a
-            nrm = float(np.hypot(e[0], e[1]))
-            if nrm <= 1e-12:
-                continue
-            d = (e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0])) / nrm
-            best = np.minimum(best, d)
-        return best
-    raise DimensionMismatchError(f"unsupported region type {type(region).__name__}")
-
-
 def audit_containment(points, region, tol=CONTAINMENT_TOL):
     """Membership of every point in the region, with signed margins.
 
-    Margins are measured in the region's native (transformed) coordinates.
-    Lists and unions take the best member; wrap members in
-    RegionIntersection to require membership in all of them. Points with
-    margin < -tol count as violations; up to 10 worst witnesses are recorded.
+    Margins are the region's own ``margins``, measured in its native
+    (transformed) coordinates. A list or tuple of regions is their union;
+    wrap members in RegionIntersection to require membership in all of them.
+    Points with margin < -tol count as violations; up to 10 worst witnesses
+    are recorded.
     """
+    if isinstance(region, (list, tuple)):
+        region = UnionInitialSet(region)
+    if not isinstance(region, Region):
+        raise DimensionMismatchError(
+            f"unsupported region type {type(region).__name__}"
+        )
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         pts = pts.reshape(-1, pts.shape[-1] if pts.ndim else 1)
     if len(pts) == 0:
         return ContainmentReport(total=0, violations=0, worst_margin=np.inf)
-    margins = _margins_batch(region, pts)
+    margins = region.margins(pts)
     bad = margins < -tol
     violations = int(bad.sum())
     worst = float(margins.min())
@@ -357,6 +322,7 @@ def backward_witnesses(system, x0: Parallelotope, spec: ReachSpec,
                                          system.dist, spec, len(sizes))
         X, alive = _integrate_batch(system, starts.copy(), levels, switches, sizes)
         coords = X @ x0.shape_inv.T
+        # not margins: `c >= lo - tol` rounds unlike `c - lo >= -tol`
         inside = np.all(
             (coords >= x0.coords.lo - CONTAINMENT_TOL)
             & (coords <= x0.coords.hi + CONTAINMENT_TOL),
@@ -415,12 +381,6 @@ def intersection_volume_mc(ptopes, samples=10**6, seed=0):
     box_vol = float(np.prod(hi - lo))
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(samples, len(lo)))
-    inside = np.ones(samples, dtype=bool)
-    for p in ptopes:
-        coords = pts @ p.shape_inv.T
-        inside &= np.all(
-            (coords >= p.coords.lo) & (coords <= p.coords.hi), axis=1
-        )
-    frac = inside.mean()
+    frac = (RegionIntersection(tuple(ptopes)).margins(pts) >= 0.0).mean()
     ci = 1.96 * float(np.sqrt(max(frac * (1.0 - frac), 0.0) / samples)) * box_vol
     return frac * box_vol, ci

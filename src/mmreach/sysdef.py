@@ -56,9 +56,6 @@ class SystemDef:
         """Raw componentwise evaluation; no finiteness checks (hot path)."""
         return [fn(x, w) for fn in self._scalar_fns]
 
-    def field_component(self, i, x, w):
-        return self._scalar_fns[i](x, w)
-
     def component_fn(self, i):
         """Raw compiled scalar callable for component i (hot loops)."""
         return self._scalar_fns[i]

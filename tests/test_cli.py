@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from mmreach.cli import main, validate_result_document
+import mmreach as mm
+from mmreach.cli import ReachOutcome, _scaled_region, main, validate_result_document
 from mmreach.errors import ConfigError
 
 
@@ -229,3 +230,15 @@ def test_reach_parallelotope_preset(tmp_path):
     doc = json.loads((out / "result.json").read_text())
     assert doc["method"]["kind"] == "parallelotope"
     assert (out / "parallelotope_01.txt").exists()
+
+
+def test_union_audit_region_is_a_union_and_scales():
+    a = mm.Parallelotope(np.eye(2), mm.Box([0.0, 0.0], [1.0, 1.0]))
+    b = mm.Parallelotope(np.eye(2), mm.Box([2.0, 0.0], [3.0, 1.0]))
+    region = ReachOutcome(kind="union", parallelotopes=[a, b]).audit_region()
+    assert isinstance(region, mm.UnionInitialSet)
+    assert region.members == (a, b)
+    shrunk = _scaled_region(region, 0.5)
+    assert isinstance(shrunk, mm.UnionInitialSet)
+    assert np.allclose(shrunk.members[1].coords.lo, [2.25, 0.25])
+    assert np.allclose(shrunk.members[1].coords.hi, [2.75, 0.75])

@@ -116,6 +116,19 @@ def test_partial_cube():
     assert mm.partial(e, "state", 1, [0, 1], []) == pytest.approx(3.0, abs=1e-5)
 
 
+def test_central_difference_returns_unchecked_probes():
+    fd, f_plus, f_minus = exprlang.central_difference(
+        lambda v: v[0] * v[1], [3.0, 5.0], 1, 1e-6
+    )
+    assert fd == pytest.approx(3.0, abs=1e-7)
+    assert f_plus == pytest.approx(15.0 + 3 * 5e-6)
+    assert f_minus == pytest.approx(15.0 - 3 * 5e-6)
+    fd, f_plus, f_minus = exprlang.central_difference(
+        lambda v: math.inf if v[0] > 0 else 0.0, [0.0], 0, 1e-6
+    )
+    assert fd == math.inf and f_plus == math.inf and f_minus == 0.0
+
+
 def test_partial_validation():
     e = mm.parse("x1", 1, 0)
     with pytest.raises(ValueError):
@@ -124,6 +137,9 @@ def test_partial_validation():
         mm.partial(e, "foo", 0, [1.0], [])
     with pytest.raises(DimensionMismatchError):
         mm.partial(e, "state", 3, [1.0], [])
+    # a probe point outside the domain of sqrt
+    with pytest.raises(EvalError):
+        mm.partial(mm.parse("sqrt(x1)", 1, 0), "state", 0, [0.0], [])
 
 
 # hand-differentiated battery: (source, n, m, point, kind, index, derivative)

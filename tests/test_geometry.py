@@ -284,3 +284,33 @@ def test_polygon_margin_signs():
     square = _rect(0, 1, 0, 1)
     assert square.margin([0.5, 0.5]) == pytest.approx(0.5)
     assert square.margin([1.5, 0.5]) == pytest.approx(-0.5)
+
+
+def _regions_2d():
+    a = mm.Parallelotope(np.eye(2), mm.Box([0, 0], [1, 1]))
+    b = mm.Parallelotope(np.array([[1.0, 0.5], [0.0, 1.0]]), mm.Box([0.5, 0], [2, 1]))
+    return [
+        mm.Box([-1.0, -0.5], [1.0, 0.5]),
+        b,
+        mm.UnionInitialSet((a, b)),
+        mm.RegionIntersection((a, b)),
+        _rect(0, 1, 0, 2),
+    ]
+
+
+def test_region_scalar_margin_matches_margins(rng):
+    pts = rng.uniform(-2.0, 3.0, size=(50, 2))
+    for region in _regions_2d():
+        margins = region.margins(pts)
+        assert margins.shape == (50,)
+        scalar = np.array([region.margin(p) for p in pts])
+        assert np.allclose(scalar, margins, rtol=0.0, atol=1e-12)
+        assert [region.contains(p) for p in pts] == list(margins >= -1e-12)
+
+
+def test_region_margins_reject_dimension_mismatch():
+    for region in _regions_2d():
+        with pytest.raises(DimensionMismatchError):
+            region.margins(np.zeros((4, 3)))
+        with pytest.raises(DimensionMismatchError):
+            region.contains([0.0, 0.0, 0.0])

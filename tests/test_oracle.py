@@ -103,6 +103,27 @@ def test_audit_polygon_region():
     assert rep.violations == 1
     assert rep.worst_margin == pytest.approx(-0.2)
 
+    # degenerate hulls: the margin is minus the distance to the point or segment
+    point = mm.convex_hull_2d([[0.0, 0.0]])
+    rep = mm.audit_containment(np.array([[1.0, 1.0], [5.0, 5.0]]), point)
+    assert rep.violations == 2
+    assert rep.worst_margin == pytest.approx(-math.sqrt(50.0))
+    assert point.margin([1.0, 1.0]) == pytest.approx(-math.sqrt(2.0))
+    segment = mm.convex_hull_2d([[0.0, 0.0], [1.0, 0.0]])
+    rep = mm.audit_containment(np.array([[0.5, 0.0], [3.0, 0.0]]), segment)
+    assert rep.violations == 1
+    assert rep.worst_margin == pytest.approx(-2.0)
+    assert segment.margin([0.5, 0.0]) == 0.0
+    assert segment.margin([0.5, 0.5]) == pytest.approx(-0.5)
+    assert segment.margin([3.0, 0.0]) == pytest.approx(-2.0)
+
+
+def test_audit_rejects_unsupported_region():
+    with pytest.raises(DimensionMismatchError):
+        mm.audit_containment(np.array([[0.5, 0.5]]), {"lo": [0, 0], "hi": [1, 1]})
+    with pytest.raises(DimensionMismatchError):
+        mm.audit_containment(np.array([[0.5, 0.5, 0.5]]), mm.Box([0, 0], [1, 1]))
+
 
 def test_occupancy_full_unit_square(rng):
     pts = rng.uniform(0, 1, (10**6, 2))
