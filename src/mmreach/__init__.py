@@ -47,8 +47,7 @@ from .geometry import (
     se_leq,
 )
 from .multiorder import (
-    IntersectionResult,
-    TransformPlan,
+    ReachOutcome,
     default_transform_family,
     reach_intersection,
     reach_parallelotope,

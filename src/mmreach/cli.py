@@ -1,9 +1,10 @@
 """Command-line front end: check, reach, and verify subcommands.
 
-``reach`` runs the configured pipeline and writes machine-readable results
-(JSON, CSV area curve, plain vertex files for plotting). ``verify`` samples
-trajectories against the freshly computed over-approximation and exits 2 on
-any soundness violation, distinguishing that from crashes (exit 1).
+``reach`` runs the configured pipeline (``multiorder.run_reach``) and writes
+machine-readable results (JSON, CSV area curve, plain vertex files for
+plotting). ``verify`` samples trajectories against the freshly computed
+over-approximation and exits 2 on any soundness violation, distinguishing
+that from crashes (exit 1).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import ProblemConfig, load_config, preset_names
-from .embed import ReachSpec, reach_box
+from .embed import ReachSpec
 from .errors import ConfigError, MmreachError
 from .geometry import (
     Box,
@@ -28,76 +29,9 @@ from .geometry import (
     UnionInitialSet,
     convex_hull_2d,
     ptope_polygon,
-    ptope_vertices,
 )
-from .multiorder import TransformPlan, reach_intersection, reach_parallelotope, reach_union
+from .multiorder import ReachOutcome, run_reach
 from .oracle import audit_containment, backward_witnesses, sample_endpoints
-
-
-@dataclasses.dataclass
-class ReachOutcome:
-    """Everything a pipeline run produced, ready for serialization."""
-
-    kind: str  # box | parallelotope | intersection | union
-    boxes: list = dataclasses.field(default_factory=list)
-    parallelotopes: list = dataclasses.field(default_factory=list)
-    intersection: object = None
-    areas: list = dataclasses.field(default_factory=list)
-    volume: float | None = None
-    volume_ci: float | None = None
-
-    def audit_region(self):
-        if self.kind == "box":
-            return self.boxes[0][1]
-        if self.kind == "parallelotope":
-            return self.parallelotopes[0]
-        if self.kind == "intersection":
-            return RegionIntersection(tuple(self.parallelotopes))
-        return UnionInitialSet(tuple(self.parallelotopes))
-
-
-def _initial_vertices(cfg: ProblemConfig):
-    init = cfg.initial_set
-    if isinstance(init, Box):
-        return init.corners()
-    if isinstance(init, Parallelotope):
-        return ptope_vertices(init)
-    if isinstance(init, list):
-        return init
-    raise ConfigError("transform plans need box, parallelotope, or vertex input",
-                      "initial_set")
-
-
-def run_reach(cfg: ProblemConfig):
-    """Dispatch the configured pipeline and collect its outputs."""
-    system = cfg.system
-    spec = cfg.spec
-    if cfg.transforms is not None:
-        plan = TransformPlan(tuple(cfg.transforms), spec)
-        result = reach_intersection(system, plan, _initial_vertices(cfg),
-                                    cfg.method, **cfg.method_options)
-        return ReachOutcome(
-            kind="intersection",
-            parallelotopes=result.parallelotopes,
-            intersection=result.intersection,
-            areas=result.areas,
-            volume=result.volume,
-            volume_ci=result.volume_ci,
-        )
-    init = cfg.initial_set
-    if isinstance(init, Parallelotope):
-        ptope = reach_parallelotope(system, init.shape, init, spec, cfg.method,
-                                    **cfg.method_options)
-        return ReachOutcome(kind="parallelotope", parallelotopes=[ptope])
-    if isinstance(init, UnionInitialSet):
-        ptopes = reach_union(system, init, spec, cfg.method, **cfg.method_options)
-        return ReachOutcome(kind="union", parallelotopes=ptopes)
-    if not isinstance(init, Box):
-        # bare vertex polytope without transforms: bound it by its own hull box
-        verts = np.array([np.asarray(v) for v in init])
-        init = Box(verts.min(axis=0), verts.max(axis=0))
-    box = reach_box(system, init, spec, cfg.method, **cfg.method_options)
-    return ReachOutcome(kind="box", boxes=[(spec.horizon, box)])
 
 
 def _initial_set_jsonable(cfg: ProblemConfig):

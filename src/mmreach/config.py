@@ -194,6 +194,8 @@ def _parse_decomposition(raw, system, where="decomposition"):
             raise ConfigError(str(exc), f"{where}.domain_lo/domain_hi") from exc
     if "samples" in raw:
         options["samples"] = _integer(raw["samples"], f"{where}.samples")
+        if options["samples"] < 1:
+            raise ConfigError("samples must be >= 1", f"{where}.samples")
     if "seed" in raw:
         options["seed"] = _integer(raw["seed"], f"{where}.seed")
     if method == "closed_form":
@@ -204,6 +206,9 @@ def _parse_decomposition(raw, system, where="decomposition"):
                 f"{where}.sources",
             )
         for i, src in enumerate(sources):
+            if not isinstance(src, str):
+                raise ConfigError("expected an expression string",
+                                  f"{where}.sources[{i}]")
             try:
                 exprlang.parse(src, 2 * system.n, 2 * system.m)
             except MmreachError as exc:
@@ -286,6 +291,8 @@ def parse_config(raw: dict):
     if output and not isinstance(output, dict):
         raise ConfigError("expected a table", "output")
     output_dir = output.get("dir", "out") if isinstance(output, dict) else "out"
+    if not isinstance(output_dir, str):
+        raise ConfigError("expected a directory path string", "output.dir")
     if direction == "backward" and not isinstance(initial, Parallelotope):
         raise ConfigError(
             "backward runs need a parallelotope initial set", "initial_set"
@@ -319,6 +326,8 @@ def load_config(path_or_preset):
             raise ConfigError(
                 f"no such file or preset {name!r}; presets: {preset_names()}"
             )
+        if not path.is_file():
+            raise ConfigError("not a file", name)
         text = path.read_text()
     try:
         raw = json.loads(text)

@@ -115,6 +115,9 @@ class Box(Region):
             np.minimum(out, self.hi[k] - pts[:, k], out=out)
         return out
 
+    def bounding_box(self):
+        return self
+
     def corners(self):
         """All 2^k corner points, lexicographic in (lo, hi) choices."""
         if self.dim > _VERTEX_DIM_LIMIT:
@@ -156,6 +159,10 @@ class Parallelotope(Region):
     def margins(self, pts):
         """Margins of the transformed points within the coordinate box."""
         return self.coords.margins(self._points(pts) @ self.shape_inv.T)
+
+    def bounding_box(self):
+        verts = np.array(ptope_vertices(self))
+        return Box(verts.min(axis=0), verts.max(axis=0))
 
     def to_jsonable(self):
         return {
@@ -226,10 +233,9 @@ class UnionInitialSet(_MemberSet):
         return functools.reduce(np.maximum, (m.margins(pts) for m in self.members))
 
     def bounding_box(self):
-        verts = np.array(
-            [v for m in self.members for v in ptope_vertices(m)]
-        )
-        return Box(verts.min(axis=0), verts.max(axis=0))
+        boxes = [m.bounding_box() for m in self.members]
+        return Box(np.min([b.lo for b in boxes], axis=0),
+                   np.max([b.hi for b in boxes], axis=0))
 
     def to_jsonable(self):
         return {"members": [m.to_jsonable() for m in self.members]}
@@ -364,6 +370,9 @@ class Polygon2D(Region):
         if len(self.vertices) < 3:
             return 0.0
         return abs(_signed_area(self.vertices))
+
+    def bounding_box(self):
+        return Box(self.vertices.min(axis=0), self.vertices.max(axis=0))
 
     def margins(self, pts):
         """Signed distance to the boundary: positive inside, negative outside.

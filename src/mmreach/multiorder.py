@@ -1,8 +1,10 @@
-"""Parallelotope reachability under linear state transformations.
+"""Reach pipeline: boxes, parallelotopes, intersections and unions.
 
 A decomposition for the transformed dynamics bounds reachable sets of the
 original system by parallelotopes; several transformations intersect to a
 tighter polytope, and polytopic initial sets split into parallelotope unions.
+``run_reach`` dispatches a validated configuration to one of these and
+returns the one result record, ``ReachOutcome``.
 """
 
 from __future__ import annotations
@@ -15,76 +17,57 @@ from . import oracle
 from .embed import ReachSpec, reach_box
 from .errors import DimensionMismatchError, EmptyIntersectionError
 from .geometry import (
+    Box,
     Parallelotope,
-    Polygon2D,
+    RegionIntersection,
     UnionInitialSet,
     bounding_coords,
     clip_intersection_2d,
     ptope_polygon,
+    ptope_vertices,
 )
 from .sysdef import transform
 
-__all__ = [
-    "TransformPlan",
-    "UnionInitialSet",
-    "IntersectionResult",
-    "reach_parallelotope",
-    "reach_intersection",
-    "reach_union",
-    "default_transform_family",
-]
+
+@dataclass
+class ReachOutcome:
+    """Everything a pipeline run produced, ready for serialization."""
+
+    kind: str  # box | parallelotope | intersection | union
+    boxes: list = field(default_factory=list)
+    parallelotopes: list = field(default_factory=list)
+    intersection: object = None
+    areas: list = field(default_factory=list)
+    volume: float | None = None
+    volume_ci: float | None = None
+
+    def audit_region(self):
+        if self.kind == "box":
+            return self.boxes[0][1]
+        if self.kind == "parallelotope":
+            return self.parallelotopes[0]
+        if self.kind == "intersection":
+            return RegionIntersection(tuple(self.parallelotopes))
+        return UnionInitialSet(tuple(self.parallelotopes))
 
 
-@dataclass(frozen=True)
-class TransformPlan:
-    """Shape matrices to apply, all under one reach spec."""
-
-    transforms: tuple
-    spec: ReachSpec
-
-    def __post_init__(self):
-        transforms = tuple(np.array(t, dtype=float) for t in self.transforms)
-        if not transforms:
-            raise DimensionMismatchError("transform plan is empty")
-        for t in transforms:
-            t.flags.writeable = False
-        object.__setattr__(self, "transforms", transforms)
-
-
-def reach_parallelotope(system, shape, x0: Parallelotope, spec: ReachSpec,
+def reach_parallelotope(system, x0: Parallelotope, spec: ReachSpec,
                         method="tight", **method_options):
     """Parallelotope over-approximation of the reachable set from ``x0``.
 
-    Builds the transformed dynamics for ``shape``, constructs the requested
+    Builds the dynamics transformed by ``x0.shape``, constructs the requested
     decomposition (tight by default), and integrates its embedding in
     transformed coordinates. ``spec.direction`` selects forward or backward
-    reachability; ``x0.shape`` must equal ``shape``.
+    reachability.
     """
-    shape = np.asarray(shape, dtype=float)
-    if not np.allclose(x0.shape, shape, rtol=0.0, atol=1e-12):
-        raise DimensionMismatchError(
-            "initial parallelotope shape differs from the requested transform"
-        )
-    box = reach_box(transform(system, shape), x0.coords, spec, method,
+    box = reach_box(transform(system, x0.shape), x0.coords, spec, method,
                     **method_options)
-    return Parallelotope(shape, box)
+    return Parallelotope(x0.shape, box)
 
 
-@dataclass
-class IntersectionResult:
-    """Per-transform parallelotopes plus their running intersection."""
-
-    parallelotopes: list
-    intersection: Polygon2D | None
-    areas: list
-    volume: float | None = None
-    volume_ci: float | None = None
-    initial_sets: list = field(default_factory=list)
-
-
-def reach_intersection(system, plan: TransformPlan, x0_vertices, method="tight",
-                       volume_samples=10**6, seed=0, **method_options):
-    """Reach under every transform of the plan and intersect the results.
+def reach_intersection(system, transforms, x0_vertices, spec: ReachSpec,
+                       method="tight", **method_options):
+    """Reach under every transform and intersect the results.
 
     The initial set is the polytope spanned by ``x0_vertices``; each
     transform gets the smallest parallelotope of its own shape containing
@@ -92,20 +75,16 @@ def reach_intersection(system, plan: TransformPlan, x0_vertices, method="tight",
     area curve are exact (half-plane clipping); higher dimensions report a
     Monte-Carlo volume of the intersection instead.
     """
+    if len(transforms) == 0:
+        raise DimensionMismatchError("no transforms given")
     vertices = [np.asarray(v, dtype=float) for v in x0_vertices]
-    ptopes = []
-    initial_sets = []
-    areas = []
+    outcome = ReachOutcome(kind="intersection")
     running = None
-    planar = system.n == 2
-    for shape in plan.transforms:
-        coords = bounding_coords(vertices, shape)
-        x0 = Parallelotope(shape, coords)
-        initial_sets.append(x0)
-        ptope = reach_parallelotope(system, shape, x0, plan.spec, method,
-                                    **method_options)
-        ptopes.append(ptope)
-        if planar:
+    for shape in transforms:
+        x0 = Parallelotope(shape, bounding_coords(vertices, shape))
+        ptope = reach_parallelotope(system, x0, spec, method, **method_options)
+        outcome.parallelotopes.append(ptope)
+        if system.n == 2:
             poly = ptope_polygon(ptope)
             running = poly if running is None else clip_intersection_2d([running, poly])
             if running is None:
@@ -113,18 +92,13 @@ def reach_intersection(system, plan: TransformPlan, x0_vertices, method="tight",
                     "intersection of over-approximations is empty; every member "
                     "must contain the reachable set, so an upstream step is wrong"
                 )
-            areas.append(running.area())
-    result = IntersectionResult(
-        parallelotopes=ptopes,
-        intersection=running,
-        areas=areas,
-        initial_sets=initial_sets,
-    )
-    if not planar:
-        result.volume, result.volume_ci = oracle.intersection_volume_mc(
-            ptopes, volume_samples, seed
+            outcome.areas.append(running.area())
+    outcome.intersection = running
+    if system.n != 2:
+        outcome.volume, outcome.volume_ci = oracle.intersection_volume_mc(
+            outcome.parallelotopes
         )
-    return result
+    return outcome
 
 
 def reach_union(system, union: UnionInitialSet, spec: ReachSpec,
@@ -132,10 +106,38 @@ def reach_union(system, union: UnionInitialSet, spec: ReachSpec,
     """Per-member parallelotope reach; the result list over-approximates the
     reachable set of the union (reach commutes with unions)."""
     return [
-        reach_parallelotope(system, member.shape, member, spec, method,
-                            **method_options)
+        reach_parallelotope(system, member, spec, method, **method_options)
         for member in union.members
     ]
+
+
+def _initial_vertices(init):
+    if isinstance(init, Box):
+        return init.corners()
+    if isinstance(init, Parallelotope):
+        return ptope_vertices(init)
+    return init
+
+
+def run_reach(cfg):
+    """Run the pipeline a validated ``ProblemConfig`` describes."""
+    system, spec, init = cfg.system, cfg.spec, cfg.initial_set
+    options = cfg.method_options
+    if cfg.transforms is not None:
+        return reach_intersection(system, cfg.transforms, _initial_vertices(init),
+                                  spec, cfg.method, **options)
+    if isinstance(init, Parallelotope):
+        ptope = reach_parallelotope(system, init, spec, cfg.method, **options)
+        return ReachOutcome(kind="parallelotope", parallelotopes=[ptope])
+    if isinstance(init, UnionInitialSet):
+        ptopes = reach_union(system, init, spec, cfg.method, **options)
+        return ReachOutcome(kind="union", parallelotopes=ptopes)
+    if not isinstance(init, Box):
+        # bare vertex polytope without transforms: bound it by its own hull box
+        verts = np.array([np.asarray(v) for v in init])
+        init = Box(verts.min(axis=0), verts.max(axis=0))
+    box = reach_box(system, init, spec, cfg.method, **options)
+    return ReachOutcome(kind="box", boxes=[(spec.horizon, box)])
 
 
 def default_transform_family(count):

@@ -102,7 +102,7 @@ def _region_corners(region):
     if isinstance(region, Parallelotope):
         return ptope_vertices(region)
     if isinstance(region, UnionInitialSet):
-        return [v for m in region.members for v in ptope_vertices(m)]
+        return [v for m in region.members for v in _region_corners(m)]
     if isinstance(region, Polygon2D):
         return list(region.vertices)
     raise DimensionMismatchError(f"cannot enumerate corners of {type(region).__name__}")
@@ -128,7 +128,6 @@ def _sample_initial(region, count, rng):
         if len(verts) == 2:  # degenerate hull: sample along the segment
             t = rng.uniform(0.0, 1.0, size=(count, 1))
             return verts[0] + t * (verts[1] - verts[0])
-        bbox = Box(verts.min(axis=0), verts.max(axis=0))
         edges = [(verts[i], verts[(i + 1) % len(verts)])
                  for i in range(len(verts))]
 
@@ -141,7 +140,7 @@ def _sample_initial(region, count, rng):
                        - e[1] * (batch[:, 0] - a[0])) >= -1e-12
             return ok
 
-        return _rejection_sample(rng, bbox, count, inside_poly)
+        return _rejection_sample(rng, region.bounding_box(), count, inside_poly)
     raise DimensionMismatchError(f"cannot sample from {type(region).__name__}")
 
 
@@ -362,20 +361,16 @@ def simulate(system, x0, w, spec: ReachSpec):
 
 
 def intersection_volume_mc(ptopes, samples=10**6, seed=0):
-    """Monte-Carlo volume of an intersection of parallelotopes.
+    """Monte-Carlo volume of an intersection of parallelotopes or boxes.
 
     Samples uniformly in the intersection of the members' bounding boxes.
     Returns (volume, ci95).
     """
     if not ptopes:
         raise DimensionMismatchError("no parallelotopes given")
-    los, his = [], []
-    for p in ptopes:
-        verts = np.array(ptope_vertices(p))
-        los.append(verts.min(axis=0))
-        his.append(verts.max(axis=0))
-    lo = np.max(los, axis=0)
-    hi = np.min(his, axis=0)
+    boxes = [p.bounding_box() for p in ptopes]
+    lo = np.max([b.lo for b in boxes], axis=0)
+    hi = np.min([b.hi for b in boxes], axis=0)
     if np.any(lo >= hi):
         return 0.0, 0.0
     box_vol = float(np.prod(hi - lo))

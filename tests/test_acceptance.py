@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import mmreach as mm
-from mmreach.cli import run_reach
 from mmreach.config import load_config
+from mmreach.multiorder import run_reach
 
 CONTAINMENT_TOL = 1e-9
 
@@ -225,9 +225,8 @@ def test_criterion_6_identity_reduction():
         spec = mm.ReachSpec(1.0, 5e-3)
         d = mm.tight_decomposition(system)
         box = mm.forward_reach_box(system, d, hull, spec)
-        ptope = mm.reach_parallelotope(
-            system, np.eye(2), mm.Parallelotope(np.eye(2), hull), spec
-        )
+        ptope = mm.reach_parallelotope(system, mm.Parallelotope(np.eye(2), hull),
+                                       spec)
         assert np.max(np.abs(ptope.coords.lo - box.lo)) <= 1e-12, name
         assert np.max(np.abs(ptope.coords.hi - box.hi)) <= 1e-12, name
     _report(6, f"{len(cases)} presets reduce exactly")

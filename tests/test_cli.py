@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import mmreach as mm
-from mmreach.cli import ReachOutcome, _scaled_region, main, validate_result_document
+from mmreach.cli import _scaled_region, main, validate_result_document
 from mmreach.errors import ConfigError
+from mmreach.multiorder import ReachOutcome
 
 
 def _write(tmp_path, raw, name="run.json"):

@@ -143,3 +143,21 @@ def test_load_config_path_and_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+@pytest.mark.parametrize("change, location", [
+    ({"output": {"dir": 5}}, "output.dir"),
+    ({"decomposition": {"samples": 0}}, "decomposition.samples"),
+    ({"decomposition": {"method": "closed_form", "sources": [3, "x1"]}},
+     "decomposition.sources[0]"),
+    (None, None),  # the config path is a directory
+])
+def test_check_rejects_what_reach_would(tmp_path, change, location):
+    """Each of these passed validation and then crashed or failed in reach."""
+    path = tmp_path
+    if change is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**_base_raw(), **change}))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.location == (location or str(tmp_path))

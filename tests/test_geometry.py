@@ -280,6 +280,28 @@ def test_union_membership_and_bounding_box():
     assert np.allclose(bbox.lo, [0, 0]) and np.allclose(bbox.hi, [3, 1])
 
 
+def test_unions_and_intersections_take_box_members():
+    """Union bounding boxes, intersection volumes and corner sampling take
+    Box members as well as parallelotopes."""
+    a = mm.Box([0.0, 0.0], [1.0, 1.0])
+    b = mm.Box([2.0, -1.0], [3.0, 0.5])
+    bbox = mm.UnionInitialSet((a, b)).bounding_box()
+    assert list(bbox.lo) == [0.0, -1.0] and list(bbox.hi) == [3.0, 1.0]
+    rotated = mm.Parallelotope(np.array([[1.0, -1.0], [1.0, 1.0]]),
+                               mm.Box([0.0, 0.0], [1.0, 1.0]))
+    assert list(rotated.bounding_box().lo) == [-1.0, 0.0]
+    assert list(rotated.bounding_box().hi) == [1.0, 2.0]
+    vol, _ = mm.intersection_volume_mc([rotated, a], samples=20000, seed=1)
+    assert vol == pytest.approx(0.5, abs=0.02)
+    # corner starts of a box union come from the boxes' own corners
+    res = mm.sample_endpoints(
+        mm.preset_system("bilinear"), mm.UnionInitialSet((a, b)),
+        mm.ReachSpec(0.1, 0.05),
+        mm.SampleConfig(count=50, seed=0, init_mode="corners_plus_uniform"),
+    )
+    assert res.points.shape == (50, 2)
+
+
 def test_polygon_margin_signs():
     square = _rect(0, 1, 0, 1)
     assert square.margin([0.5, 0.5]) == pytest.approx(0.5)

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 import mmreach as mm
-from mmreach.errors import DimensionMismatchError
+from mmreach.config import parse_config
+from mmreach.errors import DimensionMismatchError, SignIndefiniteError
+from mmreach.multiorder import run_reach
 
 T1 = np.array([[1.0, 1.0], [0.0, 1.0]])
 T2 = np.array([[1.0, 4.0], [-1.0, 1.0]])
 
 
-def test_transform_plan_validation():
+def test_transform_plan_validation(bilinear):
     spec = mm.ReachSpec(1.0, 1e-2)
     with pytest.raises(DimensionMismatchError):
-        mm.TransformPlan((), spec)
-    plan = mm.TransformPlan((np.eye(2), T1), spec)
-    assert len(plan.transforms) == 2
+        mm.reach_intersection(bilinear, (), [np.zeros(2)], spec)
 
 
 def test_default_transform_family():
@@ -34,28 +34,20 @@ def test_default_transform_family():
         mm.default_transform_family(0)
 
 
-def test_reach_parallelotope_shape_mismatch(bilinear, example1_ptope):
-    with pytest.raises(DimensionMismatchError):
-        mm.reach_parallelotope(bilinear, np.eye(2), example1_ptope,
-                               mm.ReachSpec(1.0, 1e-2))
-
-
 def test_identity_transform_reduces_to_box_reach(bilinear):
     """With the identity shape the parallelotope pipeline is the box pipeline."""
     x0 = mm.Box([0.0, -0.25], [0.75, 0.25])
     spec = mm.ReachSpec(1.0, 2e-3)
     d = mm.tight_decomposition(bilinear)
     box = mm.forward_reach_box(bilinear, d, x0, spec)
-    ptope = mm.reach_parallelotope(
-        bilinear, np.eye(2), mm.Parallelotope(np.eye(2), x0), spec
-    )
+    ptope = mm.reach_parallelotope(bilinear, mm.Parallelotope(np.eye(2), x0), spec)
     assert np.max(np.abs(ptope.coords.lo - box.lo)) <= 1e-12
     assert np.max(np.abs(ptope.coords.hi - box.hi)) <= 1e-12
 
 
-def test_reach_parallelotope_contains_samples(bilinear, example1_ptope, skew_shape):
+def test_reach_parallelotope_contains_samples(bilinear, example1_ptope):
     spec = mm.ReachSpec(1.0, 2e-3)
-    ptope = mm.reach_parallelotope(bilinear, skew_shape, example1_ptope, spec)
+    ptope = mm.reach_parallelotope(bilinear, example1_ptope, spec)
     res = mm.sample_endpoints(bilinear, example1_ptope, spec,
                               mm.SampleConfig(count=3000, seed=1))
     rep = mm.audit_containment(res.points, ptope)
@@ -67,7 +59,7 @@ def test_monotone_transform_gives_face_tight_parallelotope(cubic):
     spec = mm.ReachSpec(1.0, 1e-3)
     y0 = np.linalg.solve(T1, [1.0, 1.0])
     x0 = mm.Parallelotope(T1, mm.Box(y0, y0))
-    ptope = mm.reach_parallelotope(cubic, T1, x0, spec)
+    ptope = mm.reach_parallelotope(cubic, x0, spec)
     trans = mm.transform(cubic, T1)
     lo_end = mm.simulate(trans, y0, [-1.0], spec).final_state
     hi_end = mm.simulate(trans, y0, [1.0], spec).final_state
@@ -81,8 +73,7 @@ def test_monotone_transform_gives_face_tight_parallelotope(cubic):
 def test_reach_intersection_single_identity_is_box(bilinear):
     x0 = mm.Box([0.0, -0.25], [0.75, 0.25])
     spec = mm.ReachSpec(1.0, 2e-3)
-    plan = mm.TransformPlan((np.eye(2),), spec)
-    result = mm.reach_intersection(bilinear, plan, x0.corners())
+    result = mm.reach_intersection(bilinear, (np.eye(2),), x0.corners(), spec)
     d = mm.tight_decomposition(bilinear)
     box = mm.forward_reach_box(bilinear, d, x0, spec)
     want_area = float(np.prod(box.hi - box.lo))
@@ -92,9 +83,9 @@ def test_reach_intersection_single_identity_is_box(bilinear):
 
 def test_reach_intersection_areas_non_increasing(bilinear, example1_ptope):
     spec = mm.ReachSpec(1.0, 5e-3)
-    plan = mm.TransformPlan(tuple(mm.default_transform_family(5)), spec)
     verts = mm.ptope_vertices(example1_ptope)
-    result = mm.reach_intersection(bilinear, plan, verts)
+    result = mm.reach_intersection(bilinear, mm.default_transform_family(5), verts,
+                                   spec)
     assert len(result.areas) == 5
     assert all(b <= a + 1e-12 for a, b in zip(result.areas, result.areas[1:]))
     assert result.intersection is not None
@@ -103,11 +94,11 @@ def test_reach_intersection_areas_non_increasing(bilinear, example1_ptope):
 def test_reach_intersection_two_transforms_cut_area(cubic):
     """A second shape strictly cuts the first parallelogram's area."""
     spec = mm.ReachSpec(1.0, 2e-3)
-    plan = mm.TransformPlan((T1, T2), spec)
-    result = mm.reach_intersection(cubic, plan, [np.array([1.0, 1.0])])
+    start = [np.array([1.0, 1.0])]
+    result = mm.reach_intersection(cubic, (T1, T2), start, spec)
     assert result.areas[1] < result.areas[0] - 1e-9
     res = mm.sample_endpoints(
-        cubic, mm.Parallelotope(T1, result.initial_sets[0].coords),
+        cubic, mm.Parallelotope(T1, mm.bounding_coords(start, T1)),
         spec, mm.SampleConfig(count=2000, seed=2),
     )
     for ptope in result.parallelotopes:
@@ -121,7 +112,7 @@ def test_reach_union_single_member_matches_parallelotope(trig):
                                         np.array([0.0, 1.0]) + off))
     spec = mm.ReachSpec(0.5, 2e-3)
     single = mm.reach_union(trig, mm.UnionInitialSet((member,)), spec)
-    direct = mm.reach_parallelotope(trig, t, member, spec)
+    direct = mm.reach_parallelotope(trig, member, spec)
     assert len(single) == 1
     assert np.allclose(single[0].coords.lo, direct.coords.lo, atol=0)
     assert np.allclose(single[0].coords.hi, direct.coords.hi, atol=0)
@@ -133,19 +124,17 @@ def test_reach_intersection_nd_reports_volume():
     )
     spec = mm.ReachSpec(0.5, 1e-2)
     shapes = (np.eye(3), np.diag([1.0, 2.0, 1.0]))
-    plan = mm.TransformPlan(shapes, spec)
     verts = mm.Box([0.0, 0.0, 0.0], [0.5, 0.5, 0.5]).corners()
-    result = mm.reach_intersection(s, plan, verts, volume_samples=20000)
+    result = mm.reach_intersection(s, shapes, verts, spec)
     assert result.intersection is None
     assert not result.areas
     assert result.volume is not None and result.volume > 0
     assert result.volume_ci is not None
 
 
-def test_backward_parallelotope_contains_witnesses(bilinear, example1_ptope,
-                                                   skew_shape):
+def test_backward_parallelotope_contains_witnesses(bilinear, example1_ptope):
     spec = mm.ReachSpec(1.0, 2e-3, "backward")
-    back = mm.reach_parallelotope(bilinear, skew_shape, example1_ptope, spec)
+    back = mm.reach_parallelotope(bilinear, example1_ptope, spec)
     wit = mm.backward_witnesses(
         bilinear, example1_ptope, mm.ReachSpec(1.0, 2e-3),
         mm.SampleConfig(count=30000, seed=3), mm.Box([-3, -3], [3, 3]),
@@ -153,3 +142,24 @@ def test_backward_parallelotope_contains_witnesses(bilinear, example1_ptope,
     assert len(wit) > 100
     rep = mm.audit_containment(wit, back)
     assert rep.violations == 0
+
+
+def test_run_reach_builds_every_transform_with_the_decomposition_seed():
+    """The configured seed, not a default, drives each transform's sampling."""
+    cfg = parse_config({
+        "system": {"n": 2, "m": 1, "field": ["x1*x2 + w1", "-x2"],
+                   "w_lo": [0.0], "w_hi": [0.1]},
+        "initial_set": {"type": "box", "lo": [0.0, 0.0], "hi": [0.1, 0.1]},
+        "horizon": 0.1,
+        "dt": 0.01,
+        "decomposition": {"method": "jacobian_sign", "domain_lo": [-1.0, -1.0],
+                          "domain_hi": [1.0, 1.0], "seed": 3},
+        "transforms": {"matrices": [T1.tolist(), np.eye(2).tolist()]},
+    })
+    with pytest.raises(SignIndefiniteError) as got:
+        run_reach(cfg)
+    with pytest.raises(SignIndefiniteError) as want:
+        mm.jacobian_sign_decomposition(mm.transform(cfg.system, T1),
+                                       cfg.method_options["domain"], seed=3)
+    assert got.value.entry == want.value.entry
+    assert got.value.witnesses == want.value.witnesses
