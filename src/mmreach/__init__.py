@@ -33,7 +33,6 @@ from .embed import (
 from .exprlang import ExprAst, evaluate, parse, partial, to_source
 from .geometry import (
     Box,
-    EmbeddingState,
     Parallelotope,
     Polygon2D,
     RegionIntersection,

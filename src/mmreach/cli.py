@@ -235,6 +235,8 @@ def cmd_verify(args):
         forward_spec = ReachSpec(cfg.spec.horizon, cfg.spec.dt, "forward")
         points = backward_witnesses(cfg.system, cfg.initial_set, forward_spec,
                                     cfg.sampling, cfg.search_box)
+        # `divergent` counts forward endpoints excluded from the audit; a
+        # backward search trajectory that diverges cannot be a witness
         divergent = 0
     else:
         init = cfg.initial_set

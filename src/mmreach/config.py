@@ -46,9 +46,11 @@ def _number(value, where):
     return float(value)
 
 
-def _integer(value, where):
+def _integer(value, where, minimum=None):
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"expected an integer, got {value!r}", where)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"must be >= {minimum}, got {value}", where)
     return value
 
 
@@ -86,6 +88,10 @@ class ProblemConfig:
     sampling: SampleConfig
     search_box: Box | None
     output_dir: str
+
+    def __post_init__(self):
+        if Path(self.output_dir).exists() and not Path(self.output_dir).is_dir():
+            raise ConfigError(f"{self.output_dir!r} is not a directory", "output.dir")
 
     @property
     def initial_kind(self):
@@ -193,11 +199,9 @@ def _parse_decomposition(raw, system, where="decomposition"):
         except MmreachError as exc:
             raise ConfigError(str(exc), f"{where}.domain_lo/domain_hi") from exc
     if "samples" in raw:
-        options["samples"] = _integer(raw["samples"], f"{where}.samples")
-        if options["samples"] < 1:
-            raise ConfigError("samples must be >= 1", f"{where}.samples")
+        options["samples"] = _integer(raw["samples"], f"{where}.samples", 1)
     if "seed" in raw:
-        options["seed"] = _integer(raw["seed"], f"{where}.seed")
+        options["seed"] = _integer(raw["seed"], f"{where}.seed", 0)
     if method == "closed_form":
         sources = _require(raw, "sources", where)
         if not isinstance(sources, list) or len(sources) != system.n:
@@ -238,9 +242,7 @@ def _parse_transforms(raw, n, where="transforms"):
     if raw.get("family") == "rotations":
         if n != 2:
             raise ConfigError("rotation family requires a planar system", where)
-        count = _integer(_require(raw, "count", where), f"{where}.count")
-        if count < 1:
-            raise ConfigError("count must be >= 1", f"{where}.count")
+        count = _integer(_require(raw, "count", where), f"{where}.count", 1)
         return default_transform_family(count)
     raise ConfigError("expected 'matrices' or family: 'rotations'", where)
 
@@ -250,7 +252,7 @@ def _parse_sampling(raw, n, where="sampling"):
     if not isinstance(raw, dict):
         raise ConfigError("expected a table", where)
     count = _integer(raw.get("count", 10000), f"{where}.count")
-    seed = _integer(raw.get("seed", 0), f"{where}.seed")
+    seed = _integer(raw.get("seed", 0), f"{where}.seed", 0)
     switch_count = _integer(raw.get("switch_count", 4), f"{where}.switch_count")
     init_mode = raw.get("init_mode", "uniform")
     try:

@@ -18,7 +18,7 @@ from .errors import (
     EvalError,
     StepOrderError,
 )
-from .geometry import Box, EmbeddingState
+from .geometry import Box
 from .sysdef import reverse_time
 
 ORDER_CLIP_TOL = 1e-9
@@ -161,20 +161,22 @@ def _rk4(f, x, sizes, post):
     return x
 
 
-def integrate(E: EmbeddingFunction, a0: EmbeddingState, spec: ReachSpec):
-    """Classical fixed-step 4th-order integration of the embedding system.
+def integrate(d: Decomposition, x0: Box, spec: ReachSpec):
+    """Classical fixed-step 4th-order integration of the embedding system of
+    ``d`` from the state [x0.lo, x0.hi].
 
     Every stored state keeps lower <= upper exactly; the final time equals
     the horizon (a shorter last step absorbs any remainder). Non-finite
     states raise DivergenceError with the last valid time.
     """
+    E = EmbeddingFunction(d)
     n = E.n
-    if a0.dim != n:
+    if x0.dim != n:
         raise DimensionMismatchError(
-            f"initial state has dimension {a0.dim}, embedding expects {n}"
+            f"initial state has dimension {x0.dim}, embedding expects {n}"
         )
     times = [0.0]
-    states = [a0.concat()]
+    states = [np.concatenate([x0.lo, x0.hi])]
 
     def rhs(a, t):
         lower, upper = _split_ordered(a, n, f"inside a step near t={t:.6g}")
@@ -217,9 +219,7 @@ def forward_reach_box(system, d: Decomposition, x0: Box, spec: ReachSpec):
         raise DimensionMismatchError(
             "decomposition was built for a different system"
         )
-    traj = integrate(EmbeddingFunction(d), EmbeddingState(x0.lo, x0.hi), spec)
-    final = traj.final_state
-    return Box(final[: system.n], final[system.n:])
+    return _final_box(d, x0, spec)
 
 
 def backward_reach_box(system, d_neg: Decomposition, x0: Box, spec: ReachSpec):
@@ -240,9 +240,13 @@ def backward_reach_box(system, d_neg: Decomposition, x0: Box, spec: ReachSpec):
                 "d_neg does not match the time-reversed field on the diagonal",
                 f"at x={list(p)}",
             )
-    traj = integrate(EmbeddingFunction(d_neg), EmbeddingState(x0.lo, x0.hi), spec)
-    final = traj.final_state
-    return Box(final[: system.n], final[system.n:])
+    return _final_box(d_neg, x0, spec)
+
+
+def _final_box(d, x0, spec):
+    """Box at the horizon of the embedding trajectory of ``d`` from ``x0``."""
+    final = integrate(d, x0, spec).final_state
+    return Box(final[: d.n], final[d.n:])
 
 
 def reach_box(system, x0: Box, spec: ReachSpec, method="tight", **options):

@@ -40,8 +40,8 @@ def _frozen_vector(values, name):
 def invert_shape(shape):
     """Invert a shape matrix, rejecting singular or ill-conditioned input.
 
-    Returns (inverse, determinant). Raises GeometryError when |det| <= 1e-12
-    or the condition number exceeds 1e12.
+    Raises GeometryError when |det| <= 1e-12 or the condition number
+    exceeds 1e12.
     """
     mat = np.array(shape, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -52,12 +52,13 @@ def invert_shape(shape):
     cond = float(np.linalg.cond(mat))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise GeometryError(f"shape matrix is ill-conditioned (cond = {cond:.3e})")
-    return np.linalg.inv(mat), det
+    return np.linalg.inv(mat)
 
 
 class Region:
     """Membership through ``margins(pts)``: one signed margin per row of an
-    (N, dim) array, >= 0 exactly for the points inside the region."""
+    (N, dim) array, >= 0 exactly for the points inside the region. Regions
+    spanned by finitely many points list them with ``corners()``."""
 
     def _points(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -74,10 +75,13 @@ class Region:
     def contains(self, x, tol=MEMBERSHIP_TOL):
         return self.margin(x) >= -tol
 
+    def corners(self):
+        raise DimensionMismatchError(f"cannot enumerate corners of {type(self).__name__}")
+
 
 @dataclass(frozen=True)
 class Box(Region):
-    """Hyperrectangle [lo, hi] in R^k with lo <= hi componentwise."""
+    """Hyperrectangle [lo, hi] in R^k, lo <= hi; also the embedding state."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -97,10 +101,6 @@ class Box(Region):
     @property
     def dim(self):
         return self.lo.shape[0]
-
-    @property
-    def widths(self):
-        return self.hi - self.lo
 
     @property
     def center(self):
@@ -141,7 +141,7 @@ class Parallelotope(Region):
     shape_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        inv, _ = invert_shape(self.shape)
+        inv = invert_shape(self.shape)
         mat = np.array(self.shape, dtype=float)
         if mat.shape[0] != self.coords.dim:
             raise DimensionMismatchError(
@@ -160,6 +160,9 @@ class Parallelotope(Region):
         """Margins of the transformed points within the coordinate box."""
         return self.coords.margins(self._points(pts) @ self.shape_inv.T)
 
+    def corners(self):
+        return ptope_vertices(self)
+
     def bounding_box(self):
         verts = np.array(ptope_vertices(self))
         return Box(verts.min(axis=0), verts.max(axis=0))
@@ -170,36 +173,6 @@ class Parallelotope(Region):
             "lo": [float(v) for v in self.coords.lo],
             "hi": [float(v) for v in self.coords.hi],
         }
-
-
-@dataclass(frozen=True)
-class EmbeddingState:
-    """Ordered pair (lower, upper) of state vectors with lower <= upper."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lower = _frozen_vector(self.lower, "lower")
-        upper = _frozen_vector(self.upper, "upper")
-        if lower.shape != upper.shape:
-            raise DimensionMismatchError(
-                f"state lengths differ: {lower.shape[0]} vs {upper.shape[0]}"
-            )
-        if not np.all(lower <= upper):
-            raise OrderError(f"embedding state not ordered: {lower} vs {upper}")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    @property
-    def dim(self):
-        return self.lower.shape[0]
-
-    def box(self):
-        return Box(self.lower, self.upper)
-
-    def concat(self):
-        return np.concatenate([self.lower, self.upper])
 
 
 @dataclass(frozen=True)
@@ -232,6 +205,10 @@ class UnionInitialSet(_MemberSet):
         """Margin of the best member: positive iff inside some member."""
         return functools.reduce(np.maximum, (m.margins(pts) for m in self.members))
 
+    def corners(self):
+        """The members' corners, in member order."""
+        return [c for m in self.members for c in m.corners()]
+
     def bounding_box(self):
         boxes = [m.bounding_box() for m in self.members]
         return Box(np.min([b.lo for b in boxes], axis=0),
@@ -259,11 +236,11 @@ def leq(a, b):
     return bool(np.all(a <= b))
 
 
-def se_leq(a: EmbeddingState, b: EmbeddingState):
-    """Southeast order on state pairs; equivalent to box inclusion b in a."""
+def se_leq(a: Box, b: Box):
+    """Southeast order on embedding states [lo, hi]: box inclusion b in a."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {b.dim}")
-    return leq(a.lower, b.lower) and leq(b.upper, a.upper)
+    return leq(a.lo, b.lo) and leq(b.hi, a.hi)
 
 
 def ptope_vertices(p: Parallelotope):
@@ -298,7 +275,7 @@ def bounding_coords(vertices, shape):
     """
     if len(vertices) == 0:
         raise DimensionMismatchError("vertex list is empty")
-    inv, _ = invert_shape(shape)
+    inv = invert_shape(shape)
     coords = np.array([inv @ np.asarray(v, dtype=float) for v in vertices])
     return Box(coords.min(axis=0), coords.max(axis=0))
 
@@ -370,6 +347,9 @@ class Polygon2D(Region):
         if len(self.vertices) < 3:
             return 0.0
         return abs(_signed_area(self.vertices))
+
+    def corners(self):
+        return list(self.vertices)
 
     def bounding_box(self):
         return Box(self.vertices.min(axis=0), self.vertices.max(axis=0))

@@ -24,7 +24,6 @@ from .geometry import (
     bounding_coords,
     clip_intersection_2d,
     ptope_polygon,
-    ptope_vertices,
 )
 from .sysdef import transform
 
@@ -111,21 +110,14 @@ def reach_union(system, union: UnionInitialSet, spec: ReachSpec,
     ]
 
 
-def _initial_vertices(init):
-    if isinstance(init, Box):
-        return init.corners()
-    if isinstance(init, Parallelotope):
-        return ptope_vertices(init)
-    return init
-
-
 def run_reach(cfg):
     """Run the pipeline a validated ``ProblemConfig`` describes."""
     system, spec, init = cfg.system, cfg.spec, cfg.initial_set
     options = cfg.method_options
     if cfg.transforms is not None:
-        return reach_intersection(system, cfg.transforms, _initial_vertices(init),
-                                  spec, cfg.method, **options)
+        vertices = init if isinstance(init, list) else init.corners()
+        return reach_intersection(system, cfg.transforms, vertices, spec,
+                                  cfg.method, **options)
     if isinstance(init, Parallelotope):
         ptope = reach_parallelotope(system, init, spec, cfg.method, **options)
         return ReachOutcome(kind="parallelotope", parallelotopes=[ptope])

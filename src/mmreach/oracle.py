@@ -21,7 +21,6 @@ from .geometry import (
     Region,
     RegionIntersection,
     UnionInitialSet,
-    ptope_vertices,
 )
 
 log = logging.getLogger(__name__)
@@ -52,6 +51,8 @@ class SampleConfig:
     def __post_init__(self):
         if self.count < 1:
             raise DimensionMismatchError(f"count must be >= 1, got {self.count}")
+        if self.seed < 0:
+            raise DimensionMismatchError(f"seed must be >= 0, got {self.seed}")
         if self.switch_count < 0:
             raise DimensionMismatchError(
                 f"switch_count must be >= 0, got {self.switch_count}"
@@ -94,18 +95,6 @@ class ContainmentReport:
             "worst_margin": self.worst_margin,
             "witnesses": [list(map(float, w)) for w in self.witnesses],
         }
-
-
-def _region_corners(region):
-    if isinstance(region, Box):
-        return region.corners()
-    if isinstance(region, Parallelotope):
-        return ptope_vertices(region)
-    if isinstance(region, UnionInitialSet):
-        return [v for m in region.members for v in _region_corners(m)]
-    if isinstance(region, Polygon2D):
-        return list(region.vertices)
-    raise DimensionMismatchError(f"cannot enumerate corners of {type(region).__name__}")
 
 
 def _sample_initial(region, count, rng):
@@ -216,7 +205,7 @@ def sample_endpoints(system, x0, spec: ReachSpec, cfg: SampleConfig):
     if cfg.init_mode == "corners_plus_uniform":
         # corner starts under the two extreme constant signals come first
         extremes = (system.dist.lo, system.dist.hi)
-        pairs = [(c, w) for c in _region_corners(x0) for w in extremes][:remaining]
+        pairs = [(c, w) for c in x0.corners() for w in extremes][:remaining]
         starts_blocks.append(np.array([np.asarray(c, dtype=float) for c, _ in pairs]))
         segments = cfg.switch_count + 1
         levels_blocks.append(np.array([np.tile(w, (segments, 1)) for _, w in pairs]))

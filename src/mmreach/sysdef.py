@@ -90,13 +90,13 @@ class TransformedSystem(SystemDef):
     """Dynamics of y = shape^-1 x: y' = shape^-1 F(shape y, w).
 
     The field is composed symbolically (the linear map substituted into the
-    base expressions), so evaluation costs the same as a plain system; the
-    inverse is computed once and cached. With the identity shape the composed
-    expressions reduce to the base ones exactly.
+    base expressions), so evaluation costs the same as a plain system. With
+    the identity shape the composed expressions reduce to the base ones
+    exactly.
     """
 
     def __init__(self, base: SystemDef, shape):
-        inv, _ = invert_shape(shape)
+        inv = invert_shape(shape)
         mat = np.array(shape, dtype=float)
         if mat.shape[0] != base.n:
             raise DimensionMismatchError(
@@ -124,10 +124,8 @@ class TransformedSystem(SystemDef):
         name = f"{base.name}@T" if base.name else ""
         super().__init__(base.n, base.m, field, base.dist, name)
         mat.flags.writeable = False
-        inv.flags.writeable = False
         self.base = base
         self.shape = mat
-        self.shape_inv = inv
 
     def __repr__(self):
         return f"TransformedSystem({self.base!r}, shape={self.shape.tolist()})"

@@ -203,6 +203,29 @@ def test_reach_seed_and_dt_overrides(tmp_path):
     assert doc["meta"]["seed"] == 99
 
 
+@pytest.mark.parametrize("command", ["reach", "verify"])
+def test_negative_seed_override_is_rejected(tmp_path, capsys, command):
+    cfg = _write(tmp_path, _fast_box_config())
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet",
+                 "--seed", "-1"]) == 1
+    assert "error: seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reach", "verify"])
+def test_out_naming_a_file_is_rejected_before_the_pipeline(tmp_path, capsys,
+                                                           monkeypatch, command):
+    def unreachable(cfg):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr("mmreach.cli.run_reach", unreachable)
+    cfg = _write(tmp_path, _fast_box_config())
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main([command, "--config", cfg, "--out", str(afile), "--quiet"]) == 1
+    assert "error: output.dir:" in capsys.readouterr().err
+
+
 def test_reach_result_revalidates_against_schema(tmp_path):
     cfg = _write(tmp_path, _fast_box_config())
     out = tmp_path / "out"

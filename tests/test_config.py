@@ -151,6 +151,10 @@ def test_load_config_path_and_errors(tmp_path):
     ({"decomposition": {"method": "closed_form", "sources": [3, "x1"]}},
      "decomposition.sources[0]"),
     (None, None),  # the config path is a directory
+    ({"decomposition": {"method": "jacobian_sign", "seed": -1}},
+     "decomposition.seed"),
+    ({"sampling": {"seed": -2}}, "sampling.seed"),
+    ({"output": {"dir": __file__}}, "output.dir"),  # an existing file
 ])
 def test_check_rejects_what_reach_would(tmp_path, change, location):
     """Each of these passed validation and then crashed or failed in reach."""
@@ -161,3 +165,4 @@ def test_check_rejects_what_reach_would(tmp_path, change, location):
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert err.value.location == (location or str(tmp_path))
+

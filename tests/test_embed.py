@@ -66,8 +66,7 @@ def test_embedding_function_tight_bilinear(bilinear):
 def test_integrate_scalar_decay():
     s = mm.SystemDef.from_strings(1, 1, ["-x1"], [0.0], [0.0])
     d = mm.monotone_decomposition(s, mm.Box([-3.0], [3.0]), samples=50)
-    traj = mm.integrate(mm.EmbeddingFunction(d), mm.EmbeddingState([1.0], [2.0]),
-                        mm.ReachSpec(1.0, 1e-3))
+    traj = mm.integrate(d, mm.Box([1.0], [2.0]), mm.ReachSpec(1.0, 1e-3))
     assert traj.final_time == 1.0
     assert traj.final_state[0] == pytest.approx(math.exp(-1), abs=1e-6)
     assert traj.final_state[1] == pytest.approx(2 * math.exp(-1), abs=1e-6)
@@ -75,16 +74,16 @@ def test_integrate_scalar_decay():
 
 def test_integrate_zero_horizon(bilinear):
     d = mm.tight_decomposition(bilinear)
-    a0 = mm.EmbeddingState([0.0, 0.0], [0.5, 0.5])
-    traj = mm.integrate(mm.EmbeddingFunction(d), a0, mm.ReachSpec(0.0, 1e-3))
+    a0 = mm.Box([0.0, 0.0], [0.5, 0.5])
+    traj = mm.integrate(d, a0, mm.ReachSpec(0.0, 1e-3))
     assert len(traj.times) == 1
-    assert np.allclose(traj.states[0], a0.concat())
+    assert np.allclose(traj.states[0], np.concatenate([a0.lo, a0.hi]))
 
 
 def test_integrate_preserves_order(bilinear):
     d = mm.tight_decomposition(bilinear)
-    a0 = mm.EmbeddingState([0.0, -0.25], [0.75, 0.25])
-    traj = mm.integrate(mm.EmbeddingFunction(d), a0, mm.ReachSpec(1.0, 2e-3))
+    a0 = mm.Box([0.0, -0.25], [0.75, 0.25])
+    traj = mm.integrate(d, a0, mm.ReachSpec(1.0, 2e-3))
     lower, upper = traj.states[:, :2], traj.states[:, 2:]
     assert np.all(lower <= upper)
 
@@ -93,8 +92,7 @@ def test_integrate_divergence_error():
     s = mm.SystemDef.from_strings(1, 1, ["x1^2"], [0.0], [0.0])
     d = mm.tight_decomposition(s)
     with pytest.raises(DivergenceError) as err:
-        mm.integrate(mm.EmbeddingFunction(d), mm.EmbeddingState([3.0], [3.0]),
-                     mm.ReachSpec(1.0, 1e-3))
+        mm.integrate(d, mm.Box([3.0], [3.0]), mm.ReachSpec(1.0, 1e-3))
     assert 0.0 <= err.value.last_time < 1.0
 
 
@@ -103,8 +101,7 @@ def test_integrate_flags_order_violation():
     s = mm.SystemDef.from_strings(1, 1, ["0*x1"], [0.0], [0.1])
     d = mm.closed_form_decomposition(s, mm.parse_closed_form(s, ["0 - 5*w1"]))
     with pytest.raises(StepOrderError):
-        mm.integrate(mm.EmbeddingFunction(d), mm.EmbeddingState([0.0], [0.1]),
-                     mm.ReachSpec(1.0, 1e-2))
+        mm.integrate(d, mm.Box([0.0], [0.1]), mm.ReachSpec(1.0, 1e-2))
 
 
 def test_forward_reach_box_monotone_equals_corner_hull(cubic):
@@ -173,18 +170,17 @@ def test_backward_reach_box_rejects_wrong_decomposition(bilinear):
 def test_embedding_flow_is_se_monotone(bilinear, rng):
     """Nested initial boxes stay nested along the embedding flow."""
     d = mm.tight_decomposition(bilinear)
-    E = mm.EmbeddingFunction(d)
     spec = mm.ReachSpec(0.25, 5e-3)
     for _ in range(20):
         lo = rng.uniform(-0.5, 0.0, 2)
         hi = lo + rng.uniform(0.3, 0.8, 2)
-        outer = mm.EmbeddingState(lo, hi)
+        outer = mm.Box(lo, hi)
         shrink_lo = rng.uniform(0.05, 0.2, 2) * (hi - lo)
         shrink_hi = rng.uniform(0.05, 0.2, 2) * (hi - lo)
-        inner = mm.EmbeddingState(lo + shrink_lo, hi - shrink_hi)
+        inner = mm.Box(lo + shrink_lo, hi - shrink_hi)
         assert mm.se_leq(outer, inner)
-        touter = mm.integrate(E, outer, spec)
-        tinner = mm.integrate(E, inner, spec)
+        touter = mm.integrate(d, outer, spec)
+        tinner = mm.integrate(d, inner, spec)
         for row_o, row_i in zip(touter.states, tinner.states):
             assert np.all(row_o[:2] <= row_i[:2] + 1e-7)
             assert np.all(row_i[2:] <= row_o[2:] + 1e-7)
@@ -213,11 +209,11 @@ def test_combined_box_inside_intersection_at_all_times(cubic):
         trans, mm.parse_closed_form(trans, ["x2^3 + w1 - 0.5*(x3 - x1)", "x1"])
     )
     both = mm.combine(tight, other)
-    a0 = mm.EmbeddingState([0.0, 0.5], [0.1, 0.9])
+    a0 = mm.Box([0.0, 0.5], [0.1, 0.9])
     spec = mm.ReachSpec(0.5, 2e-3)
-    t_tight = mm.integrate(mm.EmbeddingFunction(tight), a0, spec)
-    t_other = mm.integrate(mm.EmbeddingFunction(other), a0, spec)
-    t_both = mm.integrate(mm.EmbeddingFunction(both), a0, spec)
+    t_tight = mm.integrate(tight, a0, spec)
+    t_other = mm.integrate(other, a0, spec)
+    t_both = mm.integrate(both, a0, spec)
     for rb, r1, r2 in zip(t_both.states, t_tight.states, t_other.states):
         inter_lo = np.maximum(r1[:2], r2[:2])
         inter_hi = np.minimum(r1[2:], r2[2:])
@@ -227,8 +223,7 @@ def test_combined_box_inside_intersection_at_all_times(cubic):
 
 def test_trajectory_boxes_and_csv(bilinear):
     d = mm.tight_decomposition(bilinear)
-    traj = mm.integrate(mm.EmbeddingFunction(d),
-                        mm.EmbeddingState([0.0, 0.0], [0.1, 0.1]),
+    traj = mm.integrate(d, mm.Box([0.0, 0.0], [0.1, 0.1]),
                         mm.ReachSpec(0.01, 1e-3))
     boxes = mm.trajectory_boxes(traj)
     assert len(boxes) == len(traj.times)
@@ -236,7 +231,6 @@ def test_trajectory_boxes_and_csv(bilinear):
 
 def test_final_time_hits_horizon_with_remainder(bilinear):
     d = mm.tight_decomposition(bilinear)
-    traj = mm.integrate(mm.EmbeddingFunction(d),
-                        mm.EmbeddingState([0.0, 0.0], [0.1, 0.1]),
+    traj = mm.integrate(d, mm.Box([0.0, 0.0], [0.1, 0.1]),
                         mm.ReachSpec(0.0105, 1e-3))
     assert traj.final_time == 0.0105

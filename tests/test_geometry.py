@@ -31,14 +31,17 @@ def test_box_rejects_unordered_and_nonfinite():
 
 
 def test_embedding_state_requires_order():
+    """An embedding state (x, x_hat) is the box [x, x_hat]: x <= x_hat."""
     with pytest.raises(OrderError):
-        mm.EmbeddingState([1.0, 0.0], [0.0, 1.0])
+        mm.Box([1.0, 0.0], [0.0, 1.0])
+    point = mm.Box([0.0, 1.0], [0.0, 1.0])  # x == x_hat: a point state
+    assert mm.se_leq(point, point)
 
 
 def test_se_leq_examples():
-    a = mm.EmbeddingState([0, 0], [1, 1])
-    b = mm.EmbeddingState([0.2, 0.1], [0.9, 0.8])
-    c = mm.EmbeddingState([-0.1, 0], [1, 1])
+    a = mm.Box([0, 0], [1, 1])
+    b = mm.Box([0.2, 0.1], [0.9, 0.8])
+    c = mm.Box([-0.1, 0], [1, 1])
     assert mm.se_leq(a, b)
     assert not mm.se_leq(a, c)
     assert mm.se_leq(a, a)
@@ -49,7 +52,7 @@ def test_se_leq_is_box_inclusion(rng):
     for _ in range(50):
         lo = rng.uniform(-2, 2, 3)
         hi = lo + rng.uniform(0.2, 2, 3)
-        outer = mm.EmbeddingState(lo, hi)
+        outer = mm.Box(lo, hi)
         if rng.uniform() < 0.5:
             # nested inner box
             ilo = lo + rng.uniform(0, 0.1, 3) * (hi - lo)
@@ -60,16 +63,16 @@ def test_se_leq_is_box_inclusion(rng):
             ihi = hi.copy()
             j = rng.integers(3)
             ilo[j] = lo[j] - rng.uniform(0.01, 0.5)
-        inner = mm.EmbeddingState(np.minimum(ilo, ihi), np.maximum(ilo, ihi))
+        inner = mm.Box(np.minimum(ilo, ihi), np.maximum(ilo, ihi))
         se = mm.se_leq(outer, inner)
-        probes = rng.uniform(inner.lower, inner.upper, (20, 3))
-        probe_inside = all(outer.box().contains(p, tol=0) for p in probes)
+        probes = rng.uniform(inner.lo, inner.hi, (20, 3))
+        probe_inside = all(outer.contains(p, tol=0) for p in probes)
         if se:
             assert probe_inside
         else:
             # some corner of the inner box must escape the outer box
             corners_inside = all(
-                outer.box().contains(c, tol=0) for c in inner.box().corners()
+                outer.contains(c, tol=0) for c in inner.corners()
             )
             assert not corners_inside
 
@@ -336,3 +339,16 @@ def test_region_margins_reject_dimension_mismatch():
             region.margins(np.zeros((4, 3)))
         with pytest.raises(DimensionMismatchError):
             region.contains([0.0, 0.0, 0.0])
+
+
+def test_every_region_lists_its_corners_in_order():
+    box, ptope, union, meet, poly = _regions_2d()
+    assert np.array_equal(box.corners(), [[-1.0, -0.5], [-1.0, 0.5],
+                                          [1.0, -0.5], [1.0, 0.5]])
+    assert np.array_equal(ptope.corners(), mm.ptope_vertices(ptope))
+    assert np.array_equal(poly.corners(), poly.vertices)
+    members = union.members
+    assert np.array_equal(union.corners(),
+                          members[0].corners() + members[1].corners())
+    with pytest.raises(DimensionMismatchError):
+        meet.corners()
