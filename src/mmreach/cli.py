@@ -227,6 +227,19 @@ def cmd_reach(args):
 
 def cmd_verify(args):
     cfg = _apply_overrides(load_config(args.config), args)
+    init = cfg.initial_set
+    if isinstance(init, list):
+        # the bound covers the polytope spanned by the vertices, so the
+        # audit must sample exactly that hull
+        verts = np.array([np.asarray(v) for v in init])
+        if len(verts) == 1:
+            init = Box(verts[0], verts[0])
+        elif cfg.system.n == 2:
+            init = convex_hull_2d(verts)
+        else:
+            raise ConfigError(
+                "verify supports vertex initial sets only for planar systems"
+            )
     outcome = run_reach(cfg)
     region = _scaled_region(outcome.audit_region(), args.debug_scale)
     if cfg.spec.direction == "backward":
@@ -239,19 +252,6 @@ def cmd_verify(args):
         # backward search trajectory that diverges cannot be a witness
         divergent = 0
     else:
-        init = cfg.initial_set
-        if isinstance(init, list):
-            # the bound covers the polytope spanned by the vertices, so the
-            # audit must sample exactly that hull
-            verts = np.array([np.asarray(v) for v in init])
-            if len(verts) == 1:
-                init = Box(verts[0], verts[0])
-            elif cfg.system.n == 2:
-                init = convex_hull_2d(verts)
-            else:
-                raise ConfigError(
-                    "verify supports vertex initial sets only for planar systems"
-                )
         result = sample_endpoints(cfg.system, init, cfg.spec, cfg.sampling)
         points, divergent = result.points, result.divergent
     report = audit_containment(points, region)

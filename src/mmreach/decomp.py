@@ -273,8 +273,9 @@ def jacobian_sign_decomposition(system, domain, samples=200, seed=0):
     entry raises SignIndefiniteError naming the entry and two witnesses.
     """
     n, m = system.n, system.m
-    sign_x = [[0] * n for _ in range(n)]
-    sign_w = [[0] * m for _ in range(n)]
+    # per component, each argument with a negative partial is read from its
+    # hat copy: x_j from x_(n+j), w_k from w_(m+k)
+    hats = [{} for _ in range(n)]
     seen = {}  # (i, kind, j, sign) -> latest witness point
 
     for i, is_state, j, x, w, fd, tol in _sampled_partials(system, domain,
@@ -283,21 +284,19 @@ def jacobian_sign_decomposition(system, domain, samples=200, seed=0):
             continue
         sign = 1 if fd > 0 else -1
         seen[(i, is_state, j, sign)] = (x, w, fd)
+        kind = "x" if is_state else "w"
         if (i, is_state, j, -sign) in seen:
-            kind = "x" if is_state else "w"
             raise SignIndefiniteError(
                 f"dF{i + 1}/d{kind}{j + 1} changes sign over the sampled domain",
                 entry=(i + 1, j + 1),
                 witnesses=[seen[(i, is_state, j, 1)], seen[(i, is_state, j, -1)]],
             )
-        (sign_x if is_state else sign_w)[i][j] = sign
+        if sign < 0:
+            hats[i][exprlang.Var(kind, j)] = exprlang.Var(kind, (n if is_state else m) + j)
 
-    def component(i, x, w, xh, wh):
-        xi = [x[j] if (j == i or sign_x[i][j] >= 0) else xh[j] for j in range(n)]
-        zeta = [w[k] if sign_w[i][k] >= 0 else wh[k] for k in range(m)]
-        return system.component_fn(i)(xi, zeta)
-
-    return Decomposition(system, "jacobian_sign", component, domain=domain)
+    exprs = [exprlang.ExprAst(exprlang.substitute(e.root, hats[i]), 2 * n, 2 * m)
+             for i, e in enumerate(system.field)]
+    return _compiled(system, "jacobian_sign", exprs, domain)
 
 
 def monotone_decomposition(system, domain, samples=200, seed=0):
@@ -316,10 +315,7 @@ def monotone_decomposition(system, domain, samples=200, seed=0):
                 witness=(x, w, fd),
             )
 
-    def component(i, x, w, xh, wh):
-        return system.component_fn(i)(x, w)
-
-    return Decomposition(system, "monotone", component, domain=domain)
+    return _compiled(system, "monotone", system.field, domain)
 
 
 # --- combination and closed forms ---------------------------------------------
@@ -368,12 +364,17 @@ def closed_form_decomposition(system, exprs):
             raise DimensionMismatchError(
                 f"component {i + 1} references variables beyond 2n + 2m"
             )
+    return _compiled(system, "closed_form", exprs)
+
+
+def _compiled(system, method, exprs, domain=None):
+    """Decomposition whose component i is ``exprs[i]`` over (x, xh), (w, wh)."""
     fns = [e.scalar_fn() for e in exprs]
 
     def component(i, x, w, xh, wh):
         return fns[i](list(x) + list(xh), list(w) + list(wh))
 
-    return Decomposition(system, "closed_form", component)
+    return Decomposition(system, method, component, domain=domain)
 
 
 # --- validation ----------------------------------------------------------------
@@ -434,6 +435,8 @@ def check_decomposition(d: Decomposition, probes=1000, seed=0, domain=None,
     counts = {2: 0, 3: 0, 4: 0}
     witnesses = []
     gap_min = 1e-3
+    # probes of a narrower axis would step the pair out of order
+    x_active = [j for j in range(n) if domain.hi[j] - domain.lo[j] > 4.0 * gap_min]
     w_active = [k for k in range(m) if wbox.hi[k] - wbox.lo[k] > 4.0 * gap_min]
 
     def record(cond, i, j, side, fd):
@@ -458,7 +461,7 @@ def check_decomposition(d: Decomposition, probes=1000, seed=0, domain=None,
             side = -1
             args = (list(x_hi), list(w_hi), list(x_lo), list(w_lo))
         for i in range(n):
-            for j in range(n):
+            for j in x_active:
                 if j != i:
                     fd = fd_of(i, 0, j, args)
                     if fd < -slack:

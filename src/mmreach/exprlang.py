@@ -34,12 +34,14 @@ _NARY_FUNCS = ("min", "max")
 @dataclass(frozen=True)
 class Const:
     value: float
+    op = "const"  # code-table key; a class attribute, not a field
 
 
 @dataclass(frozen=True)
 class Var:
     kind: str  # "x" or "w"
     index: int  # 0-based
+    op = "var"  # code-table key; a class attribute, not a field
 
 
 @dataclass(frozen=True)
@@ -212,37 +214,94 @@ class _Parser:
         return Nary(func, tuple(args))
 
 
+def _children(node):
+    """The direct subexpressions of ``node``: the one dispatch on node type."""
+    if isinstance(node, (Const, Var)):
+        return ()
+    if isinstance(node, Unary):
+        return (node.child,)
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    if isinstance(node, Nary):
+        return node.args
+    raise TypeError(f"not an expression node: {node!r}")
+
+
 def _depth(node):
     stack = [(node, 1)]
     deepest = 0
     while stack:
         cur, d = stack.pop()
         deepest = max(deepest, d)
-        if isinstance(cur, Unary):
-            stack.append((cur.child, d + 1))
-        elif isinstance(cur, Binary):
-            stack.append((cur.left, d + 1))
-            stack.append((cur.right, d + 1))
-        elif isinstance(cur, Nary):
-            stack.extend((a, d + 1) for a in cur.args)
+        stack.extend((child, d + 1) for child in _children(cur))
     return deepest
+
+
+def _gen(node, table):
+    """Code for ``node`` in the backend ``table``.
+
+    A table maps each ``op`` to a function of the leaf node ("const", "var")
+    or of the generated code of the operands (every operator).
+    """
+    children = _children(node)
+    if not children:
+        return table[node.op](node)
+    return table[node.op](*(_gen(child, table) for child in children))
+
+
+def _call(name):
+    return lambda *args: f"{name}({', '.join(args)})"
+
+
+def _infix(op):
+    return lambda a, b: f"({a} {op} {b})"
+
+
+def _right_fold(name):
+    def fold(*args):
+        out = args[-1]
+        for arg in args[-2::-1]:
+            out = f"{name}({arg}, {out})"
+        return out
+
+    return fold
+
+
+def _table(var, ops):
+    """A backend table: ``var`` writes a variable and ``ops`` the operators;
+    constants and negation read the same in every backend."""
+    return {"const": lambda c: repr(c.value), "var": var,
+            "neg": lambda a: f"(-{a})", **ops}
+
+
+# canonical source text; reparses to the same tree
+_SOURCE_TABLE = _table(lambda v: f"{v.kind}{v.index + 1}", {
+    **{f: _call(f) for f in _UNARY_FUNCS + _NARY_FUNCS},
+    **{op: _infix(op) for op in "+-*/^"},
+})
+
+# float lists x, w; the helpers of _SCALAR_ENV keep IEEE semantics
+_SCALAR_TABLE = _table(lambda v: f"{v.kind}[{v.index}]", {
+    **{f: _call(f"_{f}") for f in ("sin", "cos", "tan", "exp", "sqrt")},
+    **{f: _call(f) for f in ("abs",) + _NARY_FUNCS},
+    **{op: _infix(op) for op in "+-*"},
+    "/": _call("_div"),
+    "^": _call("_pow"),
+})
+
+# row batches x (N, n), w (N, m); min/max fold pairwise from the right
+_BATCH_TABLE = _table(lambda v: f"{v.kind}[:, {v.index}]", {
+    **{f: _call(f"np.{f}") for f in _UNARY_FUNCS},
+    **{op: _infix(op) for op in "+-*/"},
+    "^": _call("np.power"),
+    "min": _right_fold("np.minimum"),
+    "max": _right_fold("np.maximum"),
+})
 
 
 def to_source(node):
     """Canonical fully-parenthesized form; reparses to the same tree."""
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"{node.kind}{node.index + 1}"
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            return f"(-{to_source(node.child)})"
-        return f"{node.op}({to_source(node.child)})"
-    if isinstance(node, Binary):
-        return f"({to_source(node.left)} {node.op} {to_source(node.right)})"
-    if isinstance(node, Nary):
-        return f"{node.op}({', '.join(to_source(a) for a in node.args)})"
-    raise TypeError(f"not an expression node: {node!r}")
+    return _gen(node, _SOURCE_TABLE)
 
 
 # --- scalar evaluation helpers (IEEE semantics, no exceptions) ---------------
@@ -304,55 +363,6 @@ _SCALAR_ENV = {
 _BATCH_ENV = {"np": np, "__builtins__": {}}
 
 
-def _gen_scalar(node):
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"{node.kind}[{node.index}]"
-    if isinstance(node, Unary):
-        c = _gen_scalar(node.child)
-        if node.op == "neg":
-            return f"(-{c})"
-        if node.op in ("sin", "cos", "tan", "exp", "sqrt"):
-            return f"_{node.op}({c})"
-        return f"abs({c})"
-    if isinstance(node, Binary):
-        left, right = _gen_scalar(node.left), _gen_scalar(node.right)
-        if node.op == "/":
-            return f"_div({left}, {right})"
-        if node.op == "^":
-            return f"_pow({left}, {right})"
-        return f"({left} {node.op} {right})"
-    if isinstance(node, Nary):
-        args = ", ".join(_gen_scalar(a) for a in node.args)
-        return f"{node.op}({args})"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _gen_batch(node):
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"{node.kind}[:, {node.index}]"
-    if isinstance(node, Unary):
-        c = _gen_batch(node.child)
-        if node.op == "neg":
-            return f"(-{c})"
-        return f"np.{node.op}({c})"
-    if isinstance(node, Binary):
-        left, right = _gen_batch(node.left), _gen_batch(node.right)
-        if node.op == "^":
-            return f"np.power({left}, {right})"
-        return f"({left} {node.op} {right})"
-    if isinstance(node, Nary):
-        fn = "np.minimum" if node.op == "min" else "np.maximum"
-        out = _gen_batch(node.args[-1])
-        for arg in node.args[-2::-1]:
-            out = f"{fn}({_gen_batch(arg)}, {out})"
-        return out
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 class ExprAst:
     """Parsed expression over x1..xn and w1..wm.
 
@@ -381,14 +391,14 @@ class ExprAst:
     def scalar_fn(self):
         """Raw compiled callable(x, w) -> float. No finiteness checks."""
         if self._scalar is None:
-            code = f"lambda x, w: ({_gen_scalar(self.root)})"
+            code = f"lambda x, w: ({_gen(self.root, _SCALAR_TABLE)})"
             self._scalar = eval(code, dict(_SCALAR_ENV))
         return self._scalar
 
     def batch_fn(self):
         """Compiled callable(X, W) over (N, n) and (N, m) arrays."""
         if self._batch is None:
-            code = f"lambda x, w: ({_gen_batch(self.root)})"
+            code = f"lambda x, w: ({_gen(self.root, _BATCH_TABLE)})"
             fn = eval(code, dict(_BATCH_ENV))
 
             def wrapped(X, W, _fn=fn):
@@ -423,25 +433,15 @@ def linear_combination(pairs):
     return out
 
 
-def substitute_state(node, replacements):
-    """Replace every state variable x_k by ``replacements[k]`` (AST nodes)."""
-    if isinstance(node, Var):
-        if node.kind == "x":
-            return replacements[node.index]
-        return node
-    if isinstance(node, Const):
-        return node
-    if isinstance(node, Unary):
-        return Unary(node.op, substitute_state(node.child, replacements))
-    if isinstance(node, Binary):
-        return Binary(
-            node.op,
-            substitute_state(node.left, replacements),
-            substitute_state(node.right, replacements),
-        )
+def substitute(node, mapping):
+    """Replace every leaf that is a key of ``mapping`` (``Var`` to AST node)."""
+    children = _children(node)
+    if not children:
+        return mapping.get(node, node)
+    children = tuple(substitute(child, mapping) for child in children)
     if isinstance(node, Nary):
-        return Nary(node.op, tuple(substitute_state(a, replacements) for a in node.args))
-    raise TypeError(f"not an expression node: {node!r}")
+        return Nary(node.op, children)
+    return type(node)(node.op, *children)
 
 
 def parse(src, n, m):
@@ -458,14 +458,7 @@ def parse(src, n, m):
 
 def _locate_nonfinite(node, x, w):
     """Return the deepest subtree whose value is non-finite, or None."""
-    children = ()
-    if isinstance(node, Unary):
-        children = (node.child,)
-    elif isinstance(node, Binary):
-        children = (node.left, node.right)
-    elif isinstance(node, Nary):
-        children = node.args
-    for child in children:
+    for child in _children(node):
         hit = _locate_nonfinite(child, x, w)
         if hit is not None:
             return hit

@@ -102,15 +102,13 @@ class TransformedSystem(SystemDef):
             raise DimensionMismatchError(
                 f"shape is {mat.shape[0]}x{mat.shape[1]}, state dimension is {base.n}"
             )
-        substituted_x = [
-            exprlang.linear_combination(
+        substituted_x = {
+            exprlang.Var("x", k): exprlang.linear_combination(
                 [(mat[k, l], exprlang.Var("x", l)) for l in range(base.n)]
             )
             for k in range(base.n)
-        ]
-        inner = [
-            exprlang.substitute_state(e.root, substituted_x) for e in base.field
-        ]
+        }
+        inner = [exprlang.substitute(e.root, substituted_x) for e in base.field]
         field = [
             exprlang.ExprAst(
                 exprlang.linear_combination(

@@ -226,6 +226,28 @@ def test_out_naming_a_file_is_rejected_before_the_pipeline(tmp_path, capsys,
     assert "error: output.dir:" in capsys.readouterr().err
 
 
+def test_verify_rejects_non_planar_vertices_before_the_pipeline(tmp_path, capsys,
+                                                                monkeypatch):
+    def unreachable(cfg):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr("mmreach.cli.run_reach", unreachable)
+    raw = {
+        "system": {"n": 3, "m": 1, "field": ["-x1 + w1", "-x2", "-x3"],
+                   "w_lo": [0.0], "w_hi": [0.1]},
+        "initial_set": {"type": "vertices",
+                        "points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                   [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+        "horizon": 0.1,
+        "dt": 0.01,
+    }
+    cfg = _write(tmp_path, raw)
+    assert main(["check", "--config", cfg, "--quiet"]) == 0
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert "only for planar systems" in capsys.readouterr().err
+
+
 def test_reach_result_revalidates_against_schema(tmp_path):
     cfg = _write(tmp_path, _fast_box_config())
     out = tmp_path / "out"

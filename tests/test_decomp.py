@@ -157,6 +157,28 @@ def test_jacobian_sign_on_monotone_transform(cubic, rng):
                            atol=1e-12)
 
 
+def test_corner_selections_are_the_field_at_the_corner(cubic, rng):
+    # on this box the sheared cubic has dF1/dx2 < 0 and dF2/dw1 < 0
+    sheared = mm.transform(cubic, [[1.0, 0.0], [0.5, 1.0]])
+    domain = mm.Box([-0.25, -0.25], [0.25, 0.25])
+    monotone = mm.transform(cubic, T1)
+    cases = [  # (decomposition, per component: hat-side state and disturbance)
+        (mm.jacobian_sign_decomposition(sheared, domain, samples=100, seed=3),
+         [({1}, set()), (set(), {0})]),
+        (mm.monotone_decomposition(monotone, domain, samples=100),
+         [(set(), set()), (set(), set())]),
+    ]
+    for d, hats in cases:
+        for _ in range(20):
+            quad = ordered_quadruple(rng, lo=-0.25, hi=0.25, w_lo=-1.0, w_hi=1.0)
+            for x, w, xh, wh in (quad, quad[2:] + quad[:2]):
+                for i, (x_hat, w_hat) in enumerate(hats):
+                    y = [xh[j] if j in x_hat else x[j] for j in range(2)]
+                    z = [wh[k] if k in w_hat else w[k] for k in range(1)]
+                    assert (d.evaluate_component(i, x, w, xh, wh)
+                            == d.system.component_fn(i)(y, z))
+
+
 def test_monotone_accepts_transformed_cubic(cubic, rng):
     trans = mm.transform(cubic, T1)
     d = mm.monotone_decomposition(trans, mm.Box([-2, -2], [2, 2]), samples=100)
@@ -265,6 +287,12 @@ def test_check_passes_valid_decompositions(bilinear, cubic):
     )
     assert report.violations == 0
     assert report.consistency_residual <= 1e-9
+
+
+def test_check_skips_zero_width_state_axes(bilinear):
+    report = mm.check_decomposition(mm.tight_decomposition(bilinear), probes=20,
+                                    domain=mm.Box([0.0, -1.0], [0.0, 1.0]))
+    assert report.ok()
 
 
 def test_check_flags_planted_fault(bilinear):

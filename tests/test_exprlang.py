@@ -78,6 +78,10 @@ def test_eval_division_by_zero_reports_subexpression():
     with pytest.raises(EvalError) as err:
         mm.evaluate(e, [0.0], [])
     assert "x1" in str(err.value)
+    e = mm.parse("max(x1, 1/x2, 3)", 2, 0)
+    with pytest.raises(EvalError) as err:
+        mm.evaluate(e, [1.0, 0.0], [])
+    assert "(1.0 / x2)" in str(err.value)
 
 
 def test_eval_domain_violation_reports_subexpression():
@@ -226,6 +230,8 @@ def test_canonical_print_forms():
     assert e.source == "(-(x1 ^ 2.0))"
     e = mm.parse("min(x1, 2, w1)", 1, 1)
     assert e.source == "min(x1, 2.0, w1)"
+    with pytest.raises(TypeError):
+        exprlang.to_source(exprlang.Unary("neg", "x1"))
 
 
 def test_negated_helper():
@@ -234,14 +240,18 @@ def test_negated_helper():
 
 
 def test_batch_matches_scalar(rng):
-    e = mm.parse("x1*x2 + sin(x2) - w1^2", 2, 1)
-    X = rng.uniform(-2, 2, (64, 2))
-    W = rng.uniform(-1, 1, (64, 1))
-    batch = e.batch_fn()(X, W)
-    for i in range(64):
-        assert batch[i] == pytest.approx(
-            mm.evaluate(e, X[i], W[i]), rel=1e-14, abs=1e-14
-        )
+    for src in ("x1*x2 + sin(x2) - w1^2",
+                "cos(x1) + tan(x2 / 4) - exp(w1) + abs(x1 - x2) + sqrt(abs(x2))",
+                "(abs(x1) + 1) ^ w1 / (x2 ^ 2 + 1)",
+                "min(x1, -x2, w1) - max(x1 * x2, 2, w1 / 3)"):
+        e = mm.parse(src, 2, 1)
+        X = rng.uniform(-2, 2, (64, 2))
+        W = rng.uniform(-1, 1, (64, 1))
+        batch = e.batch_fn()(X, W)
+        for i in range(64):
+            assert batch[i] == pytest.approx(
+                mm.evaluate(e, X[i], W[i]), rel=1e-14, abs=1e-14
+            )
 
 
 def test_substitution_and_linear_combination():
@@ -253,7 +263,17 @@ def test_substitution_and_linear_combination():
         ),
     ]
     composed = exprlang.ExprAst(
-        exprlang.substitute_state(e.root, rep), 2, 0
+        exprlang.substitute(e.root, {exprlang.Var("x", k): r
+                                     for k, r in enumerate(rep)}), 2, 0
     )
     # 2*x1 * (x1 - x2)
     assert mm.evaluate(composed, [3.0, 1.0], []) == pytest.approx(12.0)
+    # renaming reaches disturbance variables and every node type
+    e = mm.parse("max(sin(x1), -w1, x2 * w2)", 2, 2)
+    hats = {exprlang.Var("x", 0): exprlang.Var("x", 2),
+            exprlang.Var("w", 0): exprlang.Var("w", 3)}
+    renamed = exprlang.substitute(e.root, hats)
+    assert exprlang.to_source(renamed) == "max(sin(x3), (-w4), (x2 * w2))"
+    assert exprlang.substitute(e.root, {}) == e.root
+    with pytest.raises(TypeError):
+        exprlang.substitute(exprlang.Binary("+", exprlang.Var("x", 0), 1.0), {})
