@@ -3,7 +3,12 @@ monotone pass-through, user closed forms, and piecewise combination.
 
 A decomposition d(x, w, xh, wh) agrees with the field on the diagonal, is
 nondecreasing in (x, w) and nonincreasing in (xh, wh) off-diagonal. The
-embedding machinery in :mod:`mmreach.embed` consumes these evaluators.
+embedding machinery in :mod:`mmreach.embed` consumes these evaluators
+through ``Decomposition.embedding_field``, all 2n embedding components at
+once. ``tight`` and ``combine`` evaluate them component by component; the
+compiled methods (``closed_form``, ``jacobian_sign``, ``monotone``) in one
+generated function, falling back to the component loop to name a
+non-finite component.
 """
 
 from __future__ import annotations
@@ -67,6 +72,8 @@ class Decomposition:
         self.m = system.m
         self.domain = domain
         self._component_fn = component_fn
+        self.w_lo = [float(v) for v in system.dist.lo]
+        self.w_hi = [float(v) for v in system.dist.hi]
 
     def __repr__(self):
         return f"Decomposition(method={self.method!r}, n={self.n}, m={self.m})"
@@ -90,6 +97,21 @@ class Decomposition:
         return np.array(
             [self.evaluate_component(i, x, w, xh, wh) for i in range(self.n)]
         )
+
+    def embedding_field(self, v):
+        """The embedding field at the stacked ordered state v = lower ++ upper
+        (2n floats), with w over its box [w_lo, w_hi]: the 2n floats
+        d(lower, w_lo, upper, w_hi), then d(upper, w_hi, lower, w_lo).
+
+        Evaluates component by component; a non-finite one raises EvalError.
+        """
+        n = self.n
+        lower, upper = v[:n], v[n:]
+        out = [0.0] * (2 * n)
+        for i in range(n):
+            out[i] = self.evaluate_component(i, lower, self.w_lo, upper, self.w_hi)
+            out[n + i] = self.evaluate_component(i, upper, self.w_hi, lower, self.w_lo)
+        return out
 
 
 # --- tight construction -------------------------------------------------------
@@ -296,7 +318,7 @@ def jacobian_sign_decomposition(system, domain, samples=200, seed=0):
 
     exprs = [exprlang.ExprAst(exprlang.substitute(e.root, hats[i]), 2 * n, 2 * m)
              for i, e in enumerate(system.field)]
-    return _compiled(system, "jacobian_sign", exprs, domain)
+    return _Compiled(system, "jacobian_sign", exprs, domain)
 
 
 def monotone_decomposition(system, domain, samples=200, seed=0):
@@ -315,7 +337,7 @@ def monotone_decomposition(system, domain, samples=200, seed=0):
                 witness=(x, w, fd),
             )
 
-    return _compiled(system, "monotone", system.field, domain)
+    return _Compiled(system, "monotone", system.field, domain)
 
 
 # --- combination and closed forms ---------------------------------------------
@@ -364,17 +386,41 @@ def closed_form_decomposition(system, exprs):
             raise DimensionMismatchError(
                 f"component {i + 1} references variables beyond 2n + 2m"
             )
-    return _compiled(system, "closed_form", exprs)
+    return _Compiled(system, "closed_form", exprs)
 
 
-def _compiled(system, method, exprs, domain=None):
-    """Decomposition whose component i is ``exprs[i]`` over (x, xh), (w, wh)."""
-    fns = [e.scalar_fn() for e in exprs]
+class _Compiled(Decomposition):
+    """Decomposition whose component i is ``exprs[i]`` over (x, xh), (w, wh).
 
-    def component(i, x, w, xh, wh):
-        return fns[i](list(x) + list(xh), list(w) + list(wh))
+    Its embedding field is one generated function of v = lower ++ upper and
+    w_lo ++ w_hi: the lower half is ``exprs``, the upper half the same trees
+    with x_j and x_(n+j), w_k and w_(m+k) swapped.
+    """
 
-    return Decomposition(system, method, component, domain=domain)
+    def __init__(self, system, method, exprs, domain=None):
+        fns = [e.scalar_fn() for e in exprs]
+
+        def component(i, x, w, xh, wh):
+            return fns[i](list(x) + list(xh), list(w) + list(wh))
+
+        super().__init__(system, method, component, domain=domain)
+        n, m = self.n, self.m
+        swap = {}
+        for kind, size in (("x", n), ("w", m)):
+            for j in range(size):
+                swap[exprlang.Var(kind, j)] = exprlang.Var(kind, size + j)
+                swap[exprlang.Var(kind, size + j)] = exprlang.Var(kind, j)
+        roots = [e.root for e in exprs]
+        self._field = exprlang.scalar_list_fn(
+            roots + [exprlang.substitute(r, swap) for r in roots])
+        self._w = self.w_lo + self.w_hi
+
+    def embedding_field(self, v):
+        out = self._field(v, self._w)
+        if math.isfinite(sum(out)):
+            return out
+        # a non-finite (or overflowing) sum: the loop names the component
+        return super().embedding_field(v)
 
 
 # --- validation ----------------------------------------------------------------

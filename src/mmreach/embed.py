@@ -7,6 +7,8 @@ embedding of the time-reversed field bounds backward reachable sets.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,47 +91,43 @@ class EmbeddingFunction:
     """Disturbance-free 2n-dimensional field built from a decomposition.
 
     Evaluation at stacked (lower, upper) returns
-    (d(lower, w_lo, upper, w_hi), d(upper, w_hi, lower, w_lo)).
+    (d(lower, w_lo, upper, w_hi), d(upper, w_hi, lower, w_lo)), through
+    ``Decomposition.embedding_field``.
     """
 
     def __init__(self, decomposition: Decomposition):
         self.decomposition = decomposition
         self.n = decomposition.n
-        self.w_lo = [float(v) for v in decomposition.system.dist.lo]
-        self.w_hi = [float(v) for v in decomposition.system.dist.hi]
 
     def __call__(self, lower, upper):
-        d = self.decomposition
-        lower = list(lower)
-        upper = list(upper)
-        out = np.empty(2 * self.n)
-        for i in range(self.n):
-            out[i] = d.evaluate_component(i, lower, self.w_lo, upper, self.w_hi)
-            out[self.n + i] = d.evaluate_component(i, upper, self.w_hi, lower, self.w_lo)
-        return out
+        v = [float(a) for a in lower] + [float(b) for b in upper]
+        return np.array(self.decomposition.embedding_field(v))
 
 
-def _split_ordered(a, n, context):
-    """Split a stacked embedding state, clipping rounding-scale order noise.
+def _ordered(v, n, where, t):
+    """The stacked embedding state ``v`` (a list of 2n floats) with
+    rounding-scale order noise clipped.
 
     Violations within 1e-9 are snapped to exact order (both endpoints move to
     the midpoint); anything larger aborts, since a real violation signals a
-    bad decomposition or step size.
+    bad decomposition or step size. An ordered state, or one with a NaN
+    difference, is returned as it is: the same list.
     """
-    lower = a[:n].copy()
-    upper = a[n:].copy()
-    diff = lower - upper
-    worst = float(diff.max())
+    lower, upper = v[:n], v[n:]
+    if all(map(operator.le, lower, upper)):
+        return v
+    diff = [a - b for a, b in zip(lower, upper)]
+    if any(x != x for x in diff):
+        return v
+    worst = max(diff)
     if worst > ORDER_CLIP_TOL:
         raise StepOrderError(
-            f"order violation {worst:.3e} {context}; retry with a smaller dt"
+            f"order violation {worst:.3e} {where} t={t:.6g}; retry with a smaller dt"
         )
-    if worst > 0.0:
-        mid = 0.5 * (lower + upper)
-        mask = diff > 0.0
-        lower[mask] = mid[mask]
-        upper[mask] = mid[mask]
-    return lower, upper
+    for i, x in enumerate(diff):
+        if x > 0.0:
+            lower[i] = upper[i] = 0.5 * (lower[i] + upper[i])
+    return lower + upper
 
 
 def _step_sizes(horizon, dt):
@@ -169,8 +167,7 @@ def integrate(d: Decomposition, x0: Box, spec: ReachSpec):
     the horizon (a shorter last step absorbs any remainder). Non-finite
     states raise DivergenceError with the last valid time.
     """
-    E = EmbeddingFunction(d)
-    n = E.n
+    n = d.n
     if x0.dim != n:
         raise DimensionMismatchError(
             f"initial state has dimension {x0.dim}, embedding expects {n}"
@@ -178,17 +175,20 @@ def integrate(d: Decomposition, x0: Box, spec: ReachSpec):
     times = [0.0]
     states = [np.concatenate([x0.lo, x0.hi])]
 
+    # the order and finiteness checks run on the state's Python floats
     def rhs(a, t):
-        lower, upper = _split_ordered(a, n, f"inside a step near t={t:.6g}")
-        return E(lower, upper)
+        v = _ordered(a.tolist(), n, "inside a step near", t)
+        return np.array(d.embedding_field(v))
 
     def record(_a, a, t, _s):
-        if not np.all(np.isfinite(a)):
+        v = a.tolist()
+        if not all(map(math.isfinite, v)):
             raise DivergenceError(
                 f"embedding state diverged near t={t:.6g}", last_time=times[-1]
             )
-        lower, upper = _split_ordered(a, n, f"after the step to t={t:.6g}")
-        a = np.concatenate([lower, upper])
+        snapped = _ordered(v, n, "after the step to", t)
+        if snapped is not v:
+            a = np.array(snapped)
         times.append(t)
         states.append(a)
         return a

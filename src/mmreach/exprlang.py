@@ -25,6 +25,8 @@ import numpy as np
 from .errors import DimensionMismatchError, EvalError, ParseError
 
 MAX_DEPTH = 256
+# CPython refuses source that opens more than 200 brackets at once
+MAX_CODE_NESTING = 200
 DEFAULT_FD_STEP = 1e-6
 
 _UNARY_FUNCS = ("sin", "cos", "tan", "exp", "abs", "sqrt")
@@ -163,7 +165,10 @@ class _Parser:
         kind, text, col = self.peek()
         if kind == "num":
             self.advance()
-            return Const(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                self.fail("number out of range", (kind, text, col))
+            return Const(value)
         if kind == "ident":
             self.advance()
             return self.name(text, col)
@@ -304,6 +309,21 @@ def to_source(node):
     return _gen(node, _SOURCE_TABLE)
 
 
+def _code_nesting(node):
+    """Deepest bracket nesting of the compiled code of ``node``, counting the
+    one level that encloses a function body (``(...)`` or ``[...]``)."""
+    deepest = 1
+    for table in (_SCALAR_TABLE, _BATCH_TABLE):
+        depth = 1
+        for ch in _gen(node, table):
+            if ch in "([":
+                depth += 1
+                deepest = max(deepest, depth)
+            elif ch in ")]":
+                depth -= 1
+    return deepest
+
+
 # --- scalar evaluation helpers (IEEE semantics, no exceptions) ---------------
 
 
@@ -410,6 +430,14 @@ class ExprAst:
         return self._batch
 
 
+def scalar_list_fn(roots):
+    """One compiled callable(x, w) -> list of the values of the ASTs
+    ``roots``, in order; the code of each is its ``scalar_fn`` code. No
+    finiteness checks."""
+    body = ", ".join(_gen(root, _SCALAR_TABLE) for root in roots)
+    return eval(f"lambda x, w: [{body}]", dict(_SCALAR_ENV))
+
+
 def linear_combination(pairs):
     """AST for sum of coeff * node, skipping zero and folding unit coefficients.
 
@@ -446,13 +474,22 @@ def substitute(node, mapping):
 
 def parse(src, n, m):
     """Parse ``src`` against declared dimensions; raises ParseError with a
-    1-based column on syntax errors, unknown identifiers, and out-of-range
-    variable indices."""
+    1-based column on syntax errors, unknown identifiers, out-of-range
+    variable indices and non-finite numbers.
+
+    Every accepted tree compiles in each backend: an expression whose
+    generated code would nest more than ``MAX_CODE_NESTING`` brackets is a
+    ParseError too.
+    """
     if not src or not src.strip():
         raise ParseError("empty expression", src, 1)
     root = _Parser(src, n, m).parse()
     if _depth(root) > MAX_DEPTH:
         raise ParseError(f"expression deeper than {MAX_DEPTH}", src, 1)
+    nesting = _code_nesting(root)
+    if nesting > MAX_CODE_NESTING:
+        raise ParseError(f"expression compiles to {nesting} nested brackets, "
+                         f"more than {MAX_CODE_NESTING}", src, 1)
     return ExprAst(root, n, m)
 
 

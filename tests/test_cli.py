@@ -41,6 +41,23 @@ def test_check_bad_expression(tmp_path, capsys):
     assert "field[1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("location", ["system.field[1]",
+                                      "decomposition.sources[0]"])
+def test_check_rejects_expressions_too_deep_to_compile(tmp_path, capsys,
+                                                       location):
+    """These raised a raw SyntaxError when the expression was compiled."""
+    raw = _fast_box_config()
+    if location.startswith("system"):
+        raw["system"] = {"n": 2, "m": 1, "field": ["x1", "-" * 200 + "x1"],
+                         "w_lo": [0.0], "w_hi": [0.25]}
+    else:
+        raw["decomposition"] = {
+            "method": "closed_form",
+            "sources": ["max(" + ", ".join(["x2"] * 260) + ")", "x1 + 1"]}
+    assert main(["check", "--config", _write(tmp_path, raw)]) == 1
+    assert f"error: {location}: expression compiles to" in capsys.readouterr().err
+
+
 def test_check_singular_shape(tmp_path, capsys):
     raw = _fast_box_config()
     raw["initial_set"] = {"type": "parallelotope",

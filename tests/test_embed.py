@@ -234,3 +234,87 @@ def test_final_time_hits_horizon_with_remainder(bilinear):
     traj = mm.integrate(d, mm.Box([0.0, 0.0], [0.1, 0.1]),
                         mm.ReachSpec(0.0105, 1e-3))
     assert traj.final_time == 0.0105
+
+
+def _closed_form(n, m, w_lo, w_hi, sources):
+    """Closed-form decomposition over a zero field, which it never reads."""
+    s = mm.SystemDef.from_strings(n, m, [f"0*x{i + 1}" for i in range(n)],
+                                  w_lo, w_hi)
+    return mm.closed_form_decomposition(s, mm.parse_closed_form(s, sources))
+
+
+def _compiled_decompositions(bilinear, cubic):
+    three = mm.SystemDef.from_strings(
+        3, 2, ["-x1 + x2*w1", "-x2 + w2 - 0.1*x3", "x1 - x3 + sin(x3)"],
+        [0.0, -0.1], [1.0, 0.1])
+    return [  # (decomposition, an initial box)
+        (mm.closed_form_decomposition(bilinear, mm.parse_closed_form(
+            bilinear, ["max(x1, 0)*x2 + min(x1, 0)*x4 + w1", "x1 + 1"])),
+         mm.Box([0.0, -0.25], [0.75, 0.25])),
+        (mm.jacobian_sign_decomposition(
+            mm.transform(cubic, [[1.0, 0.0], [0.5, 1.0]]),
+            mm.Box([-0.25, -0.25], [0.25, 0.25]), samples=100, seed=3),
+         mm.Box([-0.1, -0.1], [0.1, 0.1])),
+        (mm.monotone_decomposition(mm.transform(cubic, T1),
+                                   mm.Box([-2, -2], [2, 2]), samples=100),
+         mm.Box([0.0, 0.5], [0.2, 0.8])),
+        (mm.jacobian_sign_decomposition(
+            three, mm.Box([-1.0, 0.2, -1.0], [1.0, 2.0, 1.0]), samples=50),
+         mm.Box([0.0, 0.5, 0.0], [0.2, 0.6, 0.1])),
+        (mm.jacobian_sign_decomposition(  # a backward reach's decomposition
+            mm.reverse_time(bilinear), mm.Box([0.0, -3.0], [3.0, 3.0]),
+            samples=50),
+         mm.Box([0.5, -0.25], [0.75, 0.0])),
+    ]
+
+
+def test_compiled_embedding_field_equals_the_component_loop(bilinear, cubic, rng):
+    """The one generated embedding function of a compiled decomposition
+    equals the per-component loop bit for bit, and so do trajectories."""
+    for d, x0 in _compiled_decompositions(bilinear, cubic):
+        assert type(d).embedding_field is not mm.Decomposition.embedding_field
+        loop = mm.Decomposition(d.system, d.method, d.evaluate_component)
+        for _ in range(200):
+            lower = rng.uniform(-1.0, 1.0, d.n)
+            upper = lower + rng.uniform(0.0, 1.0, d.n) * (rng.uniform() < 0.9)
+            v = lower.tolist() + upper.tolist()
+            assert d.embedding_field(v) == loop.embedding_field(v)
+        spec = mm.ReachSpec(0.5, 0.01)
+        fused, looped = mm.integrate(d, x0, spec), mm.integrate(loop, x0, spec)
+        assert np.array_equal(fused.times, looped.times)
+        assert np.array_equal(fused.states, looped.states)
+
+
+def test_compiled_decomposition_error_paths():
+    """A compiled decomposition fails and snaps exactly as the loop does."""
+    # a non-finite component names the component and the point
+    d = _closed_form(1, 1, [0.0], [0.1], ["-1 + 0*sqrt(x1 - 0.5) + w1"])
+    with pytest.raises(DivergenceError) as err:
+        mm.integrate(d, mm.Box([1.0], [1.2]), mm.ReachSpec(1.0, 0.1))
+    assert str(err.value) == (
+        "embedding field diverged near t=0.5: decomposition component 1 is "
+        "non-finite: at x=[0.4500000000000001], w=[0.0], "
+        "xh=[0.7049999999999998], wh=[0.1]")
+    assert err.value.last_time == 0.5
+    # an order violation above 1e-9
+    d = _closed_form(2, 1, [0.0], [0.1], ["x1 - x3", "0 - 5*w1"])
+    with pytest.raises(StepOrderError) as err:
+        mm.integrate(d, mm.Box([0.0, 0.0], [1.0, 0.0]), mm.ReachSpec(1.0, 1e-2))
+    assert str(err.value) == ("order violation 2.500e-03 inside a step near "
+                              "t=0.005; retry with a smaller dt")
+    # violations up to 1e-9 snap both endpoints to their midpoint
+    d = _closed_form(2, 1, [0.0], [0.1], ["0 - 1e-7*w1", "x2 - x1 - 3e-8*w1"])
+    traj = mm.integrate(d, mm.Box([0.0, 0.0], [0.0, 0.5]), mm.ReachSpec(1.0, 0.01))
+    assert np.array_equal(traj.states[:, 0], traj.states[:, 2])
+    assert traj.states[1].tolist() == [-5.000000000000001e-11, 2.508354166666667e-13,
+                                       -5.000000000000001e-11, 0.505025083511767]
+    assert traj.final_state.tolist() == [-5.000000000000013e-09, 3.591409141172011e-09,
+                                         -5.000000000000013e-09, 1.3591409125537652]
+    # x1 overflows to inf at both ends (a NaN difference) while x2 loses its
+    # order: no StepOrderError, the state diverges
+    d = _closed_form(2, 1, [0.0], [0.1], ["1.2e308", "0 - 5*w1"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as err:
+            mm.integrate(d, mm.Box([1.2e308, 0.0], [1.2e308, 0.0]),
+                         mm.ReachSpec(1.0, 1.0))
+    assert str(err.value) == "embedding state diverged near t=1"

@@ -277,3 +277,43 @@ def test_substitution_and_linear_combination():
     assert exprlang.substitute(e.root, {}) == e.root
     with pytest.raises(TypeError):
         exprlang.substitute(exprlang.Binary("+", exprlang.Var("x", 0), 1.0), {})
+
+
+def test_every_accepted_tree_compiles(rng):
+    """Generated code nests one bracket per operator (a min/max folds into
+    nested calls in the batch backend), and CPython compiles at most 200
+    levels. parse rejects deeper trees, so the scalar, batch and
+    many-expression backends compile everything it accepts."""
+    # both raised SyntaxError at compile time instead of a ParseError
+    with pytest.raises(ParseError):
+        mm.parse("-" * 200 + "x1", 1, 0)
+    with pytest.raises(ParseError):
+        mm.parse("max(" + ", ".join(["x1"] * 260) + ")", 1, 0)
+    shapes = [
+        lambda k: "-" * k + "x1",
+        lambda k: "max(" + ", ".join(["x1"] * k) + ")",
+        lambda k: "min(x1, " * k + "w1" + ")" * k,
+        lambda k: "sin(" * k + "x1" + ")" * k,
+        lambda k: "x1" + "^x1" * k,
+        lambda k: "x1" + "/x1" * k,
+    ]
+    for shape in shapes:
+        k = 1
+        while k < 400:
+            try:
+                mm.parse(shape(k + 1), 1, 1)
+            except ParseError:
+                break
+            k += 1
+        assert k < 400
+        e = mm.parse(shape(k), 1, 1)
+        X = rng.uniform(0.5, 1.5, (3, 1))
+        W = rng.uniform(0.5, 1.5, (3, 1))
+        e.batch_fn()(X, W)
+        both = exprlang.scalar_list_fn([e.root, e.root])
+        for x, w in zip(X.tolist(), W.tolist()):
+            value = e.scalar_fn()(x, w)
+            assert both(x, w) == [value, value]
+    with pytest.raises(ParseError) as err:
+        mm.parse("x1 + 1e999", 1, 0)
+    assert err.value.column == 6  # its literal would compile to a bare `inf`
