@@ -21,14 +21,10 @@ from .decomp import (
     tight_decomposition,
 )
 from .embed import (
-    EmbeddingFunction,
     ReachSpec,
     Trajectory,
-    backward_reach_box,
-    forward_reach_box,
     integrate,
     reach_box,
-    trajectory_boxes,
 )
 from .exprlang import ExprAst, evaluate, parse, partial, to_source
 from .geometry import (
@@ -50,7 +46,6 @@ from .multiorder import (
     default_transform_family,
     reach_intersection,
     reach_parallelotope,
-    reach_union,
 )
 from .oracle import (
     ContainmentReport,

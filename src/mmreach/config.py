@@ -289,10 +289,10 @@ def parse_config(raw: dict):
     method, options = _parse_decomposition(raw.get("decomposition"), system)
     transforms = _parse_transforms(raw.get("transforms"), system.n)
     sampling, search_box = _parse_sampling(raw.get("sampling"), system.n)
-    output = raw.get("output", {})
-    if output and not isinstance(output, dict):
+    output = {} if raw.get("output") is None else raw["output"]
+    if not isinstance(output, dict):
         raise ConfigError("expected a table", "output")
-    output_dir = output.get("dir", "out") if isinstance(output, dict) else "out"
+    output_dir = output.get("dir", "out")
     if not isinstance(output_dir, str):
         raise ConfigError("expected a directory path string", "output.dir")
     if direction == "backward" and not isinstance(initial, Parallelotope):

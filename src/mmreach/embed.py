@@ -3,6 +3,8 @@
 One simulation of the 2n-dimensional embedding system bounds every disturbed
 trajectory of the underlying system (forward in time); integrating the
 embedding of the time-reversed field bounds backward reachable sets.
+``reach_box`` is the one step from a decomposition method to a box; code
+that builds its own decomposition (``combine``) calls ``integrate``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .geometry import Box
 from .sysdef import reverse_time
 
 ORDER_CLIP_TOL = 1e-9
+DIAGONAL_TOL = 1e-6
 MAX_STEPS = 10**8
 DEFAULT_DT = 1e-3
 
@@ -81,27 +84,6 @@ class Trajectory:
     @property
     def final_state(self):
         return self.states[-1]
-
-    @property
-    def final_time(self):
-        return float(self.times[-1])
-
-
-class EmbeddingFunction:
-    """Disturbance-free 2n-dimensional field built from a decomposition.
-
-    Evaluation at stacked (lower, upper) returns
-    (d(lower, w_lo, upper, w_hi), d(upper, w_hi, lower, w_lo)), through
-    ``Decomposition.embedding_field``.
-    """
-
-    def __init__(self, decomposition: Decomposition):
-        self.decomposition = decomposition
-        self.n = decomposition.n
-
-    def __call__(self, lower, upper):
-        v = [float(a) for a in lower] + [float(b) for b in upper]
-        return np.array(self.decomposition.embedding_field(v))
 
 
 def _ordered(v, n, where, t):
@@ -205,58 +187,26 @@ def integrate(d: Decomposition, x0: Box, spec: ReachSpec):
     return Trajectory(np.array(times), np.array(states))
 
 
-def trajectory_boxes(traj: Trajectory):
-    """Per-time boxes of an embedding trajectory."""
-    n = traj.states.shape[1] // 2
-    return [Box(row[:n], row[n:]) for row in traj.states]
-
-
-def forward_reach_box(system, d: Decomposition, x0: Box, spec: ReachSpec):
-    """Hyperrectangular over-approximation of the forward reachable set."""
-    if spec.direction != "forward":
-        raise DimensionMismatchError("forward_reach_box requires a forward spec")
-    if d.system is not system:
-        raise DimensionMismatchError(
-            "decomposition was built for a different system"
-        )
-    return _final_box(d, x0, spec)
-
-
-def backward_reach_box(system, d_neg: Decomposition, x0: Box, spec: ReachSpec):
-    """Hyperrectangular over-approximation of the backward reachable set.
-
-    ``d_neg`` must decompose the time-reversed field; its diagonal is
-    spot-checked against -F before integrating.
-    """
-    if spec.direction != "backward":
-        raise DimensionMismatchError("backward_reach_box requires a backward spec")
-    probes = [x0.center, x0.lo, x0.hi]
-    wc = list(system.dist.center)
-    for p in probes:
-        neg = d_neg.evaluate(list(p), wc, list(p), wc)
-        ref = -system.eval_field(list(p), wc)
-        if float(np.max(np.abs(neg - ref))) > 1e-6:
-            raise EvalError(
-                "d_neg does not match the time-reversed field on the diagonal",
-                f"at x={list(p)}",
-            )
-    return _final_box(d_neg, x0, spec)
-
-
-def _final_box(d, x0, spec):
-    """Box at the horizon of the embedding trajectory of ``d`` from ``x0``."""
-    final = integrate(d, x0, spec).final_state
-    return Box(final[: d.n], final[d.n:])
-
-
 def reach_box(system, x0: Box, spec: ReachSpec, method="tight", **options):
-    """Box over-approximation of the reachable set from ``x0``.
+    """Box over-approximation of the reachable set from ``x0`` at the horizon.
 
     Builds the ``method`` decomposition of the field (of the time-reversed
-    field for a backward ``spec``) and integrates its embedding.
+    field for a backward ``spec``) and integrates its embedding. A
+    ``closed_form`` decomposition, the one method whose diagonal is not the
+    field by construction, is spot-checked on the diagonal first.
     """
+    field = "field"
     if spec.direction == "backward":
-        d_neg = make_decomposition(reverse_time(system), method, **options)
-        return backward_reach_box(system, d_neg, x0, spec)
+        system, field = reverse_time(system), "time-reversed field"
     d = make_decomposition(system, method, **options)
-    return forward_reach_box(system, d, x0, spec)
+    if method == "closed_form":
+        # d(x, w, x, w) = F(x, w) at the centre and extreme corners of x0,
+        # with w at the centre of its box
+        wc = system.dist.center.tolist()
+        for p in (x0.center.tolist(), x0.lo.tolist(), x0.hi.tolist()):
+            gap = np.abs(d.evaluate(p, wc, p, wc) - system.eval_field(p, wc))
+            if float(np.max(gap)) > DIAGONAL_TOL:
+                raise EvalError(f"closed_form decomposition does not match the "
+                                f"{field} on the diagonal", f"at x={p}")
+    final = integrate(d, x0, spec).final_state
+    return Box(final[:d.n], final[d.n:])

@@ -2,9 +2,10 @@
 
 A decomposition for the transformed dynamics bounds reachable sets of the
 original system by parallelotopes; several transformations intersect to a
-tighter polytope, and polytopic initial sets split into parallelotope unions.
+tighter polytope, and a union of parallelotopes is bounded member by member.
 ``run_reach`` dispatches a validated configuration to one of these and
-returns the one result record, ``ReachOutcome``.
+returns the one result record, ``ReachOutcome``. Every bound goes through
+``embed.reach_box``.
 """
 
 from __future__ import annotations
@@ -100,16 +101,6 @@ def reach_intersection(system, transforms, x0_vertices, spec: ReachSpec,
     return outcome
 
 
-def reach_union(system, union: UnionInitialSet, spec: ReachSpec,
-                method="tight", **method_options):
-    """Per-member parallelotope reach; the result list over-approximates the
-    reachable set of the union (reach commutes with unions)."""
-    return [
-        reach_parallelotope(system, member, spec, method, **method_options)
-        for member in union.members
-    ]
-
-
 def run_reach(cfg):
     """Run the pipeline a validated ``ProblemConfig`` describes."""
     system, spec, init = cfg.system, cfg.spec, cfg.initial_set
@@ -118,12 +109,13 @@ def run_reach(cfg):
         vertices = init if isinstance(init, list) else init.corners()
         return reach_intersection(system, cfg.transforms, vertices, spec,
                                   cfg.method, **options)
-    if isinstance(init, Parallelotope):
-        ptope = reach_parallelotope(system, init, spec, cfg.method, **options)
-        return ReachOutcome(kind="parallelotope", parallelotopes=[ptope])
-    if isinstance(init, UnionInitialSet):
-        ptopes = reach_union(system, init, spec, cfg.method, **options)
-        return ReachOutcome(kind="union", parallelotopes=ptopes)
+    if isinstance(init, (Parallelotope, UnionInitialSet)):
+        # reach commutes with unions: each member is bounded on its own
+        union = isinstance(init, UnionInitialSet)
+        ptopes = [reach_parallelotope(system, member, spec, cfg.method, **options)
+                  for member in (init.members if union else (init,))]
+        return ReachOutcome(kind="union" if union else "parallelotope",
+                            parallelotopes=ptopes)
     if not isinstance(init, Box):
         # bare vertex polytope without transforms: bound it by its own hull box
         verts = np.array([np.asarray(v) for v in init])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from . import exprlang
-from .errors import DimensionMismatchError, GeometryError
+from .errors import DimensionMismatchError, ExprError, GeometryError
 from .geometry import Box, invert_shape
 
 
@@ -27,18 +27,25 @@ class SystemDef:
             raise DimensionMismatchError(
                 f"disturbance box has dimension {dist.dim}, declared m={m}"
             )
+        scalar_fns, batch_fns = [], []
         for i, expr in enumerate(field):
             if expr.n > n or expr.m > m:
                 raise DimensionMismatchError(
                     f"field component {i + 1} references undeclared variables"
                 )
+            try:
+                scalar_fns.append(expr.scalar_fn())
+                batch_fns.append(expr.batch_fn())
+            except SyntaxError as exc:  # a composed field can nest too deeply
+                raise ExprError(f"field component {i + 1} does not compile: "
+                                f"{exc.msg}") from exc
         self.n = n
         self.m = m
         self.field = tuple(field)
         self.dist = dist
         self.name = name
-        self._scalar_fns = tuple(e.scalar_fn() for e in self.field)
-        self._batch_fns = tuple(e.batch_fn() for e in self.field)
+        self._scalar_fns = tuple(scalar_fns)
+        self._batch_fns = tuple(batch_fns)
 
     @classmethod
     def from_strings(cls, n, m, sources, w_lo, w_hi, name=""):

@@ -158,13 +158,12 @@ def test_criterion_4_combined_box_inside_intersection():
     x0 = mm.Box([0.0, -0.25], [0.75, 0.25])
     for horizon in (0.25, 0.5, 1.0):
         spec = mm.ReachSpec(horizon, 2e-3)
-        b1 = mm.forward_reach_box(system, d1, x0, spec)
-        b2 = mm.forward_reach_box(system, d2, x0, spec)
-        bc = mm.forward_reach_box(system, both, x0, spec)
-        inter_lo = np.maximum(b1.lo, b2.lo)
-        inter_hi = np.minimum(b1.hi, b2.hi)
-        assert np.all(bc.lo >= inter_lo - 1e-9), f"t={horizon}: lower face exits"
-        assert np.all(bc.hi <= inter_hi + 1e-9), f"t={horizon}: upper face exits"
+        # final embedding states: lower half, then upper half
+        b1, b2, bc = (mm.integrate(d, x0, spec).final_state for d in (d1, d2, both))
+        inter_lo = np.maximum(b1[:2], b2[:2])
+        inter_hi = np.minimum(b1[2:], b2[2:])
+        assert np.all(bc[:2] >= inter_lo - 1e-9), f"t={horizon}: lower face exits"
+        assert np.all(bc[2:] <= inter_hi + 1e-9), f"t={horizon}: upper face exits"
     elapsed = time.time() - start
     assert elapsed <= 30.0, f"took {elapsed:.1f}s (limit 30s)"
     _report(4, f"inclusion holds at t in (0.25, 0.5, 1.0) ({elapsed:.1f}s)")
@@ -223,8 +222,7 @@ def test_criterion_6_identity_reduction():
         cases.append((name, cfg.system, hull))
     for name, system, hull in cases:
         spec = mm.ReachSpec(1.0, 5e-3)
-        d = mm.tight_decomposition(system)
-        box = mm.forward_reach_box(system, d, hull, spec)
+        box = mm.reach_box(system, hull, spec)
         ptope = mm.reach_parallelotope(system, mm.Parallelotope(np.eye(2), hull),
                                        spec)
         assert np.max(np.abs(ptope.coords.lo - box.lo)) <= 1e-12, name

@@ -87,6 +87,43 @@ def test_reach_box_pipeline(tmp_path):
     assert all(a <= b for a, b in zip(box["lo"], box["hi"]))
 
 
+@pytest.mark.parametrize("direction, second", [("forward", "x1 + 2"),
+                                               ("backward", "x1 + 1")])
+def test_reach_rejects_a_closed_form_off_the_diagonal(tmp_path, capsys,
+                                                      direction, second):
+    """A forward closed form whose diagonal is not F used to be integrated;
+    a backward one given the forward sources is not -F either."""
+    raw = _fast_box_config(direction=direction, decomposition={
+        "method": "closed_form",
+        "sources": ["max(x1, 0)*x2 + min(x1, 0)*x4 + w1", second]})
+    field = "field"
+    if direction == "backward":
+        raw["initial_set"] = {"type": "parallelotope", "shape": [[1, 0], [0, 1]],
+                              "lo": [0.0, -0.25], "hi": [0.75, 0.25]}
+        field = "time-reversed field"
+    out = tmp_path / "out"
+    assert main(["reach", "--config", _write(tmp_path, raw), "--out", str(out),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: closed_form decomposition does not match the {field} on the "
+        "diagonal: at x=[0.375, 0.0]\n")
+    assert not out.exists()
+
+
+def test_reach_reports_a_transformed_field_too_deep_to_compile(tmp_path, capsys):
+    """check accepts the field, but the transformed one nests too deeply."""
+    raw = _fast_box_config()
+    raw["system"] = {"n": 2, "m": 1, "field": ["-" * 197 + "x1", "x2"],
+                     "w_lo": [0.0], "w_hi": [0.25]}
+    raw["initial_set"] = {"type": "parallelotope", "shape": [[1, 1], [0, 1]],
+                          "lo": [0.0, 0.0], "hi": [0.1, 0.1]}
+    assert main(["reach", "--config", _write(tmp_path, raw), "--out",
+                 str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error: field component 1 does not compile: too many nested "
+        "parentheses\n")
+
+
 def test_reach_intersection_outputs(tmp_path):
     raw = {
         "system": "bilinear",

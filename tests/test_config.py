@@ -155,6 +155,11 @@ def test_load_config_path_and_errors(tmp_path):
      "decomposition.seed"),
     ({"sampling": {"seed": -2}}, "sampling.seed"),
     ({"output": {"dir": __file__}}, "output.dir"),  # an existing file
+    # a falsy non-table used to be taken as the default directory
+    ({"output": []}, "output"),
+    ({"output": 0}, "output"),
+    ({"output": ""}, "output"),
+    ({"output": False}, "output"),
 ])
 def test_check_rejects_what_reach_would(tmp_path, change, location):
     """Each of these passed validation and then crashed or failed in reach."""

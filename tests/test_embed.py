@@ -7,7 +7,6 @@ import mmreach as mm
 from mmreach.errors import (
     DimensionMismatchError,
     DivergenceError,
-    EvalError,
     StepOrderError,
 )
 
@@ -40,17 +39,15 @@ def test_trajectory_validation():
 def test_embedding_function_monotone_example(cubic):
     trans = mm.transform(cubic, T1)
     d = mm.monotone_decomposition(trans, mm.Box([-2, -2], [2, 2]), samples=100)
-    E = mm.EmbeddingFunction(d)
-    out = E([0.0, 0.0], [1.0, 1.0])
+    out = d.embedding_field([0.0, 0.0, 1.0, 1.0])
     assert np.allclose(out, [-1.0, 0.0, 2.0, 1.0])
 
 
 def test_embedding_function_degenerate_disturbance():
     s = mm.SystemDef.from_strings(2, 1, ["x2 + w1", "x1 - x2"], [0.3], [0.3])
     d = mm.tight_decomposition(s)
-    E = mm.EmbeddingFunction(d)
     x = [0.4, -0.2]
-    out = E(x, x)
+    out = d.embedding_field(x + x)
     f = s.eval_field(x, [0.3])
     assert np.allclose(out[:2], f, atol=1e-12)
     assert np.allclose(out[2:], f, atol=1e-12)
@@ -58,8 +55,7 @@ def test_embedding_function_degenerate_disturbance():
 
 def test_embedding_function_tight_bilinear(bilinear):
     d = mm.tight_decomposition(bilinear)
-    E = mm.EmbeddingFunction(d)
-    out = E([1.0, 0.0], [2.0, 1.0])
+    out = d.embedding_field([1.0, 0.0, 2.0, 1.0])
     assert np.allclose(out[:2], [0.0, 2.0])
 
 
@@ -67,7 +63,7 @@ def test_integrate_scalar_decay():
     s = mm.SystemDef.from_strings(1, 1, ["-x1"], [0.0], [0.0])
     d = mm.monotone_decomposition(s, mm.Box([-3.0], [3.0]), samples=50)
     traj = mm.integrate(d, mm.Box([1.0], [2.0]), mm.ReachSpec(1.0, 1e-3))
-    assert traj.final_time == 1.0
+    assert traj.times[-1] == 1.0
     assert traj.final_state[0] == pytest.approx(math.exp(-1), abs=1e-6)
     assert traj.final_state[1] == pytest.approx(2 * math.exp(-1), abs=1e-6)
 
@@ -104,25 +100,24 @@ def test_integrate_flags_order_violation():
         mm.integrate(d, mm.Box([0.0], [0.1]), mm.ReachSpec(1.0, 1e-2))
 
 
-def test_forward_reach_box_monotone_equals_corner_hull(cubic):
+def test_monotone_reach_box_equals_corner_hull(cubic):
     """For a monotone system the box is the hull of the two extreme flows."""
     trans = mm.transform(cubic, T1)
-    d = mm.monotone_decomposition(trans, mm.Box([-2, -2], [2, 2]), samples=100)
     x0 = mm.Box([0.0, 0.5], [0.2, 0.8])
     spec = mm.ReachSpec(1.0, 1e-3)
-    box = mm.forward_reach_box(trans, d, x0, spec)
+    box = mm.reach_box(trans, x0, spec, "monotone",
+                       domain=mm.Box([-2, -2], [2, 2]), samples=100)
     lo_traj = mm.simulate(trans, x0.lo, [-1.0], spec).final_state
     hi_traj = mm.simulate(trans, x0.hi, [1.0], spec).final_state
     assert np.allclose(box.lo, lo_traj, atol=1e-6)
     assert np.allclose(box.hi, hi_traj, atol=1e-6)
 
 
-def test_forward_reach_box_degenerate_is_point_flow(bilinear):
+def test_reach_box_degenerate_is_point_flow():
     s = mm.SystemDef.from_strings(2, 1, ["x1*x2 + w1", "x1 + 1"], [0.1], [0.1])
-    d = mm.tight_decomposition(s)
     spec = mm.ReachSpec(1.0, 1e-3)
     x = [0.3, -0.1]
-    box = mm.forward_reach_box(s, d, mm.Box(x, x), spec)
+    box = mm.reach_box(s, mm.Box(x, x), spec)
     endpoint = mm.simulate(s, x, [0.1], spec).final_state
     assert np.allclose(box.lo, endpoint, atol=1e-9)
     assert np.allclose(box.hi, endpoint, atol=1e-9)
@@ -130,41 +125,25 @@ def test_forward_reach_box_degenerate_is_point_flow(bilinear):
     # so they agree bit for bit; dt = 0.3 leaves a remainder step
     spec = mm.ReachSpec(1.0, 0.3)
     traj = mm.simulate(s, x, [0.1], spec)
-    assert len(traj.times) == 5 and traj.final_time == 1.0
-    box = mm.forward_reach_box(s, d, mm.Box(x, x), spec)
+    assert len(traj.times) == 5 and traj.times[-1] == 1.0
+    box = mm.reach_box(s, mm.Box(x, x), spec)
     sample = mm.sample_endpoints(s, mm.Box(x, x), spec, mm.SampleConfig(count=1))
     for got in (box.lo, box.hi, sample.points[0]):
         assert np.array_equal(got, traj.final_state)
 
 
-def test_forward_reach_box_requires_matching_system(bilinear, cubic):
-    d = mm.tight_decomposition(bilinear)
-    with pytest.raises(DimensionMismatchError):
-        mm.forward_reach_box(cubic, d, mm.Box([0, 0], [1, 1]), mm.ReachSpec(1.0, 1e-2))
-
-
-def test_backward_reach_box_scalar():
+def test_backward_reach_of_scalar_decay():
     s = mm.SystemDef.from_strings(1, 1, ["-x1"], [0.0], [0.0])
-    d_neg = mm.tight_decomposition(mm.reverse_time(s))
     x0 = mm.Box([math.exp(-1)], [2 * math.exp(-1)])
-    box = mm.backward_reach_box(s, d_neg, x0, mm.ReachSpec(1.0, 1e-3, "backward"))
+    box = mm.reach_box(s, x0, mm.ReachSpec(1.0, 1e-3, "backward"))
     assert box.lo[0] == pytest.approx(1.0, abs=1e-5)
     assert box.hi[0] == pytest.approx(2.0, abs=1e-5)
 
 
-def test_backward_reach_box_zero_horizon(bilinear):
-    d_neg = mm.tight_decomposition(mm.reverse_time(bilinear))
+def test_backward_reach_at_zero_horizon(bilinear):
     x0 = mm.Box([0.0, 0.0], [0.25, 0.25])
-    box = mm.backward_reach_box(bilinear, d_neg, x0,
-                                mm.ReachSpec(0.0, 1e-3, "backward"))
+    box = mm.reach_box(bilinear, x0, mm.ReachSpec(0.0, 1e-3, "backward"))
     assert np.allclose(box.lo, x0.lo) and np.allclose(box.hi, x0.hi)
-
-
-def test_backward_reach_box_rejects_wrong_decomposition(bilinear):
-    d = mm.tight_decomposition(bilinear)  # not time-reversed
-    with pytest.raises(EvalError):
-        mm.backward_reach_box(bilinear, d, mm.Box([0, 0], [0.25, 0.25]),
-                              mm.ReachSpec(1.0, 1e-3, "backward"))
 
 
 def test_embedding_flow_is_se_monotone(bilinear, rng):
@@ -194,9 +173,8 @@ def test_step_halving_converges(bilinear, cubic, trig):
         (trig, mm.Box([0.5, 0.5], [1.5, 1.5])),
     ]
     for system, x0 in cases:
-        d = mm.tight_decomposition(system)
-        coarse = mm.forward_reach_box(system, d, x0, mm.ReachSpec(1.0, 1e-2))
-        fine = mm.forward_reach_box(system, d, x0, mm.ReachSpec(1.0, 5e-3))
+        coarse = mm.reach_box(system, x0, mm.ReachSpec(1.0, 1e-2))
+        fine = mm.reach_box(system, x0, mm.ReachSpec(1.0, 5e-3))
         assert np.max(np.abs(coarse.lo - fine.lo)) <= 1e-5
         assert np.max(np.abs(coarse.hi - fine.hi)) <= 1e-5
 
@@ -221,19 +199,11 @@ def test_combined_box_inside_intersection_at_all_times(cubic):
         assert np.all(rb[2:] <= inter_hi + 1e-9)
 
 
-def test_trajectory_boxes_and_csv(bilinear):
-    d = mm.tight_decomposition(bilinear)
-    traj = mm.integrate(d, mm.Box([0.0, 0.0], [0.1, 0.1]),
-                        mm.ReachSpec(0.01, 1e-3))
-    boxes = mm.trajectory_boxes(traj)
-    assert len(boxes) == len(traj.times)
-
-
-def test_final_time_hits_horizon_with_remainder(bilinear):
+def test_integrate_ends_at_horizon_with_remainder(bilinear):
     d = mm.tight_decomposition(bilinear)
     traj = mm.integrate(d, mm.Box([0.0, 0.0], [0.1, 0.1]),
                         mm.ReachSpec(0.0105, 1e-3))
-    assert traj.final_time == 0.0105
+    assert traj.times[-1] == 0.0105
 
 
 def _closed_form(n, m, w_lo, w_hi, sources):

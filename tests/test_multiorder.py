@@ -38,8 +38,7 @@ def test_identity_transform_reduces_to_box_reach(bilinear):
     """With the identity shape the parallelotope pipeline is the box pipeline."""
     x0 = mm.Box([0.0, -0.25], [0.75, 0.25])
     spec = mm.ReachSpec(1.0, 2e-3)
-    d = mm.tight_decomposition(bilinear)
-    box = mm.forward_reach_box(bilinear, d, x0, spec)
+    box = mm.reach_box(bilinear, x0, spec)
     ptope = mm.reach_parallelotope(bilinear, mm.Parallelotope(np.eye(2), x0), spec)
     assert np.max(np.abs(ptope.coords.lo - box.lo)) <= 1e-12
     assert np.max(np.abs(ptope.coords.hi - box.hi)) <= 1e-12
@@ -74,8 +73,7 @@ def test_reach_intersection_single_identity_is_box(bilinear):
     x0 = mm.Box([0.0, -0.25], [0.75, 0.25])
     spec = mm.ReachSpec(1.0, 2e-3)
     result = mm.reach_intersection(bilinear, (np.eye(2),), x0.corners(), spec)
-    d = mm.tight_decomposition(bilinear)
-    box = mm.forward_reach_box(bilinear, d, x0, spec)
+    box = mm.reach_box(bilinear, x0, spec)
     want_area = float(np.prod(box.hi - box.lo))
     assert result.areas[0] == pytest.approx(want_area, rel=1e-12)
     assert len(result.parallelotopes) == 1
@@ -105,17 +103,23 @@ def test_reach_intersection_two_transforms_cut_area(cubic):
         assert mm.audit_containment(res.points, ptope).violations == 0
 
 
-def test_reach_union_single_member_matches_parallelotope(trig):
+def test_run_reach_single_member_union_matches_parallelotope(trig):
     t = np.array([[-1.0, -0.5], [0.0, math.sqrt(3) / 2]])
     off = np.linalg.solve(t, [1.0, 1.0])
-    member = mm.Parallelotope(t, mm.Box(np.array([-1.0, 0.0]) + off,
-                                        np.array([0.0, 1.0]) + off))
-    spec = mm.ReachSpec(0.5, 2e-3)
-    single = mm.reach_union(trig, mm.UnionInitialSet((member,)), spec)
-    direct = mm.reach_parallelotope(trig, member, spec)
-    assert len(single) == 1
-    assert np.allclose(single[0].coords.lo, direct.coords.lo, atol=0)
-    assert np.allclose(single[0].coords.hi, direct.coords.hi, atol=0)
+    lo, hi = np.array([-1.0, 0.0]) + off, np.array([0.0, 1.0]) + off
+    cfg = parse_config({
+        "system": "trig",
+        "initial_set": {"type": "union", "members": [
+            {"shape": t.tolist(), "lo": lo.tolist(), "hi": hi.tolist()}]},
+        "horizon": 0.5,
+        "dt": 2e-3,
+    })
+    single = run_reach(cfg)
+    direct = mm.reach_parallelotope(trig, mm.Parallelotope(t, mm.Box(lo, hi)),
+                                    cfg.spec)
+    assert single.kind == "union" and len(single.parallelotopes) == 1
+    assert np.allclose(single.parallelotopes[0].coords.lo, direct.coords.lo, atol=0)
+    assert np.allclose(single.parallelotopes[0].coords.hi, direct.coords.hi, atol=0)
 
 
 def test_reach_intersection_nd_reports_volume():

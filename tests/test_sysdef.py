@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mmreach as mm
-from mmreach.errors import DimensionMismatchError, EvalError, GeometryError
+from mmreach.errors import DimensionMismatchError, EvalError, ExprError, GeometryError
 
 
 def test_bilinear_field_value(bilinear):
@@ -78,6 +78,18 @@ def test_transform_composes(cubic, rng):
         w = rng.uniform(-1, 1, 1)
         assert np.allclose(once.eval_field(y, w), direct.eval_field(y, w),
                            atol=1e-12)
+
+
+def test_composed_field_too_deep_to_compile_is_an_expr_error():
+    """Substitution deepens a field that parse accepted near the nesting
+    limit; building the composed system names the component."""
+    s = mm.SystemDef.from_strings(2, 1, ["-" * 197 + "x1", "x2"], [0.0], [0.1])
+    for build in (lambda: mm.transform(s, [[1.0, 1.0], [0.0, 1.0]]),
+                  lambda: mm.reverse_time(mm.reverse_time(s))):
+        with pytest.raises(ExprError) as err:
+            build()
+        assert str(err.value) == ("field component 1 does not compile: "
+                                  "too many nested parentheses")
 
 
 def test_reverse_time_negates_exactly(bilinear, rng):
