@@ -271,6 +271,28 @@ def _parse_sampling(raw, n, where="sampling"):
     return cfg, search_box
 
 
+def _require_identity_shapes(initial, transforms, n):
+    """Reject every shape the run reaches under other than the identity.
+
+    ``closed_form`` sources decompose the field as written, not the field
+    transformed by another shape. The shapes mirror ``run_reach``: the
+    transforms if given, else the parallelotope's or each union member's.
+    """
+    if transforms is not None:
+        shapes = [("transforms", shape) for shape in transforms]
+    elif isinstance(initial, Parallelotope):
+        shapes = [("initial_set.shape", initial.shape)]
+    elif isinstance(initial, UnionInitialSet):
+        shapes = [(f"initial_set.members[{i}].shape", member.shape)
+                  for i, member in enumerate(initial.members)]
+    else:
+        shapes = []
+    for where, shape in shapes:
+        if not np.array_equal(shape, np.eye(n)):
+            raise ConfigError("closed_form sources decompose the untransformed "
+                              "field; every shape must be the identity", where)
+
+
 def parse_config(raw: dict):
     """Validate a raw configuration table into a ProblemConfig."""
     if not isinstance(raw, dict):
@@ -304,6 +326,8 @@ def parse_config(raw: dict):
             "union initial sets run per-member shapes; drop 'transforms'",
             "transforms",
         )
+    if method == "closed_form":
+        _require_identity_shapes(initial, transforms, system.n)
     return ProblemConfig(
         system=system,
         initial_set=initial,

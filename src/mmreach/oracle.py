@@ -147,29 +147,62 @@ def _rejection_sample(rng, bbox, count, accept):
 
 def _integrate_batch(system, X, levels, switch_steps, sizes):
     """Vectorized fixed-step 4th-order integration with piecewise-constant
-    disturbances. Rows that turn non-finite keep their last finite state.
-    Returns (endpoints, alive mask)."""
-    rows = np.arange(X.shape[0])
-    alive = np.ones(X.shape[0], dtype=bool)
+    disturbances.
 
-    def level_at(s):
-        return levels[rows, (switch_steps <= s).sum(axis=1), :]
-
-    W = level_at(0)
+    Row ``r`` is driven by ``levels[r, k]`` over the steps at which ``k`` of
+    its ``switch_steps`` have passed: a switch at step ``s`` in
+    [0, len(sizes)] applies from step ``s`` on. The switch events are
+    grouped by step once, and each step updates only the rows that switch
+    there. A row whose state turns non-finite is dropped from the batch at
+    the end of that step. Returns (endpoints of the alive rows in row order,
+    alive mask).
+    """
+    count, switch_count = switch_steps.shape
+    alive = np.ones(count, dtype=bool)
+    # switch events grouped by step. The steps lie in [0, last] and so fit a
+    # small integer type, which numpy sorts stably by radix.
+    last = len(sizes)
+    steps = switch_steps.ravel().astype(np.min_scalar_type(last))
+    event_rows = np.argsort(steps, kind="stable")
+    event_rows //= max(switch_count, 1)
+    event_rows = event_rows.astype(np.int32)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(steps, minlength=last + 1))))
+    segment = np.zeros(count, dtype=np.int32)
+    one = np.int32(1)  # an int32 increment keeps np.add.at on its fast path
+    np.add.at(segment, event_rows[: bounds[1]], one)
+    W = levels[np.arange(count), segment]
+    active = np.arange(count, dtype=np.int32)  # original row at each position
+    position = active.copy()  # position of each original row; -1 once dead
 
     def field(X, _t):
         return system.eval_field_batch(X, W)
 
-    def freeze(X, X_new, _t, s):
-        nonlocal W, alive
-        good = np.all(np.isfinite(X_new), axis=1)
-        alive &= good
-        if s + 1 < len(sizes):
-            W = level_at(s + 1)
-        return np.where(good[:, None], X_new, X)
+    def post(_X, X_new, _t, s):
+        nonlocal W, active
+        finite = np.isfinite(X_new)
+        if not finite.all():
+            # the rows that just turned non-finite leave the batch
+            bad = np.flatnonzero(~finite) // X_new.shape[1]
+            good = np.ones(len(active), dtype=bool)
+            good[bad] = False
+            dead = active[bad]
+            alive[dead] = False
+            position[dead] = -1
+            active, W, X_new = (np.compress(good, a, axis=0)
+                                for a in (active, W, X_new))
+            position[active] = np.arange(len(active), dtype=np.int32)
+        if s + 1 < last:
+            rows = event_rows[bounds[s + 1] : bounds[s + 2]]
+            at = position[rows]
+            live = at >= 0
+            rows, at = rows[live], at[live]
+            # one row can switch twice at the same step
+            np.add.at(segment, rows, one)
+            W[at] = levels[rows, segment[rows]]
+        return X_new
 
     with np.errstate(all="ignore"):
-        X = _rk4(field, X, sizes, freeze)
+        X = _rk4(field, X, sizes, post)
     return X, alive
 
 
@@ -229,12 +262,10 @@ def sample_endpoints(system, x0, spec: ReachSpec, cfg: SampleConfig):
         return SampleResult(points=starts, divergent=0)
     for start in range(0, cfg.count, _CHUNK):
         stop = min(start + _CHUNK, cfg.count)
-        X, alive = _integrate_batch(
-            system, starts[start:stop].copy(), levels[start:stop],
-            switches[start:stop], sizes,
-        )
+        X, alive = _integrate_batch(system, starts[start:stop], levels[start:stop],
+                                    switches[start:stop], sizes)
         divergent += int((~alive).sum())
-        endpoints.append(X[alive])
+        endpoints.append(X)
     points = np.concatenate(endpoints) if endpoints else np.empty((0, system.n))
     if divergent:
         log.warning("excluded %d divergent trajectories of %d", divergent, cfg.count)
@@ -308,7 +339,7 @@ def backward_witnesses(system, x0: Parallelotope, spec: ReachSpec,
         starts = rng.uniform(search_box.lo, search_box.hi, size=(count, system.n))
         levels, switches = _draw_signals(rng, count, cfg.switch_count,
                                          system.dist, spec, len(sizes))
-        X, alive = _integrate_batch(system, starts.copy(), levels, switches, sizes)
+        X, alive = _integrate_batch(system, starts, levels, switches, sizes)
         coords = X @ x0.shape_inv.T
         # not margins: `c >= lo - tol` rounds unlike `c - lo >= -tol`
         inside = np.all(
@@ -316,7 +347,7 @@ def backward_witnesses(system, x0: Parallelotope, spec: ReachSpec,
             & (coords <= x0.coords.hi + CONTAINMENT_TOL),
             axis=1,
         )
-        found.append(starts[inside & alive])
+        found.append(starts[alive][inside])
     witnesses = np.concatenate(found) if found else np.empty((0, system.n))
     if len(witnesses) == 0:
         log.warning(

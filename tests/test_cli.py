@@ -110,6 +110,22 @@ def test_reach_rejects_a_closed_form_off_the_diagonal(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_check_rejects_a_closed_form_under_transforms(tmp_path, capsys):
+    """check used to accept this, and reach then failed the diagonal check."""
+    raw = _fast_box_config(
+        decomposition={"method": "closed_form",
+                       "sources": ["max(x1, 0)*x2 + min(x1, 0)*x4 + w1",
+                                   "x1 + 1"]},
+        transforms={"family": "rotations", "count": 2})
+    raw["initial_set"] = {"type": "vertices",
+                          "points": [[0.0, -0.25], [0.75, -0.25],
+                                     [0.75, 0.25], [0.0, 0.25]]}
+    assert main(["check", "--config", _write(tmp_path, raw)]) == 1
+    assert capsys.readouterr().err == (
+        "error: transforms: closed_form sources decompose the untransformed "
+        "field; every shape must be the identity\n")
+
+
 def test_reach_reports_a_transformed_field_too_deep_to_compile(tmp_path, capsys):
     """check accepts the field, but the transformed one nests too deeply."""
     raw = _fast_box_config()

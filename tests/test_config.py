@@ -115,6 +115,56 @@ def test_closed_form_sources_validated():
     assert cfg.method == "closed_form"
 
 
+_CLOSED_FORM = {"method": "closed_form",
+                "sources": ["max(x1, 0)*x2 + min(x1, 0)*x4 + w1", "x1 + 1"]}
+_QUARTER_TURN = [[0.0, -1.0], [1.0, 0.0]]
+
+
+def _member(shape, lo):
+    return {"shape": shape, "lo": lo, "hi": [v + 0.25 for v in lo]}
+
+
+@pytest.mark.parametrize("change, location", [
+    ({"transforms": {"family": "rotations", "count": 2}}, "transforms"),
+    ({"transforms": {"matrices": [[[1, 0], [0, 1]], [[1, 1], [0, 1]]]}},
+     "transforms"),
+    ({"initial_set": {"type": "parallelotope", "shape": _QUARTER_TURN,
+                      "lo": [0.0, 0.0], "hi": [0.5, 0.5]}},
+     "initial_set.shape"),
+    ({"initial_set": {"type": "union", "members": [
+        _member([[1, 0], [0, 1]], [0.0, 0.0]),
+        _member(_QUARTER_TURN, [1.0, 0.0])]}},
+     "initial_set.members[1].shape"),
+])
+def test_closed_form_rejects_a_non_identity_shape(change, location):
+    """Its sources decompose the field itself, not a transformed field; such
+    a config passed check and then failed the diagonal check in reach."""
+    raw = {**_base_raw(), "decomposition": _CLOSED_FORM, **change}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.location == location
+
+
+@pytest.mark.parametrize("change", [
+    {},
+    {"transforms": {"family": "rotations", "count": 1}},  # the identity
+    {"transforms": {"matrices": [[[1, 0], [0, 1]]]}},
+    {"direction": "backward",
+     "initial_set": {"type": "parallelotope", "shape": [[1, 0], [0, 1]],
+                     "lo": [0.0, -0.25], "hi": [0.75, 0.25]}},
+    {"initial_set": {"type": "union", "members": [
+        _member([[1, 0], [0, 1]], [0.0, 0.0]),
+        _member([[1, 0], [0, 1]], [1.0, 0.0])]}},
+    # the transforms replace the parallelotope's own shape in the run
+    {"initial_set": {"type": "parallelotope", "shape": _QUARTER_TURN,
+                     "lo": [0.0, 0.0], "hi": [0.5, 0.5]},
+     "transforms": {"matrices": [[[1, 0], [0, 1]]]}},
+])
+def test_closed_form_accepts_identity_shapes(change):
+    cfg = parse_config({**_base_raw(), "decomposition": _CLOSED_FORM, **change})
+    assert cfg.method == "closed_form"
+
+
 def test_jacobian_sign_domain_parsing():
     raw = _base_raw()
     raw["decomposition"] = {"method": "jacobian_sign", "domain_lo": [0.0, -3.0],

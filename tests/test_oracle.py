@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import mmreach as mm
+from mmreach.embed import _rk4, _step_sizes
 from mmreach.errors import DimensionMismatchError
+from mmreach.oracle import _draw_signals, _integrate_batch, _sample_initial
 
 
 def test_sample_determinism(bilinear, example1_ptope):
@@ -197,3 +199,122 @@ def test_occupancy_estimate_converges(bilinear, example1_ptope):
                                mm.SampleConfig(count=200000, seed=11)).points
     delta = abs(mm.occupancy_area(full, cell) - mm.occupancy_area(half, cell))
     assert delta <= 2 * cell * cell
+
+
+def _reference_batch(system, X, levels, switch_steps, sizes):
+    """The integrator the event-driven one replaced: every step recounts the
+    passed switches of every row, and a row that turns non-finite keeps its
+    last finite state. Returns (all rows, alive mask)."""
+    rows = np.arange(X.shape[0])
+    alive = np.ones(X.shape[0], dtype=bool)
+
+    def level_at(s):
+        return levels[rows, (switch_steps <= s).sum(axis=1), :]
+
+    W = level_at(0)
+
+    def field(X, _t):
+        return system.eval_field_batch(X, W)
+
+    def freeze(X, X_new, _t, s):
+        nonlocal W, alive
+        good = np.all(np.isfinite(X_new), axis=1)
+        alive &= good
+        if s + 1 < len(sizes):
+            W = level_at(s + 1)
+        return np.where(good[:, None], X_new, X)
+
+    with np.errstate(all="ignore"):
+        X = _rk4(field, X, sizes, freeze)
+    return X, alive
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_BLOWUP = mm.SystemDef.from_strings(1, 1, ["x1*x1 + w1"], [0.0], [1.0])
+
+
+def _batch_case(name):
+    """(system, starts, levels, switch steps, step sizes) of one case."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    system = mm.preset_system("trig" if name == "remainder" else "bilinear")
+    sizes = _step_sizes(0.5, 0.01)
+    count, switch_count = 300, 4
+    if name == "remainder":
+        sizes = _step_sizes(0.255, 0.01)
+        assert sizes[-1] < sizes[0]
+    elif name == "zero_horizon":
+        sizes = _step_sizes(0.0, 0.01)
+    elif name == "no_switches":
+        switch_count = 0
+    elif name.startswith("diverge"):
+        system, sizes = _BLOWUP, _step_sizes(1.0, 0.01)
+    starts = rng.uniform(-1.0, 1.0, size=(count, system.n))
+    levels = rng.uniform(system.dist.lo, system.dist.hi,
+                         size=(count, switch_count + 1, system.m))
+    steps = rng.integers(0, len(sizes) + 1, size=(count, switch_count))
+    if name == "switch_at_step_0":
+        steps[::2, 0] = 0
+    elif name == "two_switches_at_one_step":
+        steps[::3, 1] = steps[::3, 0]
+        steps[1::3, :2] = 0
+    elif name == "switch_at_last_step":
+        steps[::2, -1] = len(sizes) - 1
+        steps[1::4, -1] = len(sizes)  # at the horizon: never applied
+    elif name == "diverge_at_different_steps":
+        starts[:, 0] = np.linspace(-1.0, 20.0, count)
+        starts[::25, 0] = 1e200  # x1*x1 overflows in the first step
+    elif name == "diverge_all_at_once":
+        starts[:, 0] = 20.0
+        levels[:] = 0.5
+    return system, starts, levels, steps, sizes
+
+
+@pytest.mark.parametrize("name", [
+    "switch_at_step_0", "two_switches_at_one_step", "switch_at_last_step",
+    "no_switches", "remainder", "zero_horizon", "diverge_at_different_steps",
+    "diverge_all_at_once",
+])
+def test_integrate_batch_matches_the_per_step_reference(name):
+    system, starts, levels, steps, sizes = _batch_case(name)
+    ref_X, ref_alive = _reference_batch(system, starts, levels, steps, sizes)
+    X, alive = _integrate_batch(system, starts, levels, steps, sizes)
+    assert _same_bits(alive, ref_alive)
+    assert _same_bits(X, ref_X[ref_alive])
+    if name == "diverge_at_different_steps":
+        assert 0 < alive.sum() < len(alive)
+        assert not alive[::25].any()
+    if name == "diverge_all_at_once":
+        assert not alive.any() and X.shape == (0, 1)
+
+
+def test_divergent_rows_are_counted_and_never_witnesses():
+    """Diverged rows are dropped from the batch: the sampler counts exactly
+    the reference's, and a diverged search row is no backward witness even
+    where its last finite state lies in the target."""
+    spec = mm.ReachSpec(1.0, 0.01)
+    sizes = _step_sizes(spec.horizon, spec.dt)
+    x0 = mm.Box([-1.0], [20.0])
+    cfg = mm.SampleConfig(count=600, seed=3)
+    res = mm.sample_endpoints(_BLOWUP, x0, spec, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    starts = _sample_initial(x0, cfg.count, rng)
+    levels, steps = _draw_signals(rng, cfg.count, cfg.switch_count,
+                                  _BLOWUP.dist, spec, len(sizes))
+    ref_X, ref_alive = _reference_batch(_BLOWUP, starts, levels, steps, sizes)
+    assert 0 < res.divergent == int((~ref_alive).sum()) < cfg.count
+    assert _same_bits(res.points, ref_X[ref_alive])
+
+    search = mm.Box([-1.0], [20.0])
+    target = mm.Parallelotope(np.eye(1), mm.Box([0.0], [1e300]))
+    wit = mm.backward_witnesses(_BLOWUP, target, spec, cfg, search)
+    rng = np.random.default_rng(cfg.seed)
+    starts = rng.uniform(search.lo, search.hi, size=(cfg.count, 1))
+    levels, steps = _draw_signals(rng, cfg.count, cfg.switch_count,
+                                  _BLOWUP.dist, spec, len(sizes))
+    ref_X, ref_alive = _reference_batch(_BLOWUP, starts, levels, steps, sizes)
+    inside = (ref_X[:, 0] >= 0.0) & (ref_X[:, 0] <= 1e300)
+    assert (inside & ~ref_alive).any()  # frozen states the audit must skip
+    assert _same_bits(wit, starts[inside & ref_alive])
