@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,6 @@ OPTIMIZER_TOL = 1e-8
 SIGN_FD_STEP = 1e-6
 CHECK_SLACK = 1e-7
 
-_GRID_COARSE = 3  # monotonicity probe lattice, per free coordinate
 _GRID_DENSE = 9  # fallback search lattice, per free coordinate
 _MAX_FREE_DIMS = 6
 _DESCENT_MAX_ROUNDS = 500
@@ -42,11 +42,10 @@ _DESCENT_MAX_ROUNDS = 500
 
 def pair_order(x, w, xh, wh):
     """+1 when (x, w) <= (xh, wh), -1 for the reverse, OrderError otherwise."""
-    fwd = all(a <= b for a, b in zip(x, xh)) and all(a <= b for a, b in zip(w, wh))
-    if fwd:
+    le = operator.le
+    if all(map(le, x, xh)) and all(map(le, w, wh)):
         return 1
-    rev = all(b <= a for a, b in zip(x, xh)) and all(b <= a for a, b in zip(w, wh))
-    if rev:
+    if all(map(le, xh, x)) and all(map(le, wh, w)):
         return -1
     raise OrderError(
         f"arguments are unordered: x={list(x)}, w={list(w)}, "
@@ -150,32 +149,42 @@ def _probe_signs(y, z, free, fi, minimize):
     """Finite-difference signs on the 3^k probe lattice.
 
     Returns the induced corner when every free coordinate is sign-stable,
-    else None.
+    else None (at the first coordinate seen with both signs).
     """
-    k = len(free)
-    levels = [(lo, 0.5 * (lo + hi), hi) for _, _, lo, hi in free]
-    has_pos = [False] * k
-    has_neg = [False] * k
-    for assignment in itertools.product(range(_GRID_COARSE), repeat=k):
-        for c in range(k):
-            free[c][0][free[c][1]] = levels[c][assignment[c]]
-        for c in range(k):
-            target, idx = free[c][0], free[c][1]
-            base = levels[c][assignment[c]]
+    levels = []  # per free coordinate: its three probe records
+    for c, (target, idx, lo, hi) in enumerate(free):
+        records = []
+        for base in (lo, 0.5 * (lo + hi), hi):
             step = SIGN_FD_STEP * max(1.0, abs(base))
-            target[idx] = base + step
+            records.append((c, target, idx, base, base + step, base - step, step))
+        levels.append(records)
+    has_pos = [False] * len(free)
+    has_neg = [False] * len(free)
+    for assignment in itertools.product(*levels):
+        for _, target, idx, base, _, _, _ in assignment:
+            target[idx] = base
+        for c, target, idx, base, plus, minus, step in assignment:
+            target[idx] = plus
             f_plus = fi(y, z)
-            target[idx] = base - step
+            target[idx] = minus
             f_minus = fi(y, z)
             target[idx] = base
             fd = f_plus - f_minus
-            tol = _sign_tol(f_plus, f_minus) * 2.0 * step
+            # _sign_tol(f_plus, f_minus) * 2.0 * step, inline; scale is
+            # max(1.0, a, b) by comparisons, NaN included
+            a, b = abs(f_plus), abs(f_minus)
+            scale = a if a > 1.0 else 1.0
+            if b > scale:
+                scale = b
+            tol = 1e-9 * scale * 2.0 * step
             if fd > tol:
+                if has_neg[c]:
+                    return None
                 has_pos[c] = True
             elif fd < -tol:
+                if has_pos[c]:
+                    return None
                 has_neg[c] = True
-            if has_pos[c] and has_neg[c]:
-                return None
     corner = []
     for c, (_, _, lo, hi) in enumerate(free):
         nondecreasing = has_pos[c] or not has_neg[c]
@@ -196,43 +205,46 @@ def _grid_descent(system, i, y, z, free, fi, minimize):
         )
     flip = 1.0 if minimize else -1.0
     axes = [np.linspace(lo, hi, _GRID_DENSE) for _, _, lo, hi in free]
-    grids = np.meshgrid(*axes, indexing="ij")
-    count = grids[0].size
-    X = np.tile(np.array(y), (count, 1))
-    W = np.tile(np.array(z), (count, 1))
+    # the lattice rows in C order over the axes (meshgrid "ij" raveled)
+    shape = (_GRID_DENSE,) * k
+    X = np.empty(shape + (len(y),))
+    W = np.empty(shape + (len(z),))
+    X[...] = y
+    W[...] = z
     for c, (target, idx, _, _) in enumerate(free):
-        col = grids[c].reshape(-1)
-        if target is y:
-            X[:, idx] = col
-        else:
-            W[:, idx] = col
-    values = flip * system.component_batch_fn(i)(X, W)
+        (X if target is y else W)[..., idx] = axes[c].reshape(
+            [-1 if a == c else 1 for a in range(k)])
+    values = flip * system.component_batch_fn(i)(X.reshape(-1, len(y)),
+                                                 W.reshape(-1, len(z)))
     best = int(np.argmin(values))
     best_g = float(values[best])
-    point = [float(grids[c].reshape(-1)[best]) for c in range(k)]
+    point = [float(a[r]) for a, r in zip(axes, np.unravel_index(best, shape))]
 
     for (target, idx, _, _), value in zip(free, point):
         target[idx] = value
-    bounds = [(lo, hi) for _, _, lo, hi in free]
-    steps = [(hi - lo) / (_GRID_DENSE - 1.0) for lo, hi in bounds]
+    steps = [(hi - lo) / (_GRID_DENSE - 1.0) for _, _, lo, hi in free]
     for _ in range(_DESCENT_MAX_ROUNDS):
         if max(steps) < OPTIMIZER_TOL:
             break
         improved = False
-        for c in range(k):
-            target, idx = free[c][0], free[c][1]
-            lo, hi = bounds[c]
+        for c, (target, idx, lo, hi) in enumerate(free):
+            p = point[c]
             for delta in (steps[c], -steps[c]):
-                cand = min(hi, max(lo, point[c] + delta))
-                if cand == point[c]:
+                # min(hi, max(lo, p + delta)), NaN included
+                cand = p + delta
+                if not cand > lo:
+                    cand = lo
+                if not cand < hi:
+                    cand = hi
+                if cand == p:
                     continue
                 target[idx] = cand
                 g = flip * fi(y, z)
                 if g < best_g:
                     best_g = g
-                    point[c] = cand
+                    p = cand
                     improved = True
-            target[idx] = point[c]
+            target[idx] = point[c] = p
         if not improved:
             steps = [0.5 * s for s in steps]
     return flip * best_g

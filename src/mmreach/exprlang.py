@@ -359,9 +359,23 @@ def _exp(a):
         return math.inf
 
 
-def _trig(fn, a):
+def _sin(a):
     try:
-        return fn(a)
+        return math.sin(a)
+    except ValueError:  # an infinite argument
+        return math.nan
+
+
+def _cos(a):
+    try:
+        return math.cos(a)
+    except ValueError:
+        return math.nan
+
+
+def _tan(a):
+    try:
+        return math.tan(a)
     except ValueError:
         return math.nan
 
@@ -371,9 +385,9 @@ _SCALAR_ENV = {
     "_pow": _pow,
     "_sqrt": _sqrt,
     "_exp": _exp,
-    "_sin": lambda a: _trig(math.sin, a),
-    "_cos": lambda a: _trig(math.cos, a),
-    "_tan": lambda a: _trig(math.tan, a),
+    "_sin": _sin,
+    "_cos": _cos,
+    "_tan": _tan,
     "abs": abs,
     "min": min,
     "max": max,

@@ -252,9 +252,11 @@ def sample_endpoints(system, x0, spec: ReachSpec, cfg: SampleConfig):
         levels_blocks.append(levels)
         switches_blocks.append(switches)
 
-    starts = np.concatenate(starts_blocks)
-    levels = np.concatenate(levels_blocks)
-    switches = np.concatenate(switches_blocks)
+    def joined(blocks):  # one block, the common case, is not copied
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+    starts, levels, switches = map(joined, (starts_blocks, levels_blocks,
+                                            switches_blocks))
 
     endpoints = []
     divergent = 0

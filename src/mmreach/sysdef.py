@@ -90,7 +90,10 @@ class SystemDef:
         """Vectorized field over rows of X (N, n) and W (N, m)."""
         X = np.asarray(X, dtype=float)
         W = np.asarray(W, dtype=float)
-        return np.column_stack([fn(X, W) for fn in self._batch_fns])
+        out = np.empty((X.shape[0], self.n))
+        for i, fn in enumerate(self._batch_fns):
+            out[:, i] = fn(X, W)
+        return out
 
 
 class TransformedSystem(SystemDef):

@@ -1,15 +1,18 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 import mmreach as mm
+from mmreach import decomp
 from mmreach.decomp import pair_order
 from mmreach.errors import (
     DimensionMismatchError,
     NotMonotoneError,
     OrderError,
     SignIndefiniteError,
+    SizeLimitError,
 )
 
 T1 = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -122,6 +125,125 @@ def test_tight_rejects_unordered(bilinear):
     d = mm.tight_decomposition(bilinear)
     with pytest.raises(OrderError):
         d.evaluate([0, 1], [0], [1, 0], [0.25])
+
+
+# Bit-exact values of the tight search: (name, system, component, x, w, xh,
+# wh, path, float.hex). The path is "none" (no free coordinate), "corner"
+# (the probe lattice certifies a corner) or "descent" (dense grid plus
+# coordinate descent); the value must repeat to the last bit.
+TIGHT_PINS = [
+    ("k0", "bilinear", 0, [0.5, 0.25], [0.1], [0.75, 0.25], [0.1],
+     "none", "0x1.ccccccccccccdp-3"),
+    ("corner_k1", "bilinear", 0, [0.5, -0.25], [0.1], [0.75, 0.5], [0.1],
+     "corner", "-0x1.9999999999998p-6"),
+    ("corner_k2", "bilinear", 0, [-0.5, -0.25], [0.0], [0.75, 0.5], [0.25],
+     "corner", "-0x1.0000000000000p-2"),
+    ("corner_k3", "mono3", 0, [0.3, -0.4, 0.1], [0.0], [0.6, 0.7, 0.9], [0.5],
+     "corner", "-0x1.43056d3f4060cp+1"),
+    ("corner_k3_rev", "mono3", 0, [0.6, 0.7, 0.9], [0.5], [0.3, -0.4, 0.1], [0.0],
+     "corner", "-0x1.d94355493055dp-2"),
+    ("descent_k1", "cubic", 0, [0.2, -1.0], [0.3], [0.4, 1.0], [0.3],
+     "descent", "0x1.d772e8cfeef6cp-4"),
+    ("descent_k1_rev", "cubic", 0, [0.4, 1.0], [0.3], [0.2, -1.0], [0.3],
+     "descent", "0x1.15bc04a63443dp+0"),
+    ("descent_k2", "cubic", 0, [0.2, -1.0], [-0.5], [0.4, 1.0], [0.75],
+     "descent", "-0x1.5eab3c7f9bbacp-1"),
+    ("descent_k2_rev", "cubic", 0, [0.4, 1.0], [0.75], [0.2, -1.0], [-0.5],
+     "descent", "0x1.88ef37d967770p+0"),
+    ("rot_bilinear_descent", "rot_bilinear", 0, [0.0, -1.0], [0.0], [0.25, 1.0], [0.25],
+     "descent", "-0x1.f800afcd36b2cp-5"),
+    ("rot_bilinear_descent_rev", "rot_bilinear", 0, [0.25, 1.0], [0.25], [0.0, -1.0], [0.0],
+     "descent", "0x1.4413d257964c2p-1"),
+    ("rot_bilinear", "rot_bilinear", 0, [-0.6, -0.3], [0.0], [0.7, 0.9], [0.25],
+     "corner", "-0x1.ff9bb0f9e9532p-2"),
+    ("rot_bilinear_rev", "rot_bilinear", 1, [0.7, 0.9], [0.25], [-0.6, -0.3], [0.0],
+     "corner", "0x1.369140356cc7ep+0"),
+    ("shear_trig", "shear_trig", 0, [-1.2, -2.0], [0.0], [0.9, 2.5], [0.5],
+     "descent", "-0x1.5972af785323ep-3"),
+    ("shear_trig_rev", "shear_trig", 1, [0.9, 2.5], [0.5], [-1.2, -2.0], [0.0],
+     "corner", "0x1.b7732825b83b2p+1"),
+    # dF/dx2 = 1.1e-9 at x2 = 0 sits just above the sign tolerance (1e-9)
+    ("tol_edge", "edges", 0, [0.0, 0.0], [0.0], [0.0, 1.0], [0.0],
+     "descent", "-0x1.fffffff68d131p-1"),
+    # the dense grid's minimum is a tie, at x1 = -1 and at x1 = 1
+    ("grid_tie", "edges", 1, [-1.0, 0.0], [0.0], [1.0, 0.0], [0.0],
+     "descent", "-0x1.0000000000000p+0"),
+]
+
+
+def _pinned_systems():
+    rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    return {
+        "bilinear": mm.preset_system("bilinear"),
+        "cubic": mm.preset_system("cubic"),
+        # component 1 is monotone in x2, x3 and w1 over the pinned boxes
+        "mono3": mm.SystemDef.from_strings(
+            3, 1, ["x2^3 - exp(x3) + x1 * w1", "x1", "x2"], [0.0], [0.5]),
+        "rot_bilinear": mm.transform(mm.preset_system("bilinear"), rot),
+        "shear_trig": mm.transform(mm.preset_system("trig"), T1),
+        "edges": mm.SystemDef.from_strings(
+            2, 1, ["1.1e-9 * x2 - x2^2 + x1", "-x1^2"], [0.0], [0.0]),
+    }
+
+
+def test_tight_values_are_pinned_bit_for_bit(monkeypatch):
+    systems = _pinned_systems()
+    paths = []
+    for name in ("_probe_signs", "_grid_descent"):
+        def spy(*args, _fn=getattr(decomp, name), _name=name):
+            paths.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(decomp, name, spy)
+    want_paths = {"none": [], "corner": ["_probe_signs"],
+                  "descent": ["_probe_signs", "_grid_descent"]}
+    for name, system, i, x, w, xh, wh, path, value in TIGHT_PINS:
+        paths.clear()
+        got = mm.tight_decomposition(systems[system]).evaluate_component(
+            i, x, w, xh, wh)
+        assert paths == want_paths[path], name
+        assert got == float.fromhex(value), (name, got.hex(), value)
+
+
+def test_tight_field_calls_are_pinned(monkeypatch):
+    """Every field call of the tight search over the pinned cases, with its
+    arguments and value, in order: a reordered search shows here even where
+    the final value does not move."""
+    calls = []
+    systems = _pinned_systems()
+    for system in systems.values():
+        def scalar(i, _fn=system.component_fn):
+            fi = _fn(i)
+
+            def logged(y, z):
+                value = fi(y, z)
+                calls.append((i, tuple(y), tuple(z), value))
+                return value
+            return logged
+
+        def batch(i, _fn=system.component_batch_fn):
+            fb = _fn(i)
+
+            def logged(X, W):
+                values = fb(X, W)
+                calls.append((i, X.tolist(), W.tolist(), values.tolist()))
+                return values
+            return logged
+
+        monkeypatch.setattr(system, "component_fn", scalar)
+        monkeypatch.setattr(system, "component_batch_fn", batch)
+    for _, system, i, x, w, xh, wh, _, _ in TIGHT_PINS:
+        mm.tight_decomposition(systems[system]).evaluate_component(i, x, w, xh, wh)
+    digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+    assert (len(calls), digest) == (
+        1286, "62b1cf7d005f6a1f668bf66f2838a84767592a96a0b9702cfea2787bdf78ba18")
+
+def test_tight_search_refuses_too_many_free_coordinates():
+    # seven free disturbances, and w7^2 is not monotone over [-1, 1]
+    system = mm.SystemDef.from_strings(1, 7, ["w7^2"], [-1.0] * 7, [1.0] * 7)
+    d = mm.tight_decomposition(system)
+    with pytest.raises(SizeLimitError, match="7 free coordinates"):
+        d.evaluate([0.0], [-1.0] * 7, [0.0], [1.0] * 7)
 
 
 def test_jacobian_sign_on_stable_domain(bilinear, rng):

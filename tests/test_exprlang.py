@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import mmreach as mm
@@ -252,6 +253,15 @@ def test_batch_matches_scalar(rng):
             assert batch[i] == pytest.approx(
                 mm.evaluate(e, X[i], W[i]), rel=1e-14, abs=1e-14
             )
+    # non-finite inputs: the raw scalar code gives what the batch gives, NaN
+    # for the trig functions of an infinity
+    X = np.array([[math.inf], [-math.inf], [math.nan], [0.5]])
+    W = np.zeros((4, 0))
+    for src in ("sin(x1)", "cos(x1)", "tan(x1)"):
+        e = mm.parse(src, 1, 0)
+        scalar = [e.scalar_fn()(list(x), []) for x in X]
+        assert all(math.isnan(v) for v in scalar[:3]), src
+        np.testing.assert_array_equal(e.batch_fn()(X, W), scalar)
 
 
 def test_substitution_and_linear_combination():
