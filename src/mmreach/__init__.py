@@ -58,6 +58,6 @@ from .oracle import (
     sample_endpoints,
     simulate,
 )
-from .sysdef import SystemDef, TransformedSystem, preset_system, reverse_time, transform
+from .sysdef import SystemDef, preset_system, reverse_time, transform
 
 __version__ = "0.1.0"

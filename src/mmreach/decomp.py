@@ -32,8 +32,8 @@ from .errors import (
 from .geometry import Box
 
 OPTIMIZER_TOL = 1e-8
-SIGN_FD_STEP = 1e-6
 CHECK_SLACK = 1e-7
+CONSISTENCY_TOL = 1e-6
 
 _GRID_DENSE = 9  # fallback search lattice, per free coordinate
 _MAX_FREE_DIMS = 6
@@ -155,7 +155,7 @@ def _probe_signs(y, z, free, fi, minimize):
     for c, (target, idx, lo, hi) in enumerate(free):
         records = []
         for base in (lo, 0.5 * (lo + hi), hi):
-            step = SIGN_FD_STEP * max(1.0, abs(base))
+            step = exprlang.FD_STEP * max(1.0, abs(base))
             records.append((c, target, idx, base, base + step, base - step, step))
         levels.append(records)
     has_pos = [False] * len(free)
@@ -294,7 +294,7 @@ def _sampled_partials(system, domain, samples, seed):
                 x, w = list(x), list(w)
                 probe = (lambda v: fi(v, w)) if is_state else (lambda v: fi(x, v))
                 fd, f_plus, f_minus = exprlang.central_difference(
-                    probe, x if is_state else w, j, SIGN_FD_STEP)
+                    probe, x if is_state else w, j, exprlang.FD_STEP)
                 yield i, is_state, j, x, w, fd, _sign_tol(f_plus, f_minus)
 
 
@@ -454,8 +454,8 @@ class CheckReport:
     def violations(self):
         return self.violations_cond2 + self.violations_cond3 + self.violations_cond4
 
-    def ok(self, consistency_tol=1e-6):
-        return self.violations == 0 and self.consistency_residual <= consistency_tol
+    def ok(self):
+        return self.violations == 0 and self.consistency_residual <= CONSISTENCY_TOL
 
 
 def _ordered_pair(rng, lo, hi, gap_min):
@@ -466,14 +466,13 @@ def _ordered_pair(rng, lo, hi, gap_min):
     return a, np.minimum(a + gap, hi)
 
 
-def check_decomposition(d: Decomposition, probes=1000, seed=0, domain=None,
-                        h=SIGN_FD_STEP, slack=CHECK_SLACK):
+def check_decomposition(d: Decomposition, probes=1000, seed=0, domain=None):
     """Audit diagonal consistency and the off-diagonal order conditions.
 
     Probes finite-difference signs of d at ``probes`` random ordered pairs
     (both orientations) drawn in ``domain`` (default: the decomposition's own
-    domain, else the unit box). Violations beyond ``slack`` are counted and
-    up to 10 witnesses recorded.
+    domain, else the unit box). Violations beyond ``CHECK_SLACK`` are counted
+    and up to 10 witnesses recorded.
     """
     system = d.system
     n, m = d.n, d.m
@@ -507,7 +506,7 @@ def check_decomposition(d: Decomposition, probes=1000, seed=0, domain=None,
         def f(v):
             return d.evaluate_component(i, *args[:group], v, *args[group + 1:])
 
-        return exprlang.central_difference(f, args[group], j, h)[0]
+        return exprlang.central_difference(f, args[group], j, exprlang.FD_STEP)[0]
 
     for p in range(probes):
         x_lo, x_hi = _ordered_pair(rng, domain.lo, domain.hi, gap_min)
@@ -522,17 +521,17 @@ def check_decomposition(d: Decomposition, probes=1000, seed=0, domain=None,
             for j in x_active:
                 if j != i:
                     fd = fd_of(i, 0, j, args)
-                    if fd < -slack:
+                    if fd < -CHECK_SLACK:
                         record(2, i, j, side, fd)
                 fd = fd_of(i, 2, j, args)
-                if fd > slack:
+                if fd > CHECK_SLACK:
                     record(3, i, j, side, fd)
             for k in w_active:
                 fd = fd_of(i, 1, k, args)
-                if fd < -slack:
+                if fd < -CHECK_SLACK:
                     record(4, i, k, side, fd)
                 fd = fd_of(i, 3, k, args)
-                if fd > slack:
+                if fd > CHECK_SLACK:
                     record(4, i, k, side, fd)
 
     return CheckReport(

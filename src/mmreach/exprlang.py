@@ -27,7 +27,7 @@ from .errors import DimensionMismatchError, EvalError, ParseError
 MAX_DEPTH = 256
 # CPython refuses source that opens more than 200 brackets at once
 MAX_CODE_NESTING = 200
-DEFAULT_FD_STEP = 1e-6
+FD_STEP = 1e-6
 
 _UNARY_FUNCS = ("sin", "cos", "tan", "exp", "abs", "sqrt")
 _NARY_FUNCS = ("min", "max")
@@ -556,7 +556,7 @@ def central_difference(f, v, index, h):
     return (f_plus - f_minus) / (2.0 * step), f_plus, f_minus
 
 
-def partial(expr: ExprAst, kind, index, x, w, h=DEFAULT_FD_STEP):
+def partial(expr: ExprAst, kind, index, x, w, h=FD_STEP):
     """Central finite difference of the expression.
 
     ``kind`` is "state" or "disturbance"; ``index`` is 0-based. The step is

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import oracle
 from .embed import ReachSpec, reach_box
-from .errors import DimensionMismatchError, EmptyIntersectionError
+from .errors import DimensionMismatchError, EmptyIntersectionError, GeometryError
 from .geometry import (
     Box,
     Parallelotope,
@@ -80,13 +80,21 @@ def reach_intersection(system, transforms, x0_vertices, spec: ReachSpec,
     vertices = [np.asarray(v, dtype=float) for v in x0_vertices]
     outcome = ReachOutcome(kind="intersection")
     running = None
-    for shape in transforms:
+    for k, shape in enumerate(transforms, start=1):
         x0 = Parallelotope(shape, bounding_coords(vertices, shape))
         ptope = reach_parallelotope(system, x0, spec, method, **method_options)
         outcome.parallelotopes.append(ptope)
         if system.n == 2:
-            poly = ptope_polygon(ptope)
-            running = poly if running is None else clip_intersection_2d([running, poly])
+            # a finite but huge bound overflows the clipping arithmetic
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    poly = ptope_polygon(ptope)
+                    running = (poly if running is None
+                               else clip_intersection_2d([running, poly]))
+            except FloatingPointError:
+                raise GeometryError(
+                    f"transform {k}: the member's bound is too wide to intersect"
+                ) from None
             if running is None:
                 raise EmptyIntersectionError(
                     "intersection of over-approximations is empty; every member "

@@ -98,8 +98,9 @@ class ContainmentReport:
 
 
 def _sample_initial(region, count, rng):
-    """Uniform initial states: direct coordinate sampling for boxes and
-    parallelotopes, rejection sampling from the bounding box for unions."""
+    """Uniform initial states: direct sampling for boxes, parallelotopes and
+    one- or two-vertex polygons; rejection sampling from the bounding box,
+    by the region's margins, for other polygons and unions."""
     if isinstance(region, Box):
         return rng.uniform(region.lo, region.hi, size=(count, region.dim))
     if isinstance(region, Parallelotope):
@@ -107,9 +108,6 @@ def _sample_initial(region, count, rng):
             region.coords.lo, region.coords.hi, size=(count, region.dim)
         )
         return coords @ region.shape.T
-    if isinstance(region, UnionInitialSet):
-        return _rejection_sample(rng, region.bounding_box(), count,
-                                 lambda batch: region.margins(batch) >= 0.0)
     if isinstance(region, Polygon2D):
         verts = region.vertices
         if len(verts) == 1:
@@ -117,19 +115,9 @@ def _sample_initial(region, count, rng):
         if len(verts) == 2:  # degenerate hull: sample along the segment
             t = rng.uniform(0.0, 1.0, size=(count, 1))
             return verts[0] + t * (verts[1] - verts[0])
-        edges = [(verts[i], verts[(i + 1) % len(verts)])
-                 for i in range(len(verts))]
-
-        # not margins: this unnormalized edge test rounds differently
-        def inside_poly(batch):
-            ok = np.ones(len(batch), dtype=bool)
-            for a, b in edges:
-                e = b - a
-                ok &= (e[0] * (batch[:, 1] - a[1])
-                       - e[1] * (batch[:, 0] - a[0])) >= -1e-12
-            return ok
-
-        return _rejection_sample(rng, region.bounding_box(), count, inside_poly)
+    if isinstance(region, (Polygon2D, UnionInitialSet)):
+        return _rejection_sample(rng, region.bounding_box(), count,
+                                 lambda batch: region.margins(batch) >= 0.0)
     raise DimensionMismatchError(f"cannot sample from {type(region).__name__}")
 
 
@@ -342,14 +330,7 @@ def backward_witnesses(system, x0: Parallelotope, spec: ReachSpec,
         levels, switches = _draw_signals(rng, count, cfg.switch_count,
                                          system.dist, spec, len(sizes))
         X, alive = _integrate_batch(system, starts, levels, switches, sizes)
-        coords = X @ x0.shape_inv.T
-        # not margins: `c >= lo - tol` rounds unlike `c - lo >= -tol`
-        inside = np.all(
-            (coords >= x0.coords.lo - CONTAINMENT_TOL)
-            & (coords <= x0.coords.hi + CONTAINMENT_TOL),
-            axis=1,
-        )
-        found.append(starts[alive][inside])
+        found.append(starts[alive][x0.margins(X) >= -CONTAINMENT_TOL])
     witnesses = np.concatenate(found) if found else np.empty((0, system.n))
     if len(witnesses) == 0:
         log.warning(

@@ -96,60 +96,42 @@ class SystemDef:
         return out
 
 
-class TransformedSystem(SystemDef):
+def transform(system, shape):
     """Dynamics of y = shape^-1 x: y' = shape^-1 F(shape y, w).
 
     The field is composed symbolically (the linear map substituted into the
-    base expressions), so evaluation costs the same as a plain system. With
-    the identity shape the composed expressions reduce to the base ones
-    exactly.
+    system's expressions), so evaluation costs the same as a plain system.
+    With the identity shape the composed expressions reduce to the original
+    ones exactly. Transforming a transformed system nests the substitutions.
     """
-
-    def __init__(self, base: SystemDef, shape):
-        inv = invert_shape(shape)
-        mat = np.array(shape, dtype=float)
-        if mat.shape[0] != base.n:
-            raise DimensionMismatchError(
-                f"shape is {mat.shape[0]}x{mat.shape[1]}, state dimension is {base.n}"
-            )
-        substituted_x = {
-            exprlang.Var("x", k): exprlang.linear_combination(
-                [(mat[k, l], exprlang.Var("x", l)) for l in range(base.n)]
-            )
-            for k in range(base.n)
-        }
-        inner = [exprlang.substitute(e.root, substituted_x) for e in base.field]
-        field = [
-            exprlang.ExprAst(
-                exprlang.linear_combination(
-                    [(inv[i, j], inner[j]) for j in range(base.n)]
-                ),
-                base.n,
-                base.m,
-            )
-            for i in range(base.n)
-        ]
-        name = f"{base.name}@T" if base.name else ""
-        super().__init__(base.n, base.m, field, base.dist, name)
-        mat.flags.writeable = False
-        self.base = base
-        self.shape = mat
-
-    def __repr__(self):
-        return f"TransformedSystem({self.base!r}, shape={self.shape.tolist()})"
-
-
-def transform(system, shape):
-    """Linear state transformation; composes when applied repeatedly."""
-    if isinstance(system, TransformedSystem):
-        return TransformedSystem(system.base, system.shape @ np.asarray(shape, float))
-    return TransformedSystem(system, shape)
+    n = system.n
+    inv = invert_shape(shape)
+    mat = np.array(shape, dtype=float)
+    if mat.shape[0] != n:
+        raise DimensionMismatchError(
+            f"shape is {mat.shape[0]}x{mat.shape[1]}, state dimension is {n}"
+        )
+    substituted_x = {
+        exprlang.Var("x", k): exprlang.linear_combination(
+            [(mat[k, l], exprlang.Var("x", l)) for l in range(n)]
+        )
+        for k in range(n)
+    }
+    inner = [exprlang.substitute(e.root, substituted_x) for e in system.field]
+    field = [
+        exprlang.ExprAst(
+            exprlang.linear_combination([(inv[i, j], inner[j]) for j in range(n)]),
+            n,
+            system.m,
+        )
+        for i in range(n)
+    ]
+    name = f"{system.name}@T" if system.name else ""
+    return SystemDef(n, system.m, field, system.dist, name)
 
 
 def reverse_time(system):
     """System with field -F (expression-level negation); disturbance unchanged."""
-    if isinstance(system, TransformedSystem):
-        return transform(reverse_time(system.base), system.shape)
     field = [e.negated() for e in system.field]
     name = f"-{system.name}" if system.name else ""
     return SystemDef(system.n, system.m, field, system.dist, name)

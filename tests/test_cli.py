@@ -1,4 +1,6 @@
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +170,23 @@ def test_reach_intersection_outputs(tmp_path):
     assert len(csv) == 4
 
 
+def test_reach_intersection_with_a_member_too_wide_to_clip(tmp_path, capsys):
+    """The sheared member's bound is finite but about 4e158 wide; clipping it
+    used to overflow (numpy warnings) and report an empty intersection."""
+    raw = json.loads((Path(__file__).parents[1] / "perfbench" / "configs"
+                      / "intersect10.json").read_text())
+    raw["transforms"] = {"matrices": [[[1, 0], [0, 1]], [[1, 0], [1, 1]]]}
+    cfg = _write(tmp_path, raw)
+    assert main(["check", "--config", cfg, "--quiet"]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["reach", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error: transform 2: the member's bound is too wide to intersect\n")
+
+
 def test_reach_intersection_3d_writes_volume(tmp_path):
     raw = {
         "system": {"n": 3, "m": 1, "field": ["-x1 + w1", "-x2 + w1", "-x3 + w1"],
@@ -243,7 +262,7 @@ def test_verify_degenerate_run_is_clean(tmp_path):
     assert abs(doc["worst_margin"]) <= 1e-6
 
 
-def test_verify_backward_run(tmp_path):
+def test_verify_backward_run(tmp_path, capsys):
     raw = {
         "system": "bilinear",
         "initial_set": {"type": "parallelotope",
@@ -261,6 +280,91 @@ def test_verify_backward_run(tmp_path):
     doc = json.loads((out / "verify_report.json").read_text())
     assert doc["violations"] == 0
     assert doc["total"] > 50
+    # without a search box there is nowhere to look for witnesses
+    del raw["sampling"]["search_lo"], raw["sampling"]["search_hi"]
+    cfg = _write(tmp_path, raw)
+    assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error: backward verify needs sampling.search_lo/search_hi\n")
+
+
+_HULL_POINTS = [[0.0, 0.0], [0.75, -0.25], [0.6, 0.25], [0.1, 0.2]]
+
+
+@pytest.mark.parametrize("points", [_HULL_POINTS, [[0.3, -0.4]]],
+                         ids=["hull", "point"])
+def test_verify_vertex_initial_sets(tmp_path, points):
+    """verify samples the vertices' hull: a polygon, or a single point."""
+    raw = _fast_box_config(initial_set={"type": "vertices", "points": points})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", _write(tmp_path, raw), "--out", str(out),
+                 "--quiet"]) == 0
+    doc = json.loads((out / "verify_report.json").read_text())
+    assert doc["violations"] == 0 and doc["total"] == 800
+
+
+def test_reach_vertices_without_transforms_bounds_their_box(tmp_path):
+    raw = _fast_box_config(initial_set={"type": "vertices",
+                                        "points": _HULL_POINTS})
+    out = tmp_path / "out"
+    assert main(["reach", "--config", _write(tmp_path, raw), "--out", str(out),
+                 "--quiet"]) == 0
+    doc = json.loads((out / "result.json").read_text())
+    assert doc["method"]["kind"] == "box"
+    pts = np.array(_HULL_POINTS)
+    want = mm.reach_box(mm.preset_system("bilinear"),
+                        mm.Box(pts.min(axis=0), pts.max(axis=0)),
+                        mm.ReachSpec(1.0, 0.005))
+    assert doc["boxes"][0]["lo"] == want.lo.tolist()
+    assert doc["boxes"][0]["hi"] == want.hi.tolist()
+
+
+def test_reach_records_a_jacobian_sign_domain(tmp_path):
+    raw = _fast_box_config(decomposition={
+        "method": "jacobian_sign", "domain_lo": [0.0, -1.0],
+        "domain_hi": [2.0, 1.0], "samples": 50})
+    out = tmp_path / "out"
+    assert main(["reach", "--config", _write(tmp_path, raw), "--out", str(out),
+                 "--quiet"]) == 0
+    doc = json.loads((out / "result.json").read_text())
+    assert doc["method"]["decomposition"] == "jacobian_sign"
+    assert doc["method"]["options"]["domain"] == {"lo": [0.0, -1.0],
+                                                  "hi": [2.0, 1.0]}
+
+
+_SUMMARY_CASES = {
+    "box": ({}, ["result.json"]),
+    "parallelotope": (
+        {"initial_set": {"type": "parallelotope", "shape": [[1.0, -2.0], [1.0, 1.0]],
+                         "lo": [0.0, -0.25], "hi": [0.25, 0.0]}},
+        ["result.json", "parallelotope_01.txt"]),
+    "intersection": (
+        {"initial_set": {"type": "vertices", "points": _HULL_POINTS},
+         "transforms": {"family": "rotations", "count": 2}},
+        ["result.json", "parallelotope_01.txt", "parallelotope_02.txt",
+         "intersection.txt", "area_curve.csv"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SUMMARY_CASES))
+def test_reach_prints_its_files_and_a_summary(tmp_path, capsys, kind):
+    overrides, names = _SUMMARY_CASES[kind]
+    out = tmp_path / "out"
+    assert main(["reach", "--config", _write(tmp_path, _fast_box_config(**overrides)),
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "result.json").read_text())
+    assert doc["method"]["kind"] == kind
+    want = [f"wrote {out / name}" for name in names]
+    want += [f"box at t={b['t']:.17g}: lo={b['lo']} hi={b['hi']}"
+             for b in doc["boxes"]]
+    for idx, p in enumerate(doc["parallelotopes"], start=1):
+        area = mm.ptope_polygon(mm.Parallelotope(p["shape"],
+                                                 mm.Box(p["lo"], p["hi"]))).area()
+        want.append(f"parallelotope {idx}: lo={p['lo']} hi={p['hi']} "
+                    f"area={area:.6g}")
+    if "area_curve" in doc:
+        want.append(f"intersection area: {doc['area_curve'][-1][1]:.6g}")
+    assert capsys.readouterr().out.splitlines() == want
 
 
 def test_reach_seed_and_dt_overrides(tmp_path):

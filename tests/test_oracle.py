@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 
@@ -38,6 +39,15 @@ def test_zero_horizon_returns_initial_points(bilinear):
                               mm.SampleConfig(count=100, seed=1))
     assert len(res) == 100
     assert np.all(res.points >= 0.0) and np.all(res.points <= 1.0)
+    # a 5-vertex hull is rejection-sampled by its margins; the draw is pinned
+    hull = mm.convex_hull_2d([[0.0, 0.0], [1.0, -0.25], [1.5, 0.5],
+                              [0.75, 1.25], [-0.25, 0.75]])
+    assert len(hull) == 5
+    res = mm.sample_endpoints(bilinear, hull, mm.ReachSpec(0.0, 0.01),
+                              mm.SampleConfig(count=3000, seed=4))
+    assert np.all(hull.margins(res.points) >= 0.0)
+    assert hashlib.sha256(res.points.tobytes()).hexdigest() == (
+        "177e2986c49a28d89582fd723037158552924b64d5387f964e5f07cd6d0300b0")
 
 
 def test_corners_plus_uniform_hits_extreme_flows(trig):
