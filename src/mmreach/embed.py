@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,7 @@ def _ordered(v, n, where, t):
     Violations within 1e-9 are snapped to exact order (both endpoints move to
     the midpoint); anything larger aborts, since a real violation signals a
     bad decomposition or step size. An ordered state, or one with a NaN
-    difference, is returned as it is: the same list.
+    difference, keeps its values; the list returned may or may not be ``v``.
     """
     lower, upper = v[:n], v[n:]
     if all(map(operator.le, lower, upper)):
@@ -126,18 +127,23 @@ def _step_sizes(horizon, dt):
 def _rk4(f, x, sizes, post):
     """Classical 4th-order Runge-Kutta over the step list ``sizes``.
 
-    ``f(x, t)`` is the field. After step ``s`` ends at time ``t``,
-    ``post(x, x_new, t, s)`` does the caller's bookkeeping and returns the
-    state to continue from. Returns the final state.
+    The state ``x`` is a list of parts (Python floats, or arrays), combined
+    part by part; ``f(x, t)`` returns the field as a list of the same parts.
+    After step ``s`` ends at time ``t``, ``post(x, x_new, t, s)`` does the
+    caller's bookkeeping and returns the state to continue from. Returns the
+    final state.
     """
     t = 0.0
     for s, h in enumerate(sizes):
+        hh = 0.5 * h
         k1 = f(x, t)
-        k2 = f(x + 0.5 * h * k1, t + 0.5 * h)
-        k3 = f(x + 0.5 * h * k2, t + 0.5 * h)
-        k4 = f(x + h * k3, t + h)
+        k2 = f([a + hh * b for a, b in zip(x, k1)], t + hh)
+        k3 = f([a + hh * b for a, b in zip(x, k2)], t + hh)
+        k4 = f([a + h * b for a, b in zip(x, k3)], t + h)
         t += h
-        x = post(x, x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t, s)
+        h6 = h / 6.0
+        x = post(x, [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)], t, s)
     return x
 
 
@@ -154,29 +160,27 @@ def integrate(d: Decomposition, x0: Box, spec: ReachSpec):
         raise DimensionMismatchError(
             f"initial state has dimension {x0.dim}, embedding expects {n}"
         )
+    v0 = x0.lo.tolist() + x0.hi.tolist()
+    # the state is a list of 2n floats; the history is one flat buffer of
+    # C doubles, 8 bytes a value, which becomes the Trajectory at the end
     times = [0.0]
-    states = [np.concatenate([x0.lo, x0.hi])]
+    states = array("d", v0)
 
-    # the order and finiteness checks run on the state's Python floats
-    def rhs(a, t):
-        v = _ordered(a.tolist(), n, "inside a step near", t)
-        return np.array(d.embedding_field(v))
+    def rhs(v, t):
+        return d.embedding_field(_ordered(v, n, "inside a step near", t))
 
-    def record(_a, a, t, _s):
-        v = a.tolist()
+    def record(_v, v, t, _s):
         if not all(map(math.isfinite, v)):
             raise DivergenceError(
                 f"embedding state diverged near t={t:.6g}", last_time=times[-1]
             )
-        snapped = _ordered(v, n, "after the step to", t)
-        if snapped is not v:
-            a = np.array(snapped)
+        v = _ordered(v, n, "after the step to", t)
         times.append(t)
-        states.append(a)
-        return a
+        states.extend(v)
+        return v
 
     try:
-        _rk4(rhs, states[0], _step_sizes(spec.horizon, spec.dt), record)
+        _rk4(rhs, v0, _step_sizes(spec.horizon, spec.dt), record)
     except EvalError as exc:
         raise DivergenceError(
             f"embedding field diverged near t={times[-1]:.6g}: {exc}",
@@ -184,7 +188,7 @@ def integrate(d: Decomposition, x0: Box, spec: ReachSpec):
         ) from exc
     # the step list sums to the horizon up to rounding; pin the final time
     times[-1] = spec.horizon
-    return Trajectory(np.array(times), np.array(states))
+    return Trajectory(np.array(times), np.frombuffer(states).reshape(len(times), 2 * n))
 
 
 def reach_box(system, x0: Box, spec: ReachSpec, method="tight", **options):

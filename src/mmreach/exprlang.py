@@ -438,6 +438,11 @@ class ExprAst:
             def wrapped(X, W, _fn=fn):
                 with np.errstate(all="ignore"):
                     out = _fn(X, W)
+                # a fresh per-row array is returned as it is; a constant, a
+                # scalar or a view of X or W (a bare x1) is broadcast read-only
+                if (type(out) is np.ndarray and out.base is None
+                        and out.dtype == np.float64 and out.shape == X.shape[:1]):
+                    return out
                 return np.broadcast_to(np.asarray(out, dtype=float), (X.shape[0],))
 
             self._batch = wrapped

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,7 +58,21 @@ def invert_shape(shape):
 class Region:
     """Membership through ``margins(pts)``: one signed margin per row of an
     (N, dim) array, >= 0 exactly for the points inside the region. Regions
-    spanned by finitely many points list them with ``corners()``."""
+    spanned by finitely many points list them with ``corners()``.
+
+    Regions compare by value: the same type and equal fields, arrays
+    elementwise. They are not hashable.
+    """
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(getattr(self, f.name), getattr(other, f.name))
+                 for f in fields(self) if f.compare]
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in pairs)
 
     def _points(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -79,7 +93,7 @@ class Region:
         raise DimensionMismatchError(f"cannot enumerate corners of {type(self).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box(Region):
     """Hyperrectangle [lo, hi] in R^k, lo <= hi; also the embedding state."""
 
@@ -129,7 +143,7 @@ class Box(Region):
         return {"lo": [float(v) for v in self.lo], "hi": [float(v) for v in self.hi]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Parallelotope(Region):
     """Linear image under ``shape`` of a coordinate box.
 
@@ -175,7 +189,7 @@ class Parallelotope(Region):
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _MemberSet(Region):
     """Non-empty tuple of member regions of one dimension."""
 
@@ -197,7 +211,7 @@ class _MemberSet(Region):
         return self.members[0].dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnionInitialSet(_MemberSet):
     """Exact union of parallelotopes (no hull is taken)."""
 
@@ -218,7 +232,7 @@ class UnionInitialSet(_MemberSet):
         return {"members": [m.to_jsonable() for m in self.members]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionIntersection(_MemberSet):
     """Points inside every member region."""
 
@@ -321,7 +335,7 @@ def _check_convex(pts):
             raise GeometryError(f"polygon is not convex at vertex {i}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polygon2D(Region):
     """Convex polygon, counterclockwise, lexicographically smallest vertex first."""
 

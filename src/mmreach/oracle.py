@@ -162,11 +162,13 @@ def _integrate_batch(system, X, levels, switch_steps, sizes):
     active = np.arange(count, dtype=np.int32)  # original row at each position
     position = active.copy()  # position of each original row; -1 once dead
 
-    def field(X, _t):
-        return system.eval_field_batch(X, W)
+    # the state is a one-part list: the whole (N, n) array
+    def field(parts, _t):
+        return [system.eval_field_batch(parts[0], W)]
 
-    def post(_X, X_new, _t, s):
+    def post(_parts, parts, _t, s):
         nonlocal W, active
+        X_new, = parts
         finite = np.isfinite(X_new)
         if not finite.all():
             # the rows that just turned non-finite leave the batch
@@ -187,10 +189,10 @@ def _integrate_batch(system, X, levels, switch_steps, sizes):
             # one row can switch twice at the same step
             np.add.at(segment, rows, one)
             W[at] = levels[rows, segment[rows]]
-        return X_new
+        return [X_new]
 
     with np.errstate(all="ignore"):
-        X = _rk4(field, X, sizes, post)
+        X, = _rk4(field, [X], sizes, post)
     return X, alive
 
 
@@ -348,10 +350,10 @@ def simulate(system, x0, w, spec: ReachSpec):
     """
     w_of = w if callable(w) else (lambda _t, _w=[float(v) for v in w]: _w)
     times = [0.0]
-    states = [np.array(x0, dtype=float)]
+    states = [np.array(x0, dtype=float).tolist()]
 
     def field(x, t):
-        return np.array(system.field_values(x.tolist(), w_of(t)))
+        return system.field_values(x, w_of(t))
 
     def record(_x, x, t, _s):
         times.append(t)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -288,3 +289,34 @@ def test_compiled_decomposition_error_paths():
             mm.integrate(d, mm.Box([1.2e308, 0.0], [1.2e308, 0.0]),
                          mm.ReachSpec(1.0, 1.0))
     assert str(err.value) == "embedding state diverged near t=1"
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def test_trajectories_are_pinned_bit_for_bit(cubic, trig):
+    """sha256 of whole trajectories (states and times): a tight and a
+    combined embedding, and a simulation under a switching disturbance. The
+    fused-vs-loop test runs both of its paths through the one RK4 loop, so
+    only pinned bits catch a change in that loop's arithmetic."""
+    tight = mm.integrate(mm.tight_decomposition(trig), mm.Box([0.5, 0.5], [1.5, 1.5]),
+                         mm.ReachSpec(0.255, 0.01))  # a remainder step
+    trans = mm.transform(cubic, [[1.0, 0.0], [0.5, 1.0]])
+    both = mm.combine(mm.tight_decomposition(trans), mm.closed_form_decomposition(
+        trans, mm.parse_closed_form(trans, ["x2^3 + w1 - 0.5*(x3 - x1)", "x1"])))
+    combined = mm.integrate(both, mm.Box([0.0, 0.5], [0.1, 0.9]),
+                            mm.ReachSpec(0.5, 2e-3))
+    s = mm.SystemDef.from_strings(2, 1, ["x1*x2 + w1", "x1 + 1"], [-0.1], [0.1])
+    flow = mm.simulate(s, [0.3, -0.1], lambda t: [0.1 if t < 0.5 else -0.1],
+                       mm.ReachSpec(1.0, 0.03))
+    got = [(len(t.times), _sha256(t.states), _sha256(t.times))
+           for t in (tight, combined, flow)]
+    assert got == [
+        (27, "6f5819782a28e58085a44493d8e8de6eb10290127c4b766fdfb32944506c1532",
+         "117f3009ad6fe918f674c19d7bc274912daa1d2051de442cc5d209f1feed39b3"),
+        (251, "8685b8cf8893e65a57cd9757fcbbed218a824199eb283edc189c4b8b789ee9ac",
+         "b4e6600941d50d09cdaac2b1aa76908f249ed4e0f631ea96bc5eed989fdccc3e"),
+        (35, "678ea3ec6001cc11053f674031fe3b5ef98a0637f5118038f3f4a1394586b587",
+         "eced116affbb4f3bf2285db033a06e3243f3a2512a350934291f8d978550757c"),
+    ]

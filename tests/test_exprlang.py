@@ -264,6 +264,23 @@ def test_batch_matches_scalar(rng):
         np.testing.assert_array_equal(e.batch_fn()(X, W), scalar)
 
 
+def test_batch_results_never_alias_their_inputs(rng):
+    """A fresh per-row result comes back as it is; a constant, a scalar, and
+    a bare variable (a view of X or W) come back as read-only broadcasts."""
+    X = rng.uniform(-2, 2, (16, 2))
+    W = rng.uniform(-1, 1, (16, 1))
+    for src, fresh in (("x1*x2 - w1", True), ("2.5", False), ("x2", False),
+                       ("w1", False)):
+        e = mm.parse(src, 2, 1)
+        out = e.batch_fn()(X, W)
+        assert out.shape == (16,) and out.dtype == np.float64
+        assert out.tolist() == [e.scalar_fn()(x, w)
+                                for x, w in zip(X.tolist(), W.tolist())]
+        assert out.flags.writeable is fresh, src
+        if fresh:
+            assert not np.shares_memory(out, X) and not np.shares_memory(out, W)
+
+
 def test_substitution_and_linear_combination():
     e = mm.parse("x1 * x2", 2, 0)
     rep = [

@@ -352,3 +352,26 @@ def test_every_region_lists_its_corners_in_order():
                           members[0].corners() + members[1].corners())
     with pytest.raises(DimensionMismatchError):
         meet.corners()
+
+
+def test_regions_compare_by_value(skew_shape):
+    for lo, hi in (([0.0], [1.0]), ([0.0, 0.0], [1.0, 1.0])):
+        a, b = mm.Box(lo, hi), mm.Box(list(lo), list(hi))
+        assert a is not b and a == b and not a != b
+    box = mm.Box([0.0, 0.0], [1.0, 1.0])
+    assert box != mm.Box([0.0, 0.0], [1.0, 2.0])
+    assert box != mm.Box([0.0], [1.0])
+    ptope = mm.Parallelotope(np.eye(2), box)
+    assert ptope != box and box != ptope
+    assert ptope == mm.Parallelotope(np.eye(2), mm.Box([0.0, 0.0], [1.0, 1.0]))
+    assert ptope != mm.Parallelotope(skew_shape, box)
+    tri = mm.Polygon2D([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert tri == mm.Polygon2D([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    assert tri != mm.Polygon2D([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+    union = mm.UnionInitialSet((ptope, box))
+    assert union == mm.UnionInitialSet((ptope, mm.Box([0.0, 0.0], [1.0, 1.0])))
+    assert union != mm.UnionInitialSet((box, ptope))
+    assert union != mm.RegionIntersection((ptope, box))
+    for region in (box, ptope, tri, union):
+        with pytest.raises(TypeError):
+            hash(region)
