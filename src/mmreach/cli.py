@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ProblemConfig, load_config, preset_names
+from .config import ProblemConfig, load_config, preset_names, reach_shapes
 from .embed import ReachSpec
 from .errors import ConfigError, MmreachError
 from .geometry import (
@@ -32,6 +32,7 @@ from .geometry import (
 )
 from .multiorder import ReachOutcome, run_reach
 from .oracle import audit_containment, backward_witnesses, sample_endpoints
+from .sysdef import reverse_time, transform
 
 
 def _initial_set_jsonable(cfg: ProblemConfig):
@@ -51,47 +52,6 @@ def _method_options_jsonable(options):
         else:
             out[key] = value
     return out
-
-
-_RESULT_SCHEMA = {
-    "meta": dict,
-    "system": dict,
-    "initial_set": dict,
-    "method": dict,
-    "boxes": list,
-    "parallelotopes": list,
-}
-
-
-def validate_result_document(doc):
-    """Check a reach result document against the published schema.
-
-    Raises ConfigError on missing keys or wrong shapes; returns the document.
-    """
-    for key, kind in _RESULT_SCHEMA.items():
-        if key not in doc:
-            raise ConfigError(f"missing required key {key!r}", "result")
-        if not isinstance(doc[key], kind):
-            raise ConfigError(f"expected {kind.__name__}", f"result.{key}")
-    for key in ("tool", "version", "timestamp", "seed", "dt", "horizon",
-                "direction"):
-        if key not in doc["meta"]:
-            raise ConfigError(f"missing key {key!r}", "result.meta")
-    for i, box in enumerate(doc["boxes"]):
-        if not all(k in box for k in ("t", "lo", "hi")):
-            raise ConfigError("box needs t/lo/hi", f"result.boxes[{i}]")
-        if len(box["lo"]) != len(box["hi"]):
-            raise ConfigError("lo/hi lengths differ", f"result.boxes[{i}]")
-    for i, ptope in enumerate(doc["parallelotopes"]):
-        if not all(k in ptope for k in ("shape", "lo", "hi")):
-            raise ConfigError("parallelotope needs shape/lo/hi",
-                              f"result.parallelotopes[{i}]")
-    if "area_curve" in doc:
-        for i, pair in enumerate(doc["area_curve"]):
-            if len(pair) != 2:
-                raise ConfigError("expected (k, area) pairs",
-                                  f"result.area_curve[{i}]")
-    return doc
 
 
 def result_json(cfg: ProblemConfig, outcome: ReachOutcome, seed, timestamp=None):
@@ -135,7 +95,7 @@ def result_json(cfg: ProblemConfig, outcome: ReachOutcome, seed, timestamp=None)
     return doc
 
 
-def _write_outputs(cfg: ProblemConfig, outcome: ReachOutcome, doc, out_dir, quiet):
+def _write_outputs(outcome: ReachOutcome, doc, out_dir, quiet):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result_path = out / "result.json"
@@ -195,6 +155,15 @@ def _scaled_region(region, scale):
 
 def cmd_check(args):
     cfg = load_config(args.config)
+    # build every system the run integrates: a field can parse and still
+    # nest too deeply to compile once a shape is substituted into it
+    for where, shape in reach_shapes(cfg.initial_set, cfg.transforms):
+        try:
+            system = transform(cfg.system, shape)
+            if cfg.spec.direction == "backward":
+                reverse_time(system)
+        except MmreachError as exc:
+            raise ConfigError(str(exc), where) from exc
     if not args.quiet:
         print(f"configuration OK: system n={cfg.system.n} m={cfg.system.m}, "
               f"initial set {cfg.initial_kind}, horizon {cfg.spec.horizon}, "
@@ -220,7 +189,7 @@ def cmd_reach(args):
     cfg = _apply_overrides(load_config(args.config), args)
     outcome = run_reach(cfg)
     doc = result_json(cfg, outcome, cfg.sampling.seed)
-    _write_outputs(cfg, outcome, doc, cfg.output_dir, args.quiet)
+    _write_outputs(outcome, doc, cfg.output_dir, args.quiet)
     _print_summary(outcome, args.quiet)
     return 0
 

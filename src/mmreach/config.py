@@ -271,23 +271,29 @@ def _parse_sampling(raw, n, where="sampling"):
     return cfg, search_box
 
 
+def reach_shapes(initial, transforms):
+    """Each shape the run reaches under, with its location in the config.
+
+    The shapes mirror ``run_reach``: the transforms if given, else the
+    parallelotope's, else each union member's (a box reaches under none).
+    """
+    if transforms is not None:
+        return [("transforms", shape) for shape in transforms]
+    if isinstance(initial, Parallelotope):
+        return [("initial_set.shape", initial.shape)]
+    if isinstance(initial, UnionInitialSet):
+        return [(f"initial_set.members[{i}].shape", member.shape)
+                for i, member in enumerate(initial.members)]
+    return []
+
+
 def _require_identity_shapes(initial, transforms, n):
     """Reject every shape the run reaches under other than the identity.
 
     ``closed_form`` sources decompose the field as written, not the field
-    transformed by another shape. The shapes mirror ``run_reach``: the
-    transforms if given, else the parallelotope's or each union member's.
+    transformed by another shape.
     """
-    if transforms is not None:
-        shapes = [("transforms", shape) for shape in transforms]
-    elif isinstance(initial, Parallelotope):
-        shapes = [("initial_set.shape", initial.shape)]
-    elif isinstance(initial, UnionInitialSet):
-        shapes = [(f"initial_set.members[{i}].shape", member.shape)
-                  for i, member in enumerate(initial.members)]
-    else:
-        shapes = []
-    for where, shape in shapes:
+    for where, shape in reach_shapes(initial, transforms):
         if not np.array_equal(shape, np.eye(n)):
             raise ConfigError("closed_form sources decompose the untransformed "
                               "field; every shape must be the identity", where)

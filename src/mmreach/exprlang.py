@@ -10,8 +10,11 @@ Grammar (whitespace-insensitive)::
 
 Variables are ``x1..xn`` (state) and ``w1..wm`` (disturbance), 1-based in the
 source text, 0-based in the API. Unary functions: sin, cos, tan, exp, abs,
-sqrt. ``min``/``max`` take two or more arguments. Division by zero and domain
-violations surface as EvalError naming the offending subexpression.
+sqrt. ``min``/``max`` take two or more arguments. The scalar code runs on
+Python floats and ``math``; where these raise (1/0, sqrt(-1), exp(1000)), it
+returns the numpy batch code's value at that row, so infinities and NaNs come
+from numpy alone. ``evaluate`` turns a non-finite value into an EvalError
+naming the offending subexpression.
 """
 
 from __future__ import annotations
@@ -285,13 +288,12 @@ _SOURCE_TABLE = _table(lambda v: f"{v.kind}{v.index + 1}", {
     **{op: _infix(op) for op in "+-*/^"},
 })
 
-# float lists x, w; the helpers of _SCALAR_ENV keep IEEE semantics
+# float lists x, w; Python's operators and math's functions, which raise
+# where IEEE arithmetic gives +-inf or NaN (see _scalar_compile)
 _SCALAR_TABLE = _table(lambda v: f"{v.kind}[{v.index}]", {
-    **{f: _call(f"_{f}") for f in ("sin", "cos", "tan", "exp", "sqrt")},
-    **{f: _call(f) for f in ("abs",) + _NARY_FUNCS},
-    **{op: _infix(op) for op in "+-*"},
-    "/": _call("_div"),
-    "^": _call("_pow"),
+    **{f: _call(f) for f in _UNARY_FUNCS + _NARY_FUNCS},
+    **{op: _infix(op) for op in "+-*/"},
+    "^": _call("pow"),
 })
 
 # row batches x (N, n), w (N, m); min/max fold pairwise from the right
@@ -324,73 +326,14 @@ def _code_nesting(node):
     return deepest
 
 
-# --- scalar evaluation helpers (IEEE semantics, no exceptions) ---------------
-
-
-def _div(a, b):
-    try:
-        return a / b
-    except ZeroDivisionError:
-        if a == 0.0:
-            return math.nan
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
-
-
-def _pow(a, b):
-    try:
-        return math.pow(a, b)
-    except ValueError:
-        return math.nan
-    except OverflowError:
-        return math.inf
-
-
-def _sqrt(a):
-    try:
-        return math.sqrt(a)
-    except ValueError:
-        return math.nan
-
-
-def _exp(a):
-    try:
-        return math.exp(a)
-    except OverflowError:
-        return math.inf
-
-
-def _sin(a):
-    try:
-        return math.sin(a)
-    except ValueError:  # an infinite argument
-        return math.nan
-
-
-def _cos(a):
-    try:
-        return math.cos(a)
-    except ValueError:
-        return math.nan
-
-
-def _tan(a):
-    try:
-        return math.tan(a)
-    except ValueError:
-        return math.nan
-
-
+# the scalar code catches the two exception types (see _scalar_compile)
 _SCALAR_ENV = {
-    "_div": _div,
-    "_pow": _pow,
-    "_sqrt": _sqrt,
-    "_exp": _exp,
-    "_sin": _sin,
-    "_cos": _cos,
-    "_tan": _tan,
+    **{f: getattr(math, f) for f in ("sin", "cos", "tan", "exp", "sqrt", "pow")},
     "abs": abs,
     "min": min,
     "max": max,
+    "ArithmeticError": ArithmeticError,
+    "ValueError": ValueError,
     "__builtins__": {},
 }
 
@@ -425,8 +368,9 @@ class ExprAst:
     def scalar_fn(self):
         """Raw compiled callable(x, w) -> float. No finiteness checks."""
         if self._scalar is None:
-            code = f"lambda x, w: ({_gen(self.root, _SCALAR_TABLE)})"
-            self._scalar = eval(code, dict(_SCALAR_ENV))
+            self._scalar = _scalar_compile(
+                f"({_gen(self.root, _SCALAR_TABLE)})",
+                lambda x, w: _row([self], x, w)[0])
         return self._scalar
 
     def batch_fn(self):
@@ -449,12 +393,36 @@ class ExprAst:
         return self._batch
 
 
+def _row(exprs, x, w):
+    """The batch values of the ExprAsts ``exprs`` at the one row (x, w)."""
+    X, W = np.array([x], dtype=float), np.array([w], dtype=float)
+    return [float(e.batch_fn()(X, W)[0]) for e in exprs]
+
+
+def _scalar_compile(body, fallback):
+    """Callable(x, w) returning the scalar code ``body``, or ``fallback(x, w)``
+    (the batch values) where a float or ``math`` operation raises.
+
+    A NaN made without an exception (inf - inf) still reaches Python's
+    ``min``/``max``, which drop it unless it is their first argument.
+    """
+    code = ("def fn(x, w):\n"
+            "    try:\n"
+            f"        return {body}\n"
+            "    except (ArithmeticError, ValueError):\n"
+            "        return fallback(x, w)\n")
+    env = dict(_SCALAR_ENV, fallback=fallback)
+    exec(code, env)
+    return env["fn"]
+
+
 def scalar_list_fn(roots):
     """One compiled callable(x, w) -> list of the values of the ASTs
     ``roots``, in order; the code of each is its ``scalar_fn`` code. No
     finiteness checks."""
     body = ", ".join(_gen(root, _SCALAR_TABLE) for root in roots)
-    return eval(f"lambda x, w: [{body}]", dict(_SCALAR_ENV))
+    return _scalar_compile(f"[{body}]", lambda x, w: _row(
+        [ExprAst(root, len(x), len(w)) for root in roots], x, w))
 
 
 def linear_combination(pairs):

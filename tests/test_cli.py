@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mmreach as mm
-from mmreach.cli import _scaled_region, main, validate_result_document
+from mmreach.cli import _scaled_region, main
 from mmreach.errors import ConfigError
 from mmreach.multiorder import ReachOutcome
 
@@ -128,18 +128,40 @@ def test_check_rejects_a_closed_form_under_transforms(tmp_path, capsys):
         "field; every shape must be the identity\n")
 
 
-def test_reach_reports_a_transformed_field_too_deep_to_compile(tmp_path, capsys):
-    """check accepts the field, but the transformed one nests too deeply."""
-    raw = _fast_box_config()
-    raw["system"] = {"n": 2, "m": 1, "field": ["-" * 197 + "x1", "x2"],
+def _too_deep_once_built(direction):
+    """A field that parses, but nests too deeply once it is transformed
+    (the shear) or time-reversed (the backward run)."""
+    raw = _fast_box_config(direction=direction)
+    minus, shape = (197, [[1, 1], [0, 1]]) if direction == "forward" else (
+        198, [[1, 0], [0, 1]])
+    raw["system"] = {"n": 2, "m": 1, "field": ["-" * minus + "x1", "x2"],
                      "w_lo": [0.0], "w_hi": [0.25]}
-    raw["initial_set"] = {"type": "parallelotope", "shape": [[1, 1], [0, 1]],
+    raw["initial_set"] = {"type": "parallelotope", "shape": shape,
                           "lo": [0.0, 0.0], "hi": [0.1, 0.1]}
+    return raw
+
+
+def test_reach_reports_a_transformed_field_too_deep_to_compile(tmp_path, capsys):
+    raw = _too_deep_once_built("forward")
     assert main(["reach", "--config", _write(tmp_path, raw), "--out",
                  str(tmp_path / "out"), "--quiet"]) == 1
     assert capsys.readouterr().err == (
         "error: field component 1 does not compile: too many nested "
         "parentheses\n")
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_check_builds_every_system_the_run_integrates(tmp_path, capsys,
+                                                      direction):
+    """check used to print "configuration OK" for these; reach fails."""
+    cfg = _write(tmp_path, _too_deep_once_built(direction))
+    assert main(["check", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: initial_set.shape: field component 1 does not compile: too "
+        "many nested parentheses\n")
+    assert main(["reach", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 1
+    assert "does not compile" in capsys.readouterr().err
 
 
 def test_reach_intersection_outputs(tmp_path):
@@ -420,18 +442,6 @@ def test_verify_rejects_non_planar_vertices_before_the_pipeline(tmp_path, capsys
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 1
     assert "only for planar systems" in capsys.readouterr().err
-
-
-def test_reach_result_revalidates_against_schema(tmp_path):
-    cfg = _write(tmp_path, _fast_box_config())
-    out = tmp_path / "out"
-    assert main(["reach", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    doc = json.loads((out / "result.json").read_text())
-    assert validate_result_document(doc) is doc
-    broken = dict(doc)
-    del broken["boxes"]
-    with pytest.raises(ConfigError):
-        validate_result_document(broken)
 
 
 def test_verify_save_endpoints(tmp_path):

@@ -92,6 +92,42 @@ def test_eval_domain_violation_reports_subexpression():
     assert "sqrt" in str(err.value)
 
 
+@pytest.mark.parametrize("src, x, expected", [
+    ("x1 / x2", [1.0, 0.0], math.inf),
+    ("x1 / x2", [1.0, -0.0], -math.inf),
+    ("x1 / x2", [0.0, 0.0], math.nan),
+    ("x1 ^ x2", [0.0, -1.0], math.inf),
+    ("x1 ^ x2", [-0.0, -1.0], -math.inf),
+    ("x1 ^ x2", [-10.0, 309.0], -math.inf),
+    ("x1 ^ x2", [10.0, 309.0], math.inf),
+    ("x1 ^ x2", [-8.0, 1 / 3], math.nan),
+    ("sqrt(x1)", [-1.0, 0.0], math.nan),
+    ("exp(x1)", [1000.0, 0.0], math.inf),
+    ("sin(x1)", [math.inf, 0.0], math.nan),
+    ("sin(x1)", [-math.inf, 0.0], math.nan),
+    ("cos(x1)", [math.inf, 0.0], math.nan),
+    ("cos(x1)", [-math.inf, 0.0], math.nan),
+    ("tan(x1)", [math.inf, 0.0], math.nan),
+    ("tan(x1)", [-math.inf, 0.0], math.nan),
+])
+def test_special_values_agree_across_backends(src, x, expected):
+    """Where Python floats or math raise, the scalar code takes the batch
+    code's value: signed infinities and NaNs agree bit for bit."""
+    e = mm.parse(src, 2, 0)
+    values = [e.scalar_fn()(x, []),
+              exprlang.scalar_list_fn([e.root])(x, [])[0],
+              e.batch_fn()(np.array([x]), np.zeros((1, 0)))[0]]
+    np.testing.assert_array_equal(values, [expected] * 3)
+
+
+def test_evaluate_sees_the_special_values_numpy_gives():
+    """sqrt(-1) is NaN, which max keeps; 1/0 is inf, which min drops."""
+    with pytest.raises(EvalError) as err:
+        mm.evaluate(mm.parse("max(0, sqrt(x1))", 1, 0), [-1.0], [])
+    assert err.value.subexpression == "sqrt(x1)"
+    assert mm.evaluate(mm.parse("min(x1^(0-1), 5)", 1, 0), [0.0], []) == 5.0
+
+
 def test_eval_dimension_mismatch():
     e = mm.parse("x1 + w1", 1, 1)
     with pytest.raises(DimensionMismatchError):
