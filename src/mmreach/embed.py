@@ -41,6 +41,12 @@ class ReachSpec:
     direction: str = "forward"
 
     def __post_init__(self):
+        # every comparison with NaN is false, so the checks below would pass it
+        if not (math.isfinite(self.horizon) and math.isfinite(self.dt)):
+            raise DimensionMismatchError(
+                f"horizon and dt must be finite, got horizon={self.horizon}, "
+                f"dt={self.dt}"
+            )
         if self.horizon < 0:
             raise DimensionMismatchError(f"horizon must be >= 0, got {self.horizon}")
         if self.dt <= 0:

@@ -23,6 +23,7 @@ CONDITION_LIMIT = 1e12
 DET_LIMIT = 1e-12
 MEMBERSHIP_TOL = 1e-12
 DEDUP_TOL = 1e-12
+MIN_CLIP_AREA = 1e-12  # a smaller intersection counts as empty
 
 _VERTEX_DIM_LIMIT = 20
 
@@ -456,6 +457,6 @@ def clip_intersection_2d(polys):
     if len(current) < 3:
         return None
     result = Polygon2D(np.array(current))
-    if result.area() <= 1e-12:
+    if result.area() <= MIN_CLIP_AREA:
         return None
     return result

@@ -18,6 +18,7 @@ from . import oracle
 from .embed import ReachSpec, reach_box
 from .errors import DimensionMismatchError, EmptyIntersectionError, GeometryError
 from .geometry import (
+    MIN_CLIP_AREA,
     Box,
     Parallelotope,
     RegionIntersection,
@@ -80,6 +81,7 @@ def reach_intersection(system, transforms, x0_vertices, spec: ReachSpec,
     vertices = [np.asarray(v, dtype=float) for v in x0_vertices]
     outcome = ReachOutcome(kind="intersection")
     running = None
+    polys = []
     for k, shape in enumerate(transforms, start=1):
         x0 = Parallelotope(shape, bounding_coords(vertices, shape))
         ptope = reach_parallelotope(system, x0, spec, method, **method_options)
@@ -88,14 +90,22 @@ def reach_intersection(system, transforms, x0_vertices, spec: ReachSpec,
             # a finite but huge bound overflows the clipping arithmetic
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    poly = ptope_polygon(ptope)
-                    running = (poly if running is None
-                               else clip_intersection_2d([running, poly]))
+                    polys.append(ptope_polygon(ptope))
+                    running = (polys[0] if running is None
+                               else clip_intersection_2d([running, polys[-1]]))
             except FloatingPointError:
                 raise GeometryError(
                     f"transform {k}: the member's bound is too wide to intersect"
                 ) from None
             if running is None:
+                # the clip cannot tell a flat member from disjoint members
+                flat = [j for j, p in enumerate(polys, start=1)
+                        if p.area() <= MIN_CLIP_AREA]
+                if flat:
+                    raise GeometryError(
+                        f"transform {flat[0]}: the member's bound is a point or "
+                        "a segment, which planar intersection does not support"
+                    )
                 raise EmptyIntersectionError(
                     "intersection of over-approximations is empty; every member "
                     "must contain the reachable set, so an upstream step is wrong"

@@ -141,12 +141,12 @@ def _integrate_batch(system, X, levels, switch_steps, sizes):
     its ``switch_steps`` have passed: a switch at step ``s`` in
     [0, len(sizes)] applies from step ``s`` on. The switch events are
     grouped by step once, and each step updates only the rows that switch
-    there. A row whose state turns non-finite is dropped from the batch at
-    the end of that step. Returns (endpoints of the alive rows in row order,
-    alive mask).
+    there. Every row stays in the batch for every step: each RK4 update adds
+    to the state, so a component that turns non-finite stays non-finite,
+    and one finiteness test after the last step finds the diverged rows.
+    Returns (endpoints of the alive rows in row order, alive mask).
     """
     count, switch_count = switch_steps.shape
-    alive = np.ones(count, dtype=bool)
     # switch events grouped by step. The steps lie in [0, last] and so fit a
     # small integer type, which numpy sorts stably by radix.
     last = len(sizes)
@@ -159,41 +159,23 @@ def _integrate_batch(system, X, levels, switch_steps, sizes):
     one = np.int32(1)  # an int32 increment keeps np.add.at on its fast path
     np.add.at(segment, event_rows[: bounds[1]], one)
     W = levels[np.arange(count), segment]
-    active = np.arange(count, dtype=np.int32)  # original row at each position
-    position = active.copy()  # position of each original row; -1 once dead
 
     # the state is a one-part list: the whole (N, n) array
     def field(parts, _t):
         return [system.eval_field_batch(parts[0], W)]
 
     def post(_parts, parts, _t, s):
-        nonlocal W, active
-        X_new, = parts
-        finite = np.isfinite(X_new)
-        if not finite.all():
-            # the rows that just turned non-finite leave the batch
-            bad = np.flatnonzero(~finite) // X_new.shape[1]
-            good = np.ones(len(active), dtype=bool)
-            good[bad] = False
-            dead = active[bad]
-            alive[dead] = False
-            position[dead] = -1
-            active, W, X_new = (np.compress(good, a, axis=0)
-                                for a in (active, W, X_new))
-            position[active] = np.arange(len(active), dtype=np.int32)
         if s + 1 < last:
             rows = event_rows[bounds[s + 1] : bounds[s + 2]]
-            at = position[rows]
-            live = at >= 0
-            rows, at = rows[live], at[live]
             # one row can switch twice at the same step
             np.add.at(segment, rows, one)
-            W[at] = levels[rows, segment[rows]]
-        return [X_new]
+            W[rows] = levels[rows, segment[rows]]
+        return parts
 
     with np.errstate(all="ignore"):
         X, = _rk4(field, [X], sizes, post)
-    return X, alive
+    alive = np.isfinite(X).all(axis=1)
+    return X[alive], alive
 
 
 def _draw_signals(rng, count, switch_count, dist: Box, spec: ReachSpec, steps):
@@ -211,57 +193,52 @@ def _draw_signals(rng, count, switch_count, dist: Box, spec: ReachSpec, steps):
     return levels, np.clip(np.round(raw / spec.dt).astype(int), 0, steps)
 
 
+def _trajectories(system, spec: ReachSpec, cfg: SampleConfig, draw_starts,
+                  corners=()):
+    """The one trajectory loop of the oracle: yields (starts, endpoints of
+    the alive rows, alive mask) per integrated batch.
+
+    The ``corners`` (start, constant disturbance) pairs, if any, come first
+    as one batch. The other ``cfg.count - len(corners)`` trajectories follow
+    in chunks of at most _CHUNK; each chunk draws its starts with
+    ``draw_starts(rng, count)`` and then its disturbance signals.
+    """
+    sizes = _step_sizes(spec.horizon, spec.dt)
+    rng = np.random.default_rng(cfg.seed)
+    if corners:
+        starts = np.array([c for c, _ in corners], dtype=float)
+        levels = np.array([np.tile(w, (cfg.switch_count + 1, 1)) for _, w in corners])
+        switches = np.zeros((len(corners), cfg.switch_count), dtype=int)
+        yield (starts, *_integrate_batch(system, starts, levels, switches, sizes))
+    for done in range(len(corners), cfg.count, _CHUNK):
+        count = min(_CHUNK, cfg.count - done)
+        starts = draw_starts(rng, count)
+        levels, switches = _draw_signals(rng, count, cfg.switch_count,
+                                         system.dist, spec, len(sizes))
+        yield (starts, *_integrate_batch(system, starts, levels, switches, sizes))
+
+
 def sample_endpoints(system, x0, spec: ReachSpec, cfg: SampleConfig):
     """Endpoints of ``cfg.count`` disturbed trajectories from ``x0``.
 
     Deterministic under a fixed seed. Divergent trajectories are excluded
     and counted in the result.
     """
-    sizes = _step_sizes(spec.horizon, spec.dt)
-    rng = np.random.default_rng(cfg.seed)
-
-    starts_blocks = []
-    levels_blocks = []
-    switches_blocks = []
-    remaining = cfg.count
-
+    corners = ()
     if cfg.init_mode == "corners_plus_uniform":
         # corner starts under the two extreme constant signals come first
         extremes = (system.dist.lo, system.dist.hi)
-        pairs = [(c, w) for c in x0.corners() for w in extremes][:remaining]
-        starts_blocks.append(np.array([np.asarray(c, dtype=float) for c, _ in pairs]))
-        segments = cfg.switch_count + 1
-        levels_blocks.append(np.array([np.tile(w, (segments, 1)) for _, w in pairs]))
-        switches_blocks.append(np.zeros((len(pairs), cfg.switch_count), dtype=int))
-        remaining -= len(pairs)
-
-    if remaining > 0:
-        starts_blocks.append(_sample_initial(x0, remaining, rng))
-        levels, switches = _draw_signals(rng, remaining, cfg.switch_count,
-                                         system.dist, spec, len(sizes))
-        levels_blocks.append(levels)
-        switches_blocks.append(switches)
-
-    def joined(blocks):  # one block, the common case, is not copied
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-    starts, levels, switches = map(joined, (starts_blocks, levels_blocks,
-                                            switches_blocks))
-
+        corners = [(c, w) for c in x0.corners() for w in extremes][: cfg.count]
     endpoints = []
     divergent = 0
-    if len(sizes) == 0:  # zero horizon
-        return SampleResult(points=starts, divergent=0)
-    for start in range(0, cfg.count, _CHUNK):
-        stop = min(start + _CHUNK, cfg.count)
-        X, alive = _integrate_batch(system, starts[start:stop], levels[start:stop],
-                                    switches[start:stop], sizes)
+    for _, X, alive in _trajectories(system, spec, cfg,
+                                     lambda rng, count: _sample_initial(x0, count, rng),
+                                     corners):
         divergent += int((~alive).sum())
         endpoints.append(X)
-    points = np.concatenate(endpoints) if endpoints else np.empty((0, system.n))
     if divergent:
         log.warning("excluded %d divergent trajectories of %d", divergent, cfg.count)
-    return SampleResult(points=points, divergent=divergent)
+    return SampleResult(points=np.concatenate(endpoints), divergent=divergent)
 
 
 def audit_containment(points, region, tol=CONTAINMENT_TOL):
@@ -322,18 +299,10 @@ def backward_witnesses(system, x0: Parallelotope, spec: ReachSpec,
     construction, so it must lie inside any sound backward over-approximation.
     Returns an (k, n) array; logs a warning when no witnesses were found.
     """
-    sizes = _step_sizes(spec.horizon, spec.dt)
-    rng = np.random.default_rng(cfg.seed)
-
-    found = []
-    for start in range(0, cfg.count, _CHUNK):
-        count = min(_CHUNK, cfg.count - start)
-        starts = rng.uniform(search_box.lo, search_box.hi, size=(count, system.n))
-        levels, switches = _draw_signals(rng, count, cfg.switch_count,
-                                         system.dist, spec, len(sizes))
-        X, alive = _integrate_batch(system, starts, levels, switches, sizes)
-        found.append(starts[alive][x0.margins(X) >= -CONTAINMENT_TOL])
-    witnesses = np.concatenate(found) if found else np.empty((0, system.n))
+    batches = _trajectories(system, spec, cfg, lambda rng, count: rng.uniform(
+        search_box.lo, search_box.hi, size=(count, system.n)))
+    witnesses = np.concatenate([starts[alive][x0.margins(X) >= -CONTAINMENT_TOL]
+                                for starts, X, alive in batches])
     if len(witnesses) == 0:
         log.warning(
             "no backward witnesses found in %d samples; the target may be "

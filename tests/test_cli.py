@@ -209,6 +209,21 @@ def test_reach_intersection_with_a_member_too_wide_to_clip(tmp_path, capsys):
         "error: transform 2: the member's bound is too wide to intersect\n")
 
 
+def test_reach_intersection_of_point_bounds_is_unsupported(tmp_path, capsys):
+    """A point start without disturbance makes every member bound a point;
+    the empty clip used to be blamed on an upstream step."""
+    raw = json.loads((Path(mm.__file__).parent / "presets"
+                      / "example3.json").read_text())
+    raw["system"] = {"n": 2, "m": 1, "field": ["x1 - x2 + x2^3 + w1", "x1 - x2"],
+                     "w_lo": [0.0], "w_hi": [0.0]}
+    cfg = _write(tmp_path, raw)
+    assert main(["reach", "--config", cfg, "--dt", "0.02",
+                 "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error: transform 1: the member's bound is a point or a segment, which "
+        "planar intersection does not support\n")
+
+
 def test_reach_intersection_3d_writes_volume(tmp_path):
     raw = {
         "system": {"n": 3, "m": 1, "field": ["-x1 + w1", "-x2 + w1", "-x3 + w1"],
@@ -313,10 +328,14 @@ def test_verify_backward_run(tmp_path, capsys):
 _HULL_POINTS = [[0.0, 0.0], [0.75, -0.25], [0.6, 0.25], [0.1, 0.2]]
 
 
-@pytest.mark.parametrize("points", [_HULL_POINTS, [[0.3, -0.4]]],
-                         ids=["hull", "point"])
+@pytest.mark.parametrize("points", [
+    _HULL_POINTS, [[0.3, -0.4]],
+    # two-vertex sets reach the sampler's one- and two-vertex hull branches
+    [[0.0, 0.0], [0.5, -0.25]], [[0.25, 0.1], [0.25, 0.1]],
+], ids=["hull", "point", "segment", "repeated_point"])
 def test_verify_vertex_initial_sets(tmp_path, points):
-    """verify samples the vertices' hull: a polygon, or a single point."""
+    """verify samples the vertices' hull: a polygon, a segment, or a single
+    point."""
     raw = _fast_box_config(initial_set={"type": "vertices", "points": points})
     out = tmp_path / "out"
     assert main(["verify", "--config", _write(tmp_path, raw), "--out", str(out),
@@ -397,6 +416,14 @@ def test_reach_seed_and_dt_overrides(tmp_path):
     doc = json.loads((out / "result.json").read_text())
     assert doc["meta"]["dt"] == 0.01
     assert doc["meta"]["seed"] == 99
+
+
+def test_nan_dt_override_is_rejected(tmp_path, capsys):
+    cfg = _write(tmp_path, _fast_box_config())
+    assert main(["reach", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet", "--dt", "nan"]) == 1
+    assert capsys.readouterr().err == (
+        "error: horizon and dt must be finite, got horizon=1.0, dt=nan\n")
 
 
 @pytest.mark.parametrize("command", ["reach", "verify"])

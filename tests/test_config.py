@@ -195,6 +195,17 @@ def test_load_config_path_and_errors(tmp_path):
         load_config(bad)
 
 
+def test_load_config_rejects_a_nan_horizon(tmp_path):
+    """JSON's NaN literal passed every comparison in ReachSpec; reach then
+    died converting horizon/dt to a step count."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**_base_raw(), "horizon": float("nan")}))
+    assert "NaN" in path.read_text()
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.location == "horizon/dt"
+
+
 @pytest.mark.parametrize("change, location", [
     ({"output": {"dir": 5}}, "output.dir"),
     ({"decomposition": {"samples": 0}}, "decomposition.samples"),

@@ -5,7 +5,12 @@ import pytest
 
 import mmreach as mm
 from mmreach.config import parse_config
-from mmreach.errors import DimensionMismatchError, SignIndefiniteError
+from mmreach.errors import (
+    DimensionMismatchError,
+    EmptyIntersectionError,
+    SignIndefiniteError,
+)
+from mmreach import multiorder
 from mmreach.multiorder import run_reach
 
 T1 = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -167,3 +172,16 @@ def test_run_reach_builds_every_transform_with_the_decomposition_seed():
                                        cfg.method_options["domain"], seed=3)
     assert got.value.entry == want.value.entry
     assert got.value.witnesses == want.value.witnesses
+
+
+def test_disjoint_members_with_area_are_an_empty_intersection(bilinear,
+                                                                 monkeypatch):
+    """Members that have area and clip to nothing still blame an upstream
+    step; only flat members are reported as unsupported."""
+    squares = iter([mm.Parallelotope(np.eye(2), mm.Box([0.0, 0.0], [1.0, 1.0])),
+                    mm.Parallelotope(np.eye(2), mm.Box([2.0, 0.0], [3.0, 1.0]))])
+    monkeypatch.setattr(multiorder, "reach_parallelotope",
+                        lambda *args, **kwargs: next(squares))
+    with pytest.raises(EmptyIntersectionError):
+        mm.reach_intersection(bilinear, [np.eye(2), np.eye(2)], [np.zeros(2)],
+                              mm.ReachSpec(1.0, 1e-2))
