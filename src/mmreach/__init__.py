@@ -23,6 +23,7 @@ from .decomp import (
 from .embed import (
     ReachSpec,
     Trajectory,
+    embedding,
     integrate,
     reach_box,
 )
@@ -46,6 +47,7 @@ from .multiorder import (
     default_transform_family,
     reach_intersection,
     reach_parallelotope,
+    reach_plan,
 )
 from .oracle import (
     ContainmentReport,

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ProblemConfig, load_config, preset_names, reach_shapes
-from .embed import ReachSpec
+from .config import ProblemConfig, load_config, preset_names
+from .embed import ReachSpec, embedding
 from .errors import ConfigError, MmreachError
 from .geometry import (
     Box,
@@ -30,9 +30,9 @@ from .geometry import (
     convex_hull_2d,
     ptope_polygon,
 )
-from .multiorder import ReachOutcome, run_reach
+from .multiorder import ReachOutcome, reach_plan, run_reach
 from .oracle import audit_containment, backward_witnesses, sample_endpoints
-from .sysdef import reverse_time, transform
+from .sysdef import transform
 
 
 def _initial_set_jsonable(cfg: ProblemConfig):
@@ -155,13 +155,14 @@ def _scaled_region(region, scale):
 
 def cmd_check(args):
     cfg = load_config(args.config)
-    # build every system the run integrates: a field can parse and still
-    # nest too deeply to compile once a shape is substituted into it
-    for where, shape in reach_shapes(cfg.initial_set, cfg.transforms):
+    # prepare every embedding the run integrates: a transformed field may not
+    # compile, and a decomposition method may reject the field it is given
+    for where, member in reach_plan(cfg.initial_set, cfg.transforms):
         try:
-            system = transform(cfg.system, shape)
-            if cfg.spec.direction == "backward":
-                reverse_time(system)
+            system = cfg.system
+            if isinstance(member, Parallelotope):
+                system, member = transform(system, member.shape), member.coords
+            embedding(system, member, cfg.spec, cfg.method, **cfg.method_options)
         except MmreachError as exc:
             raise ConfigError(str(exc), where) from exc
     if not args.quiet:
@@ -209,11 +210,11 @@ def cmd_verify(args):
             raise ConfigError(
                 "verify supports vertex initial sets only for planar systems"
             )
+    if cfg.spec.direction == "backward" and cfg.search_box is None:
+        raise ConfigError("backward verify needs sampling.search_lo/search_hi")
     outcome = run_reach(cfg)
     region = _scaled_region(outcome.audit_region(), args.debug_scale)
     if cfg.spec.direction == "backward":
-        if cfg.search_box is None:
-            raise ConfigError("backward verify needs sampling.search_lo/search_hi")
         forward_spec = ReachSpec(cfg.spec.horizon, cfg.spec.dt, "forward")
         points = backward_witnesses(cfg.system, cfg.initial_set, forward_spec,
                                     cfg.sampling, cfg.search_box)

@@ -9,6 +9,7 @@ file path or the name of a shipped preset.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -18,8 +19,8 @@ import numpy as np
 from . import exprlang
 from .embed import ReachSpec
 from .errors import ConfigError, MmreachError
-from .geometry import Box, Parallelotope, UnionInitialSet
-from .multiorder import default_transform_family
+from .geometry import Box, Parallelotope, UnionInitialSet, invert_shape
+from .multiorder import default_transform_family, reach_plan
 from .oracle import SampleConfig
 from .sysdef import SystemDef, preset_system
 
@@ -32,6 +33,18 @@ def preset_names():
     root = resources.files("mmreach") / "presets"
     return sorted(p.name[: -len(".json")] for p in root.iterdir()
                   if p.name.endswith(".json"))
+
+
+@contextmanager
+def _at(where):
+    """Report a package error raised in the block as a ConfigError at
+    ``where``; a ConfigError passes through with its own location."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except MmreachError as exc:
+        raise ConfigError(str(exc), where) from exc
 
 
 def _require(mapping, key, where):
@@ -75,6 +88,14 @@ def _matrix(value, where, size=None):
     return np.array(rows)
 
 
+def _box(raw, prefix, where, n):
+    """The box given by the ``<prefix>_lo`` and ``<prefix>_hi`` lists."""
+    lo = _vector(_require(raw, f"{prefix}_lo", where), f"{where}.{prefix}_lo", n)
+    hi = _vector(_require(raw, f"{prefix}_hi", where), f"{where}.{prefix}_hi", n)
+    with _at(f"{where}.{prefix}_lo/{prefix}_hi"):
+        return Box(lo, hi)
+
+
 @dataclass
 class ProblemConfig:
     """Validated run configuration with resolved domain objects."""
@@ -106,10 +127,8 @@ class ProblemConfig:
 
 def _parse_system(raw, where="system"):
     if isinstance(raw, str):
-        try:
+        with _at(where):
             return preset_system(raw)
-        except MmreachError as exc:
-            raise ConfigError(str(exc), where) from exc
     if not isinstance(raw, dict):
         raise ConfigError("expected a preset name or a system table", where)
     n = _integer(_require(raw, "n", where), f"{where}.n")
@@ -123,16 +142,9 @@ def _parse_system(raw, where="system"):
     for i, src in enumerate(sources):
         if not isinstance(src, str):
             raise ConfigError("expected an expression string", f"{where}.field[{i}]")
-        try:
+        with _at(f"{where}.field[{i}]"):
             exprs.append(exprlang.parse(src, n, m))
-        except MmreachError as exc:
-            raise ConfigError(str(exc), f"{where}.field[{i}]") from exc
-    w_lo = _vector(_require(raw, "w_lo", where), f"{where}.w_lo", m)
-    w_hi = _vector(_require(raw, "w_hi", where), f"{where}.w_hi", m)
-    try:
-        dist = Box(w_lo, w_hi)
-    except MmreachError as exc:
-        raise ConfigError(str(exc), f"{where}.w_lo/w_hi") from exc
+    dist = _box(raw, "w", where, m)
     name = raw.get("name", "")
     return SystemDef(n, m, exprs, dist, name=name)
 
@@ -141,10 +153,8 @@ def _parse_member(raw, n, where):
     shape = _matrix(_require(raw, "shape", where), f"{where}.shape", n)
     lo = _vector(_require(raw, "lo", where), f"{where}.lo", n)
     hi = _vector(_require(raw, "hi", where), f"{where}.hi", n)
-    try:
+    with _at(where):
         return Parallelotope(shape, Box(lo, hi))
-    except MmreachError as exc:
-        raise ConfigError(str(exc), where) from exc
 
 
 def _parse_initial_set(raw, n, where="initial_set"):
@@ -153,7 +163,7 @@ def _parse_initial_set(raw, n, where="initial_set"):
     kind = _require(raw, "type", where)
     if kind not in _INIT_TYPES:
         raise ConfigError(f"type must be one of {_INIT_TYPES}, got {kind!r}", where)
-    try:
+    with _at(where):
         if kind == "box":
             return Box(
                 _vector(_require(raw, "lo", where), f"{where}.lo", n),
@@ -177,10 +187,6 @@ def _parse_initial_set(raw, n, where="initial_set"):
             _parse_member(mraw, n, f"{where}.members[{i}]")
             for i, mraw in enumerate(members)
         ))
-    except ConfigError:
-        raise
-    except MmreachError as exc:
-        raise ConfigError(str(exc), where) from exc
 
 
 def _parse_decomposition(raw, system, where="decomposition"):
@@ -192,16 +198,13 @@ def _parse_decomposition(raw, system, where="decomposition"):
         raise ConfigError(f"method must be one of {_METHODS}, got {method!r}", where)
     options = {}
     if "domain_lo" in raw or "domain_hi" in raw:
-        lo = _vector(_require(raw, "domain_lo", where), f"{where}.domain_lo", system.n)
-        hi = _vector(_require(raw, "domain_hi", where), f"{where}.domain_hi", system.n)
-        try:
-            options["domain"] = Box(lo, hi)
-        except MmreachError as exc:
-            raise ConfigError(str(exc), f"{where}.domain_lo/domain_hi") from exc
+        options["domain"] = _box(raw, "domain", where, system.n)
     if "samples" in raw:
         options["samples"] = _integer(raw["samples"], f"{where}.samples", 1)
     if "seed" in raw:
         options["seed"] = _integer(raw["seed"], f"{where}.seed", 0)
+    if method == "jacobian_sign" and "domain" not in options:
+        raise ConfigError("jacobian_sign requires a domain box", where)
     if method == "closed_form":
         sources = _require(raw, "sources", where)
         if not isinstance(sources, list) or len(sources) != system.n:
@@ -213,10 +216,8 @@ def _parse_decomposition(raw, system, where="decomposition"):
             if not isinstance(src, str):
                 raise ConfigError("expected an expression string",
                                   f"{where}.sources[{i}]")
-            try:
+            with _at(f"{where}.sources[{i}]"):
                 exprlang.parse(src, 2 * system.n, 2 * system.m)
-            except MmreachError as exc:
-                raise ConfigError(str(exc), f"{where}.sources[{i}]") from exc
         options["sources"] = list(sources)
     return method, options
 
@@ -233,10 +234,8 @@ def _parse_transforms(raw, n, where="transforms"):
         out = []
         for i, mraw in enumerate(mats):
             mat = _matrix(mraw, f"{where}.matrices[{i}]", n)
-            try:
-                Parallelotope(mat, Box([0.0] * n, [1.0] * n))
-            except MmreachError as exc:
-                raise ConfigError(str(exc), f"{where}.matrices[{i}]") from exc
+            with _at(f"{where}.matrices[{i}]"):
+                invert_shape(mat)
             out.append(mat)
         return out
     if raw.get("family") == "rotations":
@@ -255,36 +254,13 @@ def _parse_sampling(raw, n, where="sampling"):
     seed = _integer(raw.get("seed", 0), f"{where}.seed", 0)
     switch_count = _integer(raw.get("switch_count", 4), f"{where}.switch_count")
     init_mode = raw.get("init_mode", "uniform")
-    try:
+    with _at(where):
         cfg = SampleConfig(count=count, seed=seed, switch_count=switch_count,
                            init_mode=init_mode)
-    except MmreachError as exc:
-        raise ConfigError(str(exc), where) from exc
     search_box = None
     if "search_lo" in raw or "search_hi" in raw:
-        lo = _vector(_require(raw, "search_lo", where), f"{where}.search_lo", n)
-        hi = _vector(_require(raw, "search_hi", where), f"{where}.search_hi", n)
-        try:
-            search_box = Box(lo, hi)
-        except MmreachError as exc:
-            raise ConfigError(str(exc), f"{where}.search_lo/search_hi") from exc
+        search_box = _box(raw, "search", where, n)
     return cfg, search_box
-
-
-def reach_shapes(initial, transforms):
-    """Each shape the run reaches under, with its location in the config.
-
-    The shapes mirror ``run_reach``: the transforms if given, else the
-    parallelotope's, else each union member's (a box reaches under none).
-    """
-    if transforms is not None:
-        return [("transforms", shape) for shape in transforms]
-    if isinstance(initial, Parallelotope):
-        return [("initial_set.shape", initial.shape)]
-    if isinstance(initial, UnionInitialSet):
-        return [(f"initial_set.members[{i}].shape", member.shape)
-                for i, member in enumerate(initial.members)]
-    return []
 
 
 def _require_identity_shapes(initial, transforms, n):
@@ -293,8 +269,9 @@ def _require_identity_shapes(initial, transforms, n):
     ``closed_form`` sources decompose the field as written, not the field
     transformed by another shape.
     """
-    for where, shape in reach_shapes(initial, transforms):
-        if not np.array_equal(shape, np.eye(n)):
+    for where, member in reach_plan(initial, transforms):
+        if (isinstance(member, Parallelotope)
+                and not np.array_equal(member.shape, np.eye(n))):
             raise ConfigError("closed_form sources decompose the untransformed "
                               "field; every shape must be the identity", where)
 
@@ -310,10 +287,8 @@ def parse_config(raw: dict):
     direction = raw.get("direction", "forward")
     if direction not in _DIRECTIONS:
         raise ConfigError(f"direction must be one of {_DIRECTIONS}", "direction")
-    try:
+    with _at("horizon/dt"):
         spec = ReachSpec(horizon=horizon, dt=dt, direction=direction)
-    except MmreachError as exc:
-        raise ConfigError(str(exc), "horizon/dt") from exc
     method, options = _parse_decomposition(raw.get("decomposition"), system)
     transforms = _parse_transforms(raw.get("transforms"), system.n)
     sampling, search_box = _parse_sampling(raw.get("sampling"), system.n)

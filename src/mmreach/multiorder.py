@@ -3,9 +3,9 @@
 A decomposition for the transformed dynamics bounds reachable sets of the
 original system by parallelotopes; several transformations intersect to a
 tighter polytope, and a union of parallelotopes is bounded member by member.
-``run_reach`` dispatches a validated configuration to one of these and
-returns the one result record, ``ReachOutcome``. Every bound goes through
-``embed.reach_box``.
+``reach_plan`` lists the members a run reaches; ``run_reach`` dispatches a
+validated configuration to one of these and returns the one result record,
+``ReachOutcome``. Every bound goes through ``embed.reach_box``.
 """
 
 from __future__ import annotations
@@ -66,25 +66,44 @@ def reach_parallelotope(system, x0: Parallelotope, spec: ReachSpec,
     return Parallelotope(x0.shape, box)
 
 
-def reach_intersection(system, transforms, x0_vertices, spec: ReachSpec,
+def reach_plan(initial, transforms):
+    """The ``(where, member)`` pairs a run reaches, in run order; ``where``
+    locates the member in the config. Under ``transforms`` each shape gets the
+    smallest parallelotope of that shape containing the initial set (a list
+    is a vertex set); otherwise the union's members or the parallelotope are
+    reached, and a box, or a bare vertex set's bounding box, as a box."""
+    if transforms is not None:
+        vertices = initial if isinstance(initial, list) else initial.corners()
+        return [("transforms", Parallelotope(shape, bounding_coords(vertices, shape)))
+                for shape in transforms]
+    if isinstance(initial, UnionInitialSet):
+        return [(f"initial_set.members[{i}].shape", member)
+                for i, member in enumerate(initial.members)]
+    if isinstance(initial, Parallelotope):
+        return [("initial_set.shape", initial)]
+    if isinstance(initial, list):
+        verts = np.array([np.asarray(v) for v in initial])
+        initial = Box(verts.min(axis=0), verts.max(axis=0))
+    return [("initial_set", initial)]
+
+
+def reach_intersection(system, transforms, x0, spec: ReachSpec,
                        method="tight", **method_options):
     """Reach under every transform and intersect the results.
 
-    The initial set is the polytope spanned by ``x0_vertices``; each
-    transform gets the smallest parallelotope of its own shape containing
-    those vertices. For planar systems the running intersection and its
+    The initial set ``x0`` is a region or a list of vertices (their convex
+    hull); each transform gets the smallest parallelotope of its own shape
+    containing it. For planar systems the running intersection and its
     area curve are exact (half-plane clipping); higher dimensions report a
     Monte-Carlo volume of the intersection instead.
     """
     if len(transforms) == 0:
         raise DimensionMismatchError("no transforms given")
-    vertices = [np.asarray(v, dtype=float) for v in x0_vertices]
     outcome = ReachOutcome(kind="intersection")
     running = None
     polys = []
-    for k, shape in enumerate(transforms, start=1):
-        x0 = Parallelotope(shape, bounding_coords(vertices, shape))
-        ptope = reach_parallelotope(system, x0, spec, method, **method_options)
+    for k, (_, member) in enumerate(reach_plan(x0, transforms), start=1):
+        ptope = reach_parallelotope(system, member, spec, method, **method_options)
         outcome.parallelotopes.append(ptope)
         if system.n == 2:
             # a finite but huge bound overflows the clipping arithmetic
@@ -124,22 +143,17 @@ def run_reach(cfg):
     system, spec, init = cfg.system, cfg.spec, cfg.initial_set
     options = cfg.method_options
     if cfg.transforms is not None:
-        vertices = init if isinstance(init, list) else init.corners()
-        return reach_intersection(system, cfg.transforms, vertices, spec,
+        return reach_intersection(system, cfg.transforms, init, spec,
                                   cfg.method, **options)
-    if isinstance(init, (Parallelotope, UnionInitialSet)):
-        # reach commutes with unions: each member is bounded on its own
-        union = isinstance(init, UnionInitialSet)
-        ptopes = [reach_parallelotope(system, member, spec, cfg.method, **options)
-                  for member in (init.members if union else (init,))]
-        return ReachOutcome(kind="union" if union else "parallelotope",
-                            parallelotopes=ptopes)
-    if not isinstance(init, Box):
-        # bare vertex polytope without transforms: bound it by its own hull box
-        verts = np.array([np.asarray(v) for v in init])
-        init = Box(verts.min(axis=0), verts.max(axis=0))
-    box = reach_box(system, init, spec, cfg.method, **options)
-    return ReachOutcome(kind="box", boxes=[(spec.horizon, box)])
+    # reach commutes with unions: each member is bounded on its own
+    members = [member for _, member in reach_plan(init, None)]
+    if isinstance(members[0], Box):
+        box = reach_box(system, members[0], spec, cfg.method, **options)
+        return ReachOutcome(kind="box", boxes=[(spec.horizon, box)])
+    ptopes = [reach_parallelotope(system, member, spec, cfg.method, **options)
+              for member in members]
+    kind = "union" if isinstance(init, UnionInitialSet) else "parallelotope"
+    return ReachOutcome(kind=kind, parallelotopes=ptopes)
 
 
 def default_transform_family(count):

@@ -98,18 +98,21 @@ def test_reach_rejects_a_closed_form_off_the_diagonal(tmp_path, capsys,
     raw = _fast_box_config(direction=direction, decomposition={
         "method": "closed_form",
         "sources": ["max(x1, 0)*x2 + min(x1, 0)*x4 + w1", second]})
-    field = "field"
+    field, where = "field", "initial_set"
     if direction == "backward":
         raw["initial_set"] = {"type": "parallelotope", "shape": [[1, 0], [0, 1]],
                               "lo": [0.0, -0.25], "hi": [0.75, 0.25]}
-        field = "time-reversed field"
+        field, where = "time-reversed field", "initial_set.shape"
+    message = (f"closed_form decomposition does not match the {field} on the "
+               "diagonal: at x=[0.375, 0.0]\n")
+    cfg = _write(tmp_path, raw)
     out = tmp_path / "out"
-    assert main(["reach", "--config", _write(tmp_path, raw), "--out", str(out),
-                 "--quiet"]) == 1
-    assert capsys.readouterr().err == (
-        f"error: closed_form decomposition does not match the {field} on the "
-        "diagonal: at x=[0.375, 0.0]\n")
+    assert main(["reach", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {message}"
     assert not out.exists()
+    # check prepares the same embedding, and says where it comes from
+    assert main(["check", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {where}: {message}"
 
 
 def test_check_rejects_a_closed_form_under_transforms(tmp_path, capsys):
@@ -162,6 +165,30 @@ def test_check_builds_every_system_the_run_integrates(tmp_path, capsys,
     assert main(["reach", "--config", cfg, "--out", str(tmp_path / "out"),
                  "--quiet"]) == 1
     assert "does not compile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"system": "cubic", "decomposition": {"method": "monotone"}},
+     "initial_set: dF1/dx2 = -9.175e-01 < 0 at a sampled point"),
+    ({"initial_set": {"type": "parallelotope", "shape": [[1, -2], [1, 1]],
+                      "lo": [0.0, -0.25], "hi": [0.75, 0.25]},
+      "decomposition": {"method": "monotone"}},
+     "initial_set.shape: dF1/dx2 = -2.881e-01 < 0 at a sampled point"),
+    ({"system": "cubic",
+      "decomposition": {"method": "jacobian_sign", "domain_lo": [-3, -3],
+                        "domain_hi": [3, 3]}},
+     "initial_set: dF1/dx2 changes sign over the sampled domain"),
+], ids=["monotone-cubic", "monotone-sheared-bilinear", "jacobian-sign-cubic"])
+def test_check_rejects_a_decomposition_reach_would_reject(tmp_path, capsys,
+                                                          change, message):
+    """check used to print "configuration OK" for these; reach fails before
+    its first step."""
+    cfg = _write(tmp_path, _fast_box_config(**change))
+    assert main(["check", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["reach", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {message.split(': ', 1)[1]}\n"
 
 
 def test_reach_intersection_outputs(tmp_path):
@@ -449,26 +476,40 @@ def test_out_naming_a_file_is_rejected_before_the_pipeline(tmp_path, capsys,
     assert "error: output.dir:" in capsys.readouterr().err
 
 
+_NON_PLANAR_VERTICES = {
+    "system": {"n": 3, "m": 1, "field": ["-x1 + w1", "-x2", "-x3"],
+               "w_lo": [0.0], "w_hi": [0.1]},
+    "initial_set": {"type": "vertices",
+                    "points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                               [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+    "horizon": 0.1,
+    "dt": 0.01,
+}
+# a backward run without the box its witness search draws from
+_BACKWARD_WITHOUT_SEARCH_BOX = _fast_box_config(
+    direction="backward",
+    initial_set={"type": "parallelotope", "shape": [[1, 0], [0, 1]],
+                 "lo": [0.0, -0.25], "hi": [0.75, 0.25]})
+
+
+@pytest.mark.parametrize("raw, message", [
+    (_NON_PLANAR_VERTICES,
+     "error: verify supports vertex initial sets only for planar systems\n"),
+    (_BACKWARD_WITHOUT_SEARCH_BOX,
+     "error: backward verify needs sampling.search_lo/search_hi\n"),
+], ids=["non-planar-vertices", "backward-without-search-box"])
 def test_verify_rejects_non_planar_vertices_before_the_pipeline(tmp_path, capsys,
-                                                                monkeypatch):
+                                                                monkeypatch,
+                                                                raw, message):
     def unreachable(cfg):
         raise AssertionError("the pipeline ran")
 
     monkeypatch.setattr("mmreach.cli.run_reach", unreachable)
-    raw = {
-        "system": {"n": 3, "m": 1, "field": ["-x1 + w1", "-x2", "-x3"],
-                   "w_lo": [0.0], "w_hi": [0.1]},
-        "initial_set": {"type": "vertices",
-                        "points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                                   [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
-        "horizon": 0.1,
-        "dt": 0.01,
-    }
     cfg = _write(tmp_path, raw)
     assert main(["check", "--config", cfg, "--quiet"]) == 0
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 1
-    assert "only for planar systems" in capsys.readouterr().err
+    assert capsys.readouterr().err == message
 
 
 def test_verify_save_endpoints(tmp_path):

@@ -221,6 +221,8 @@ def test_load_config_rejects_a_nan_horizon(tmp_path):
     ({"output": 0}, "output"),
     ({"output": ""}, "output"),
     ({"output": False}, "output"),
+    # reach failed with no location
+    ({"decomposition": {"method": "jacobian_sign"}}, "decomposition"),
 ])
 def test_check_rejects_what_reach_would(tmp_path, change, location):
     """Each of these passed validation and then crashed or failed in reach."""

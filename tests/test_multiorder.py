@@ -84,6 +84,42 @@ def test_reach_intersection_single_identity_is_box(bilinear):
     assert len(result.parallelotopes) == 1
 
 
+def test_reach_plan_lists_each_member_with_its_config_location(
+        example1_ptope):
+    box = mm.Box([0.0, -0.25], [0.75, 0.25])
+    verts = [np.array([0.0, 0.0]), np.array([1.0, -1.0]), np.array([0.5, 2.0])]
+    plan = mm.reach_plan(verts, (np.eye(2), T1))
+    assert [where for where, _ in plan] == ["transforms", "transforms"]
+    for (_, member), shape in zip(plan, (np.eye(2), T1)):
+        assert member == mm.Parallelotope(shape, mm.bounding_coords(verts, shape))
+    assert mm.reach_plan(box, (T1,)) == [
+        ("transforms", mm.Parallelotope(T1, mm.bounding_coords(box.corners(), T1)))]
+    other = mm.Parallelotope(T2, box)
+    union = mm.UnionInitialSet((example1_ptope, other))
+    assert mm.reach_plan(union, None) == [
+        ("initial_set.members[0].shape", example1_ptope),
+        ("initial_set.members[1].shape", other)]
+    assert mm.reach_plan(example1_ptope, None) == [
+        ("initial_set.shape", example1_ptope)]
+    # a box stays a box, and a bare vertex set reaches as its bounding box
+    assert mm.reach_plan(box, None) == [("initial_set", box)]
+    (where, member), = mm.reach_plan(verts, None)
+    assert where == "initial_set" and type(member) is mm.Box
+    assert member == mm.Box([0.0, -1.0], [1.0, 2.0])
+
+
+def test_reach_intersection_of_a_region_is_that_of_its_corners(bilinear,
+                                                               example1_ptope):
+    spec = mm.ReachSpec(0.5, 1e-2)
+    shapes = mm.default_transform_family(3)
+    from_region = mm.reach_intersection(bilinear, shapes, example1_ptope, spec)
+    from_corners = mm.reach_intersection(bilinear, shapes,
+                                         example1_ptope.corners(), spec)
+    assert from_region.parallelotopes == from_corners.parallelotopes
+    assert from_region.areas == from_corners.areas
+    assert from_region.intersection == from_corners.intersection
+
+
 def test_reach_intersection_areas_non_increasing(bilinear, example1_ptope):
     spec = mm.ReachSpec(1.0, 5e-3)
     verts = mm.ptope_vertices(example1_ptope)

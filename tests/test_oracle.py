@@ -301,9 +301,9 @@ def test_integrate_batch_matches_the_per_step_reference(name):
 
 
 def test_divergent_rows_are_counted_and_never_witnesses():
-    """Diverged rows are dropped from the batch: the sampler counts exactly
-    the reference's, and a diverged search row is no backward witness even
-    where its last finite state lies in the target."""
+    """Diverged rows stay in the batch and are found after the last step:
+    the sampler counts exactly the reference's, and a diverged search row is
+    no backward witness even where its last finite state lies in the target."""
     spec = mm.ReachSpec(1.0, 0.01)
     sizes = _step_sizes(spec.horizon, spec.dt)
     x0 = mm.Box([-1.0], [20.0])
