@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -196,6 +197,10 @@ def cmd_reach(args):
 
 
 def cmd_verify(args):
+    # a negative or non-finite scale would fail only after the whole reach
+    scale = args.debug_scale
+    if not (math.isfinite(scale) and scale >= 0.0):
+        raise ConfigError(f"--debug-scale must be finite and nonnegative, got {scale}")
     cfg = _apply_overrides(load_config(args.config), args)
     init = cfg.initial_set
     if isinstance(init, list):

@@ -13,7 +13,7 @@ non-finite component.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -37,6 +37,7 @@ CONSISTENCY_TOL = 1e-6
 
 _GRID_DENSE = 9  # fallback search lattice, per free coordinate
 _MAX_FREE_DIMS = 6
+_MAX_PROBE_DIMS = 20  # the probe nests one loop per coordinate; Python allows 20
 _DESCENT_MAX_ROUNDS = 500
 
 
@@ -149,62 +150,28 @@ def _probe_signs(y, z, free, fi, minimize):
     """Finite-difference signs on the 3^k probe lattice.
 
     Returns the induced corner when every free coordinate is sign-stable,
-    else None (at the first coordinate seen with both signs).
+    else None (at the first coordinate seen with both signs). Runs the
+    generated ``probe`` for k = len(free).
     """
-    levels = []  # per free coordinate: its three probe records
-    for c, (target, idx, lo, hi) in enumerate(free):
-        records = []
-        for base in (lo, 0.5 * (lo + hi), hi):
-            step = exprlang.FD_STEP * max(1.0, abs(base))
-            records.append((c, target, idx, base, base + step, base - step, step))
-        levels.append(records)
-    has_pos = [False] * len(free)
-    has_neg = [False] * len(free)
-    for assignment in itertools.product(*levels):
-        for _, target, idx, base, _, _, _ in assignment:
-            target[idx] = base
-        for c, target, idx, base, plus, minus, step in assignment:
-            target[idx] = plus
-            f_plus = fi(y, z)
-            target[idx] = minus
-            f_minus = fi(y, z)
-            target[idx] = base
-            fd = f_plus - f_minus
-            # _sign_tol(f_plus, f_minus) * 2.0 * step, inline; scale is
-            # max(1.0, a, b) by comparisons, NaN included
-            a, b = abs(f_plus), abs(f_minus)
-            scale = a if a > 1.0 else 1.0
-            if b > scale:
-                scale = b
-            tol = 1e-9 * scale * 2.0 * step
-            if fd > tol:
-                if has_neg[c]:
-                    return None
-                has_pos[c] = True
-            elif fd < -tol:
-                if has_pos[c]:
-                    return None
-                has_neg[c] = True
-    corner = []
-    for c, (_, _, lo, hi) in enumerate(free):
-        nondecreasing = has_pos[c] or not has_neg[c]
-        if minimize:
-            corner.append(lo if nondecreasing else hi)
-        else:
-            corner.append(hi if nondecreasing else lo)
-    return corner
+    k = len(free)
+    if k > _MAX_PROBE_DIMS:
+        raise SizeLimitError(
+            f"tight subproblem has {k} free coordinates; the probe lattice refuses > {_MAX_PROBE_DIMS}"
+        )
+    return _kernel("probe", k)(y, z, free, fi, minimize)
 
 
 def _grid_descent(system, i, y, z, free, fi, minimize):
     """Dense-grid search (vectorized over the lattice) plus coordinate
-    descent refined to the optimizer tolerance."""
+    descent refined to the optimizer tolerance, by the generated
+    ``descend`` for k = len(free)."""
     k = len(free)
     if k > _MAX_FREE_DIMS:
         raise SizeLimitError(
             f"tight subproblem has {k} free coordinates; dense search refuses > {_MAX_FREE_DIMS}"
         )
     flip = 1.0 if minimize else -1.0
-    axes = [np.linspace(lo, hi, _GRID_DENSE) for _, _, lo, hi in free]
+    axes = [_axis(lo, hi) for _, _, lo, hi in free]
     # the lattice rows in C order over the axes (meshgrid "ij" raveled)
     shape = (_GRID_DENSE,) * k
     X = np.empty(shape + (len(y),))
@@ -212,42 +179,141 @@ def _grid_descent(system, i, y, z, free, fi, minimize):
     X[...] = y
     W[...] = z
     for c, (target, idx, _, _) in enumerate(free):
-        (X if target is y else W)[..., idx] = axes[c].reshape(
-            [-1 if a == c else 1 for a in range(k)])
+        (X if target is y else W)[..., idx] = np.reshape(
+            axes[c], [-1 if a == c else 1 for a in range(k)])
     values = flip * system.component_batch_fn(i)(X.reshape(-1, len(y)),
                                                  W.reshape(-1, len(z)))
-    best = int(np.argmin(values))
-    best_g = float(values[best])
-    point = [float(a[r]) for a, r in zip(axes, np.unravel_index(best, shape))]
+    best = int(values.argmin())
+    point = [a[r] for a, r in zip(axes, np.unravel_index(best, shape))]
+    return _kernel("descend", k)(y, z, free, fi, flip, point, float(values[best]))
 
-    for (target, idx, _, _), value in zip(free, point):
-        target[idx] = value
-    steps = [(hi - lo) / (_GRID_DENSE - 1.0) for _, _, lo, hi in free]
-    for _ in range(_DESCENT_MAX_ROUNDS):
-        if max(steps) < OPTIMIZER_TOL:
-            break
-        improved = False
-        for c, (target, idx, lo, hi) in enumerate(free):
-            p = point[c]
-            for delta in (steps[c], -steps[c]):
-                # min(hi, max(lo, p + delta)), NaN included
-                cand = p + delta
-                if not cand > lo:
-                    cand = lo
-                if not cand < hi:
-                    cand = hi
-                if cand == p:
-                    continue
-                target[idx] = cand
-                g = flip * fi(y, z)
-                if g < best_g:
-                    best_g = g
-                    p = cand
-                    improved = True
-            target[idx] = point[c] = p
-        if not improved:
-            steps = [0.5 * s for s in steps]
-    return flip * best_g
+
+def _axis(lo, hi):
+    """``np.linspace(lo, hi, _GRID_DENSE)`` as a list of floats, bit for
+    bit: lo + r * step, with numpy's branch for a step that underflows to 0,
+    and hi last."""
+    span = _GRID_DENSE - 1
+    delta = hi - lo
+    step = delta / span
+    if step == 0:
+        return [r / span * delta + lo for r in range(span)] + [hi]
+    return [r * step + lo for r in range(span)] + [hi]
+
+
+# The loops of the tight search, written out for k free coordinates. Free
+# coordinate c is the locals t<c>[i<c>] (its slot in y or z), lo<c> and hi<c>;
+# the probe adds b/u/d/s<c> (base, base + step, base - step, step) and its
+# sign flags pos<c>, neg<c>; the descent adds p<c> (its point) and s<c> (its
+# step). The probe's tolerance is _sign_tol(fp, fm) * 2.0 * step inline, its
+# scale max(1.0, |fp|, |fm|) by comparisons, NaN included; the descent clamps
+# as min(hi, max(lo, cand)) would, NaN included.
+
+_PROBE_LEVELS = """\
+sl = FD_STEP * max(1.0, abs(lo{c}))
+mid = 0.5 * (lo{c} + hi{c})
+sm = FD_STEP * max(1.0, abs(mid))
+sh = FD_STEP * max(1.0, abs(hi{c}))
+L{c} = ((lo{c}, lo{c} + sl, lo{c} - sl, sl), (mid, mid + sm, mid - sm, sm),
+      (hi{c}, hi{c} + sh, hi{c} - sh, sh))
+"""
+
+_PROBE_STEP = """\
+t{c}[i{c}] = u{c}
+fp = fi(y, z)
+t{c}[i{c}] = d{c}
+fm = fi(y, z)
+t{c}[i{c}] = b{c}
+fd = fp - fm
+scale = 1.0
+if fp > scale:
+    scale = fp
+elif -fp > scale:
+    scale = -fp
+if fm > scale:
+    scale = fm
+elif -fm > scale:
+    scale = -fm
+tol = 1e-9 * scale * 2.0 * s{c}
+if fd > tol:
+    if neg{c}:
+        return None
+    pos{c} = True
+elif fd < -tol:
+    if pos{c}:
+        return None
+    neg{c} = True
+"""
+
+_DESCENT_STEP = """\
+cand = p{c} {op} s{c}
+if not cand > lo{c}:
+    cand = lo{c}
+if not cand < hi{c}:
+    cand = hi{c}
+if cand != p{c}:
+    t{c}[i{c}] = cand
+    g = flip * fi(y, z)
+    if g < best:
+        best = g
+        p{c} = cand
+        improved = True
+"""
+
+
+def _indent(block, depth):
+    return "".join("    " * depth + line + "\n" for line in block.splitlines())
+
+
+def _probe_source(k):
+    """``probe``: a loop over the three levels of each free coordinate, the
+    last innermost (the lattice in ``itertools.product`` order); at each
+    point the k central differences in coordinate order."""
+    cs = range(k)
+    src = "def probe(y, z, free, fi, minimize):\n"
+    src += _indent("".join(f"(t{c}, i{c}, lo{c}, hi{c}), " for c in cs) + "= free", 1)
+    src += _indent("".join(_PROBE_LEVELS.format(c=c) for c in cs), 1)
+    src += _indent("".join(f"pos{c} = neg{c} = " for c in cs) + "False", 1)
+    for c in cs:
+        src += _indent(f"for b{c}, u{c}, d{c}, s{c} in L{c}:\n    t{c}[i{c}] = b{c}", c + 1)
+    src += _indent("".join(_PROBE_STEP.format(c=c) for c in cs), k + 1)
+    # a coordinate is nondecreasing unless only negative differences were seen
+    low = ", ".join(f"lo{c} if pos{c} or not neg{c} else hi{c}" for c in cs)
+    high = ", ".join(f"hi{c} if pos{c} or not neg{c} else lo{c}" for c in cs)
+    return src + _indent(f"if minimize:\n    return [{low}]\nreturn [{high}]", 1)
+
+
+def _descent_source(k):
+    """``descend``: coordinate descent from the grid's best point, each round
+    a step up then down per coordinate; the steps halve after a round
+    without improvement."""
+    cs = range(k)
+    steps = f"max({', '.join(f's{c}' for c in cs)})" if k > 1 else "s0"
+    src = "def descend(y, z, free, fi, flip, point, best):\n"
+    src += _indent("".join(f"(t{c}, i{c}, lo{c}, hi{c}), " for c in cs) + "= free", 1)
+    src += _indent("".join(f"p{c}, " for c in cs) + "= point", 1)
+    src += _indent("".join(f"t{c}[i{c}] = p{c}\ns{c} = (hi{c} - lo{c}) / STEPS\n"
+                           for c in cs), 1)
+    src += _indent(f"for _ in range(ROUNDS):\n"
+                   f"    if {steps} < TOL:\n"
+                   f"        break\n"
+                   f"    improved = False", 1)
+    src += _indent("".join(_DESCENT_STEP.format(c=c, op="+")
+                           + _DESCENT_STEP.format(c=c, op="-")
+                           + f"t{c}[i{c}] = p{c}\n" for c in cs), 2)
+    src += _indent("if not improved:\n" + "".join(f"    s{c} = 0.5 * s{c}\n" for c in cs), 2)
+    return src + _indent("return flip * best", 1)
+
+
+@functools.cache
+def _kernel(name, k):
+    """The generated ``probe`` or ``descend`` for k free coordinates, built
+    on first use."""
+    source = {"probe": _probe_source, "descend": _descent_source}[name](k)
+    env = {"abs": abs, "max": max, "range": range, "FD_STEP": exprlang.FD_STEP,
+           "STEPS": _GRID_DENSE - 1.0, "ROUNDS": _DESCENT_MAX_ROUNDS,
+           "TOL": OPTIMIZER_TOL, "__builtins__": {}}
+    exec(source, env)
+    return env[name]
 
 
 def tight_decomposition(system):

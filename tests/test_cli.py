@@ -512,6 +512,21 @@ def test_verify_rejects_non_planar_vertices_before_the_pipeline(tmp_path, capsys
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("scale", ["-1", "nan", "inf"])
+def test_verify_rejects_a_bad_debug_scale_before_the_pipeline(tmp_path, capsys,
+                                                              monkeypatch, scale):
+    def unreachable(cfg):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr("mmreach.cli.run_reach", unreachable)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", "example1", "--dt", "0.05", "--out", str(out),
+                 "--quiet", "--debug-scale", scale]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --debug-scale must be finite and nonnegative, got {float(scale)}\n")
+    assert not out.exists()
+
+
 def test_verify_save_endpoints(tmp_path):
     cfg = _write(tmp_path, _fast_box_config())
     out = tmp_path / "out"

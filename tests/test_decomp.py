@@ -238,6 +238,173 @@ def test_tight_field_calls_are_pinned(monkeypatch):
     assert (len(calls), digest) == (
         1286, "62b1cf7d005f6a1f668bf66f2838a84767592a96a0b9702cfea2787bdf78ba18")
 
+def test_tight_descent_is_pinned_at_three_and_four_free_coordinates(monkeypatch):
+    """The generated search at k = 3 and 4, beyond the reach of TIGHT_PINS'
+    descent rows: both orientations take the probe and then the descent,
+    with these values and these field calls."""
+    field = "x2^2 + x3^2 - x2*x3*w1"
+    systems = [
+        mm.SystemDef.from_strings(3, 1, [field, "x1", "x2"], [0.0], [0.5]),
+        mm.SystemDef.from_strings(3, 2, [field + " + w2^2", "x1", "x2"],
+                                  [0.0, -0.5], [0.5, 0.5]),
+    ]
+    calls, paths = [], []
+    for system in systems:
+        def scalar(i, _fn=system.component_fn):
+            fi = _fn(i)
+
+            def logged(y, z):
+                value = fi(y, z)
+                calls.append((i, tuple(y), tuple(z), value))
+                return value
+            return logged
+
+        def batch(i, _fn=system.component_batch_fn):
+            fb = _fn(i)
+
+            def logged(X, W):
+                values = fb(X, W)
+                calls.append((i, X.tolist(), W.tolist(), values.tolist()))
+                return values
+            return logged
+
+        monkeypatch.setattr(system, "component_fn", scalar)
+        monkeypatch.setattr(system, "component_batch_fn", batch)
+    for name in ("_probe_signs", "_grid_descent"):
+        def spy(*args, _fn=getattr(decomp, name), _name=name):
+            paths.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(decomp, name, spy)
+    x, xh = [0.3, -0.4, -0.5], [0.6, 0.7, 0.9]
+    got = []
+    for system, w, wh in zip(systems, ([0.0], [0.0, -0.5]), ([0.5], [0.5, 0.5])):
+        d = mm.tight_decomposition(system)
+        for args in ((x, w, xh, wh), (xh, wh, x, w)):
+            got.append(d.evaluate_component(0, *args).hex())
+    assert got == ["0x1.6999999999369p-22", "0x1.4cccccccccccdp+0",
+                   "0x1.6999999999369p-22", "0x1.8cccccccccccdp+0"]
+    assert paths == ["_probe_signs", "_grid_descent"] * 4
+    digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+    assert (len(calls), digest) == (
+        7251, "56508adc24e9895bc79b037e0944e78377b416dea9931e7ab15444c667259aff")
+
+
+def _interpreted_probe(y, z, free, fi, minimize):
+    """The probe as an interpreted loop over ``itertools.product``: the
+    reference the generated one must match call for call."""
+    levels = []
+    for c, (target, idx, lo, hi) in enumerate(free):
+        records = []
+        for base in (lo, 0.5 * (lo + hi), hi):
+            step = mm.exprlang.FD_STEP * max(1.0, abs(base))
+            records.append((c, target, idx, base, base + step, base - step, step))
+        levels.append(records)
+    has_pos = [False] * len(free)
+    has_neg = [False] * len(free)
+    for assignment in itertools.product(*levels):
+        for _, target, idx, base, _, _, _ in assignment:
+            target[idx] = base
+        for c, target, idx, base, plus, minus, step in assignment:
+            target[idx] = plus
+            f_plus = fi(y, z)
+            target[idx] = minus
+            f_minus = fi(y, z)
+            target[idx] = base
+            fd = f_plus - f_minus
+            tol = decomp._sign_tol(f_plus, f_minus) * 2.0 * step
+            if fd > tol:
+                if has_neg[c]:
+                    return None
+                has_pos[c] = True
+            elif fd < -tol:
+                if has_pos[c]:
+                    return None
+                has_neg[c] = True
+    corner = []
+    for c, (_, _, lo, hi) in enumerate(free):
+        nondecreasing = has_pos[c] or not has_neg[c]
+        if minimize:
+            corner.append(lo if nondecreasing else hi)
+        else:
+            corner.append(hi if nondecreasing else lo)
+    return corner
+
+
+def _interpreted_descent(y, z, free, fi, flip, point, best):
+    """The coordinate descent as an interpreted loop: the reference the
+    generated one must match call for call."""
+    for (target, idx, _, _), value in zip(free, point):
+        target[idx] = value
+    steps = [(hi - lo) / 8.0 for _, _, lo, hi in free]
+    for _ in range(500):
+        if max(steps) < decomp.OPTIMIZER_TOL:
+            break
+        improved = False
+        for c, (target, idx, lo, hi) in enumerate(free):
+            p = point[c]
+            for delta in (steps[c], -steps[c]):
+                cand = min(hi, max(lo, p + delta))
+                if cand == p:
+                    continue
+                target[idx] = cand
+                g = flip * fi(y, z)
+                if g < best:
+                    best, p, improved = g, cand, True
+            target[idx] = point[c] = p
+        if not improved:
+            steps = [0.5 * s for s in steps]
+    return flip * best
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_generated_search_loops_match_the_interpreted_ones(k, rng):
+    """Random boxes, in both orientations, over a field that is monotone in
+    some coordinates and not in others: each generated loop returns what the
+    interpreted one does, with the same field calls in the same order, and
+    leaves y and z as it does."""
+    system = mm.SystemDef.from_strings(
+        4, 3, ["x2^2 - x3*x4 + sin(3*w1)*w2 - w3^3", "x1", "x2", "x3"],
+        [-1.0, 0.0, -1.0], [1.0, 0.5, 1.0])
+    fi = system.component_fn(0)
+    for case in range(6):
+        y, z = rng.uniform(-1, 1, 4).tolist(), rng.uniform(-1, 1, 3).tolist()
+        slots = [(y, 1), (y, 2), (y, 3), (z, 0), (z, 1), (z, 2)]
+        picked = rng.choice(6, k, replace=False)
+        free = []
+        for s in sorted(picked):
+            target, idx = slots[s]
+            lo, hi = sorted(rng.uniform(-1.5, 1.5, 2))
+            free.append((target, idx, float(lo), float(hi)))
+        minimize = case % 2 == 0
+        flip = 1.0 if minimize else -1.0
+        point = [float(rng.uniform(lo, hi)) for _, _, lo, hi in free]
+        runs = []
+        for probe, descend in ((decomp._kernel("probe", k), decomp._kernel("descend", k)),
+                               (_interpreted_probe, _interpreted_descent)):
+            calls = []
+
+            def logged(a, b):
+                calls.append((tuple(a), tuple(b)))
+                return fi(a, b)
+
+            ys, zs = list(y), list(z)
+            mine = [(ys if t is y else zs, i, lo, hi) for t, i, lo, hi in free]
+            corner = probe(ys, zs, mine, logged, minimize)
+            value = descend(ys, zs, mine, logged, flip, list(point),
+                            flip * fi(ys, zs))
+            runs.append((corner, value.hex(), calls, ys, zs))
+        assert runs[0] == runs[1], (k, case)
+
+
+def test_tight_probe_refuses_more_free_coordinates_than_it_nests():
+    # 21 free disturbances: the generated probe nests one loop per coordinate
+    system = mm.SystemDef.from_strings(1, 21, ["w21^2"], [-1.0] * 21, [1.0] * 21)
+    d = mm.tight_decomposition(system)
+    with pytest.raises(SizeLimitError, match="21 free coordinates; the probe lattice"):
+        d.evaluate([0.0], [-1.0] * 21, [0.0], [1.0] * 21)
+
+
 def test_tight_search_refuses_too_many_free_coordinates():
     # seven free disturbances, and w7^2 is not monotone over [-1, 1]
     system = mm.SystemDef.from_strings(1, 7, ["w7^2"], [-1.0] * 7, [1.0] * 7)
