@@ -4,7 +4,7 @@
 machine-readable results (JSON, CSV area curve, plain vertex files for
 plotting). ``verify`` samples trajectories against the freshly computed
 over-approximation and exits 2 on any soundness violation, distinguishing
-that from crashes (exit 1).
+that from crashes and from an audit that found no point to check (exit 1).
 """
 
 from __future__ import annotations
@@ -235,11 +235,21 @@ def cmd_verify(args):
     doc = report.to_jsonable()
     doc["divergent"] = divergent
     doc["debug_scale"] = args.debug_scale
-    (out / "verify_report.json").write_text(json.dumps(doc, indent=2) + "\n")
+    (out / "verify_report.json").write_text(
+        json.dumps(doc, indent=2, allow_nan=False) + "\n")
     if args.save_endpoints:
         header = ",".join(f"x{i + 1}" for i in range(cfg.system.n))
         np.savetxt(out / "endpoints.csv", points, delimiter=",", header=header,
                    comments="", fmt="%.17g")
+    if report.total == 0:
+        # an audit of no point shows nothing about the bound: a failure of
+        # the run (exit 1), not a soundness violation (exit 2)
+        count = cfg.sampling.count
+        if cfg.spec.direction == "backward":
+            raise MmreachError(f"no backward witness in {count} samples: "
+                               f"nothing was audited")
+        raise MmreachError(f"all {count} trajectories diverged: nothing was "
+                           f"audited")
     if not args.quiet:
         print(f"audited {report.total} points: {report.violations} violations, "
               f"worst margin {report.worst_margin:.3e}")

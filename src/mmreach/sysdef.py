@@ -87,10 +87,12 @@ class SystemDef:
         return np.array(values)
 
     def eval_field_batch(self, X, W):
-        """Vectorized field over rows of X (N, n) and W (N, m)."""
+        """Vectorized field over rows of X (N, n) and W (N, m), as a
+        column-major (N, n) array: each component is one contiguous
+        column."""
         X = np.asarray(X, dtype=float)
         W = np.asarray(W, dtype=float)
-        out = np.empty((X.shape[0], self.n))
+        out = np.empty((X.shape[0], self.n), order="F")
         for i, fn in enumerate(self._batch_fns):
             out[:, i] = fn(X, W)
         return out

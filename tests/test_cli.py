@@ -352,6 +352,58 @@ def test_verify_backward_run(tmp_path, capsys):
         "error: backward verify needs sampling.search_lo/search_hi\n")
 
 
+def _strict_json(text):
+    """The JSON document ``text``; Infinity and NaN, which RFC 8259 has no
+    token for, fail the test."""
+    def reject(token):
+        pytest.fail(f"{token} in a JSON document")
+    return json.loads(text, parse_constant=reject)
+
+
+_NOTHING_AUDITED = {
+    # the search box lies far outside the backward reachable set
+    "backward": ({
+        "system": "bilinear",
+        "initial_set": {"type": "parallelotope",
+                        "shape": [[1.0, -2.0], [1.0, 1.0]],
+                        "lo": [0.0, -0.25], "hi": [0.25, 0.0]},
+        "horizon": 1.0,
+        "dt": 0.01,
+        "direction": "backward",
+        "sampling": {"count": 2000, "seed": 5,
+                     "search_lo": [20.0, 20.0], "search_hi": [21.0, 21.0]},
+    }, 0, "no backward witness in 2000 samples: nothing was audited"),
+    # x' = x^2 from 1 escapes at t = 1; the closed form, the tangent at
+    # x = 1, matches the field on the diagonal at the initial point only,
+    # so its bound stays finite and is unsound
+    "forward": ({
+        "system": {"n": 1, "m": 1, "field": ["x1*x1 + w1"],
+                   "w_lo": [0.0], "w_hi": [0.0]},
+        "initial_set": {"type": "box", "lo": [1.0], "hi": [1.0]},
+        "horizon": 2.0,
+        "dt": 0.01,
+        "decomposition": {"method": "closed_form", "sources": ["2*x1 - 1 + w1"]},
+        "sampling": {"count": 50, "seed": 0},
+    }, 50, "all 50 trajectories diverged: nothing was audited"),
+}
+
+
+@pytest.mark.parametrize("direction", sorted(_NOTHING_AUDITED))
+def test_verify_that_audits_no_point_fails(tmp_path, capsys, direction):
+    """A run that audits nothing used to pass (exit 0) and write
+    ``Infinity`` as the worst margin; it now writes strict JSON and fails
+    (exit 1, not the soundness violation's 2) with the cause."""
+    raw, divergent, message = _NOTHING_AUDITED[direction]
+    cfg = _write(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    doc = _strict_json((out / "verify_report.json").read_text())
+    assert doc["total"] == 0 and doc["violations"] == 0
+    assert doc["worst_margin"] is None
+    assert doc["divergent"] == divergent
+
+
 _HULL_POINTS = [[0.0, 0.0], [0.75, -0.25], [0.6, 0.25], [0.1, 0.2]]
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mmreach as mm
+from mmreach import oracle
 from mmreach.embed import _rk4, _step_sizes
 from mmreach.errors import DimensionMismatchError
 from mmreach.oracle import _draw_signals, _integrate_batch, _sample_initial
@@ -282,11 +283,14 @@ def _batch_case(name):
     return system, starts, levels, steps, sizes
 
 
-@pytest.mark.parametrize("name", [
+_BATCH_CASES = [
     "switch_at_step_0", "two_switches_at_one_step", "switch_at_last_step",
     "no_switches", "remainder", "zero_horizon", "diverge_at_different_steps",
     "diverge_all_at_once",
-])
+]
+
+
+@pytest.mark.parametrize("name", _BATCH_CASES)
 def test_integrate_batch_matches_the_per_step_reference(name):
     system, starts, levels, steps, sizes = _batch_case(name)
     ref_X, ref_alive = _reference_batch(system, starts, levels, steps, sizes)
@@ -298,6 +302,55 @@ def test_integrate_batch_matches_the_per_step_reference(name):
         assert not alive[::25].any()
     if name == "diverge_all_at_once":
         assert not alive.any() and X.shape == (0, 1)
+
+
+@pytest.mark.parametrize("name", _BATCH_CASES)
+def test_row_blocks_are_invisible(name, monkeypatch):
+    """300 rows in blocks of 64, four full blocks and a 44-row remainder,
+    give the per-step reference's bits."""
+    monkeypatch.setattr(oracle, "_BLOCK", 64)
+    test_integrate_batch_matches_the_per_step_reference(name)
+
+
+def _sample_and_search(system):
+    """Corner-first forward endpoints and backward witnesses of one small
+    run each."""
+    spec = mm.ReachSpec(0.5, 0.01)
+    cfg = mm.SampleConfig(count=500, seed=9, init_mode="corners_plus_uniform")
+    x0 = mm.Box([-0.5, -0.5], [0.5, 0.5])
+    target = mm.Parallelotope(np.eye(2), mm.Box([-0.5, 0.0], [0.5, 1.0]))
+    return (mm.sample_endpoints(system, x0, spec, cfg).points,
+            mm.backward_witnesses(system, target, spec,
+                                  mm.SampleConfig(count=500, seed=9), x0))
+
+
+def test_sampling_is_the_same_at_any_block_size(trig, monkeypatch):
+    points, witnesses = _sample_and_search(trig)
+    assert len(witnesses) > 0
+    monkeypatch.setattr(oracle, "_BLOCK", 7)
+    small_points, small_witnesses = _sample_and_search(trig)
+    assert _same_bits(small_points, points)
+    assert _same_bits(small_witnesses, witnesses)
+
+
+def test_the_field_sees_every_trajectory_step_as_one_row(bilinear, monkeypatch):
+    """A profiler counts trajectory steps as the rows of the field's X: every
+    call gets a 2-D (rows, n) array, and the rows sum to four RK4 stages per
+    step per trajectory, corner rows included."""
+    seen = []
+    field = mm.SystemDef.eval_field_batch
+
+    def spy(self, X, W):
+        seen.append(X.shape)
+        return field(self, X, W)
+
+    monkeypatch.setattr(mm.SystemDef, "eval_field_batch", spy)
+    monkeypatch.setattr(oracle, "_BLOCK", 128)
+    steps = len(_step_sizes(0.5, 0.01))
+    _sample_and_search(bilinear)
+    assert all(len(shape) == 2 and shape[1] == bilinear.n for shape in seen)
+    assert sum(rows for rows, _ in seen) == 2 * 4 * steps * 500
+    assert max(rows for rows, _ in seen) == 128
 
 
 def test_divergent_rows_are_counted_and_never_witnesses():

@@ -146,3 +146,33 @@ def test_transformed_batch_matches_scalar(cubic, rng):
     batch = trans.eval_field_batch(Y, W)
     for i in range(40):
         assert np.allclose(batch[i], trans.eval_field(Y[i], W[i]), atol=1e-13)
+
+
+# every batch operation: sin cos tan exp sqrt abs min max ^ / and negation
+_EVERY_OP = mm.SystemDef.from_strings(
+    2, 2,
+    ["sin(x1) + cos(x2) / tan(w1) - exp(-x1) ^ 2",
+     "sqrt(abs(x2 - w2)) * min(x1, w1, x2) + max(-x2, w2) / x1"],
+    [-1.0, -1.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("name", ["bilinear", "cubic", "trig", "every_op"])
+def test_batch_layout_does_not_change_bits(name, rng):
+    """The oracle holds its state column-major; every batch function and the
+    field give the same bytes on a C-ordered (N, n) input and on its
+    column-major copy, rows of +-inf and NaN included."""
+    system = _EVERY_OP if name == "every_op" else mm.preset_system(name)
+    X = rng.uniform(-3.0, 3.0, (501, system.n))
+    W = rng.uniform(system.dist.lo, system.dist.hi, (501, system.m))
+    for rows, value in ((slice(0, 500, 7), np.inf), (slice(3, 500, 11), -np.inf),
+                        (slice(5, 500, 13), np.nan)):
+        X[rows, rows.start % system.n] = value
+        W[rows, 0] = value
+    FX, FW = np.asfortranarray(X), np.asfortranarray(W)
+    assert FX.flags.f_contiguous and not FX.flags.c_contiguous
+    for i in range(system.n):
+        fn = system.component_batch_fn(i)
+        assert fn(X, W).tobytes() == fn(FX, FW).tobytes()
+    c_out, f_out = system.eval_field_batch(X, W), system.eval_field_batch(FX, FW)
+    assert f_out.flags.f_contiguous and c_out.tobytes() == f_out.tobytes()
+    assert not np.isfinite(c_out).all() and np.isfinite(c_out).any()
