@@ -154,6 +154,19 @@ def _scaled_region(region, scale):
     return shrink(region)
 
 
+def _verify_rejection(cfg):
+    """Why ``verify`` rejects ``cfg`` before it reaches, or None. ``reach``
+    runs such a config, so ``check`` passes it with a note."""
+    init = cfg.initial_set
+    if isinstance(init, list) and len(init) > 1 and cfg.system.n != 2:
+        # the audit samples the hull of the vertices, built in the plane only
+        return "verify supports vertex initial sets only for planar systems"
+    if cfg.spec.direction == "backward" and cfg.search_box is None:
+        # the witness search draws its starts from that box
+        return "backward verify needs sampling.search_lo/search_hi"
+    return None
+
+
 def cmd_check(args):
     cfg = load_config(args.config)
     # prepare every embedding the run integrates: a transformed field may not
@@ -170,6 +183,10 @@ def cmd_check(args):
         print(f"configuration OK: system n={cfg.system.n} m={cfg.system.m}, "
               f"initial set {cfg.initial_kind}, horizon {cfg.spec.horizon}, "
               f"direction {cfg.spec.direction}")
+        reason = _verify_rejection(cfg)
+        if reason is not None:
+            print(f"note: verify rejects this configuration: {reason}",
+                  file=sys.stderr)
     return 0
 
 
@@ -202,21 +219,15 @@ def cmd_verify(args):
     if not (math.isfinite(scale) and scale >= 0.0):
         raise ConfigError(f"--debug-scale must be finite and nonnegative, got {scale}")
     cfg = _apply_overrides(load_config(args.config), args)
+    reason = _verify_rejection(cfg)
+    if reason is not None:
+        raise ConfigError(reason)
     init = cfg.initial_set
     if isinstance(init, list):
         # the bound covers the polytope spanned by the vertices, so the
         # audit must sample exactly that hull
         verts = np.array([np.asarray(v) for v in init])
-        if len(verts) == 1:
-            init = Box(verts[0], verts[0])
-        elif cfg.system.n == 2:
-            init = convex_hull_2d(verts)
-        else:
-            raise ConfigError(
-                "verify supports vertex initial sets only for planar systems"
-            )
-    if cfg.spec.direction == "backward" and cfg.search_box is None:
-        raise ConfigError("backward verify needs sampling.search_lo/search_hi")
+        init = Box(verts[0], verts[0]) if len(verts) == 1 else convex_hull_2d(verts)
     outcome = run_reach(cfg)
     region = _scaled_region(outcome.audit_region(), args.debug_scale)
     if cfg.spec.direction == "backward":

@@ -139,18 +139,47 @@ def _rk4(f, x, sizes, post):
     After step ``s`` ends at time ``t``, ``post(x, x_new, t, s)`` does the
     caller's bookkeeping and returns the state to continue from. Returns the
     final state.
+
+    Array parts are combined in place, through the same IEEE operations in
+    the same order as float parts: each stage state is built in one buffer
+    per part that ``_rk4`` owns, and k2, k3 and k4 fold into k1, which
+    becomes the new state. So ``f`` must return arrays that nothing else
+    holds, and ``f`` and ``post`` must not keep the stage state they are
+    given; the old state handed to ``post`` is never written.
     """
+    if len(x) and isinstance(x[0], np.ndarray):
+        buffers = [np.empty_like(a) for a in x]
+
+        def stage(x, c, k):
+            for a, b, o in zip(x, k, buffers):
+                np.multiply(c, b, out=o)
+                np.add(a, o, out=o)
+            return buffers
+
+        def combine(x, h6, k1, k2, k3, k4):
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4):
+                np.add(b1, np.multiply(2.0, b2, out=b2), out=b1)
+                np.add(b1, np.multiply(2.0, b3, out=b3), out=b1)
+                np.add(b1, b4, out=b1)
+                np.multiply(h6, b1, out=b1)
+                np.add(a, b1, out=b1)
+            return k1
+    else:
+        def stage(x, c, k):
+            return [a + c * b for a, b in zip(x, k)]
+
+        def combine(x, h6, k1, k2, k3, k4):
+            return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                    for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
     t = 0.0
     for s, h in enumerate(sizes):
         hh = 0.5 * h
         k1 = f(x, t)
-        k2 = f([a + hh * b for a, b in zip(x, k1)], t + hh)
-        k3 = f([a + hh * b for a, b in zip(x, k2)], t + hh)
-        k4 = f([a + h * b for a, b in zip(x, k3)], t + h)
+        k2 = f(stage(x, hh, k1), t + hh)
+        k3 = f(stage(x, hh, k2), t + hh)
+        k4 = f(stage(x, h, k3), t + h)
         t += h
-        h6 = h / 6.0
-        x = post(x, [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                     for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)], t, s)
+        x = post(x, combine(x, h / 6.0, k1, k2, k3, k4), t, s)
     return x
 
 

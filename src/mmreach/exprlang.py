@@ -306,6 +306,30 @@ _BATCH_TABLE = _table(lambda v: f"{v.kind}[:, {v.index}]", {
 })
 
 
+# the numpy ufunc of each operator of _BATCH_TABLE, which ``batch_into_fn``
+# calls with ``out=``
+_UFUNCS = {"neg": "negative", "+": "add", "-": "subtract", "*": "multiply",
+           "/": "divide", "^": "power", "abs": "absolute", "min": "minimum",
+           "max": "maximum", **{f: f for f in ("sin", "cos", "tan", "exp", "sqrt")}}
+
+
+def _has_var(node):
+    return isinstance(node, Var) or any(map(_has_var, _children(node)))
+
+
+def _batch_into_code(node):
+    """A statement writing the batch value of ``node`` into the 1-D array
+    ``o``: the root operator's ufunc with ``out=o`` over the ``_BATCH_TABLE``
+    code of its operands, or a copy where no operator runs per row (a
+    constant, a bare variable, an expression of constants)."""
+    if not _has_var(node) or not _children(node):
+        return f"o[...] = {_gen(node, _BATCH_TABLE)}"
+    args = [_gen(child, _BATCH_TABLE) for child in _children(node)]
+    if node.op in ("min", "max"):  # the outermost call of the right fold
+        args = [args[0], _BATCH_TABLE[node.op](*args[1:])]
+    return f"np.{_UFUNCS[node.op]}({', '.join(args)}, out=o)"
+
+
 def to_source(node):
     """Canonical fully-parenthesized form; reparses to the same tree."""
     return _gen(node, _SOURCE_TABLE)
@@ -346,7 +370,7 @@ class ExprAst:
     Immutable after construction; evaluation is pure and reentrant.
     """
 
-    __slots__ = ("root", "n", "m", "_scalar", "_batch")
+    __slots__ = ("root", "n", "m", "_scalar", "_batch", "_into")
 
     def __init__(self, root, n, m):
         self.root = root
@@ -354,6 +378,7 @@ class ExprAst:
         self.m = m
         self._scalar = None
         self._batch = None
+        self._into = None
 
     @property
     def source(self):
@@ -391,6 +416,17 @@ class ExprAst:
 
             self._batch = wrapped
         return self._batch
+
+    def batch_into_fn(self):
+        """Compiled callable(X, W, out) writing the ``batch_fn`` values into
+        the float64 array ``out`` of one value per row, with the same IEEE
+        operations. Floating-point warnings are the caller's to silence."""
+        if self._into is None:
+            code = f"def fn(x, w, o):\n    {_batch_into_code(self.root)}\n"
+            env = dict(_BATCH_ENV)
+            exec(code, env)
+            self._into = env["fn"]
+        return self._into
 
 
 def _row(exprs, x, w):

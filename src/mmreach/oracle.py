@@ -29,7 +29,7 @@ CONTAINMENT_TOL = 1e-9
 DEFAULT_CELL = 0.02
 
 _CHUNK = 250_000
-_BLOCK = 1 << 15  # rows integrated together: 512 KB per (N, 2) array
+_BLOCK = 1 << 14  # rows integrated together: 256 KB per (N, 2) array
 _CORNER_LEVEL_PROB = 0.2  # per-segment chance of an extreme disturbance level
 
 
@@ -87,7 +87,9 @@ class ContainmentReport:
 
     @property
     def ok(self):
-        return self.violations == 0
+        """True when at least one point was audited and none violated: an
+        audit of no point shows nothing about the region."""
+        return self.total > 0 and self.violations == 0
 
     def to_jsonable(self):
         return {
@@ -142,8 +144,10 @@ def _integrate_batch(system, X, levels, switch_steps, sizes):
     Row ``r`` is driven by ``levels[r, k]`` over the steps at which ``k`` of
     its ``switch_steps`` have passed: a switch at step ``s`` in
     [0, len(sizes)] applies from step ``s`` on. Rows are independent, so the
-    batch is integrated in blocks of _BLOCK rows, whose RK4 temporaries stay
-    in a core's L2 cache; the blocks change no value. Every row stays in the
+    batch is integrated in blocks of _BLOCK rows, whose RK4 buffers and
+    field results stay in a core's L2 cache; the blocks change no value.
+    ``X`` is never written: the witness search reads it afterwards, and
+    ``_rk4`` may receive it uncopied. Every row stays in the
     batch for every step: each RK4 update adds to the state, so a component
     that turns non-finite stays non-finite, and one finiteness test after
     the last step finds the diverged rows. Returns (endpoints of the alive
@@ -164,9 +168,9 @@ def _integrate_block(system, X, levels, switch_steps, sizes):
 
     The state and the disturbances are column-major (N, n) and (N, m)
     arrays, so the batch code's ``x[:, i]`` reads contiguous memory; the
-    field and the RK4 arithmetic keep that layout. The switch events are
-    grouped by step once, and each step updates only the rows that switch
-    there.
+    field and the in-place RK4 arithmetic keep that layout. The switch
+    events are grouped by step once, and each step updates only the rows
+    that switch there.
     """
     count, switch_count = switch_steps.shape
     # switch events grouped by step. The steps lie in [0, last] and so fit a

@@ -87,14 +87,18 @@ class SystemDef:
         return np.array(values)
 
     def eval_field_batch(self, X, W):
-        """Vectorized field over rows of X (N, n) and W (N, m), as a
-        column-major (N, n) array: each component is one contiguous
-        column."""
+        """Vectorized field over rows of X (N, n) and W (N, m), as a fresh
+        column-major (N, n) array: each component is one contiguous column,
+        which its last operation writes into directly. The values are the
+        ``component_batch_fn`` values bit for bit. The code that writes a
+        column is compiled at the first call: it nests no deeper than
+        ``component_batch_fn``'s, so it compiles too."""
         X = np.asarray(X, dtype=float)
         W = np.asarray(W, dtype=float)
         out = np.empty((X.shape[0], self.n), order="F")
-        for i, fn in enumerate(self._batch_fns):
-            out[:, i] = fn(X, W)
+        with np.errstate(all="ignore"):
+            for i, expr in enumerate(self.field):
+                expr.batch_into_fn()(X, W, out[:, i])
         return out
 
 

@@ -564,6 +564,27 @@ def test_verify_rejects_non_planar_vertices_before_the_pipeline(tmp_path, capsys
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("raw, reason", [
+    (_NON_PLANAR_VERTICES,
+     "verify supports vertex initial sets only for planar systems"),
+    (_BACKWARD_WITHOUT_SEARCH_BOX,
+     "backward verify needs sampling.search_lo/search_hi"),
+], ids=["non-planar-vertices", "backward-without-search-box"])
+def test_check_notes_a_config_verify_rejects(tmp_path, capsys, raw, reason):
+    """reach runs these configs, so check passes them; without --quiet it
+    names the reason verify rejects them, in verify's own words."""
+    cfg = _write(tmp_path, raw)
+    assert main(["check", "--config", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("configuration OK")
+    assert err == f"note: verify rejects this configuration: {reason}\n"
+    assert main(["check", "--config", cfg, "--quiet"]) == 0
+    assert capsys.readouterr() == ("", "")
+    # a backward config with its search box gets no note
+    assert main(["check", "--config", "example1_backward"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("scale", ["-1", "nan", "inf"])
 def test_verify_rejects_a_bad_debug_scale_before_the_pipeline(tmp_path, capsys,
                                                               monkeypatch, scale):

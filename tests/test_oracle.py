@@ -93,6 +93,12 @@ def test_audit_containment_basics():
     assert rep.witnesses[0][:2] == [2.0, 0.5]
 
 
+def test_an_audit_of_no_point_is_not_ok():
+    rep = mm.audit_containment(np.empty((0, 2)), mm.Box([0.0, 0.0], [1.0, 1.0]))
+    assert rep.total == 0 and rep.violations == 0
+    assert not rep.ok
+
+
 def test_audit_union_and_intersection_semantics():
     a = mm.Box([0.0], [1.0])
     b = mm.Box([0.5], [2.0])
@@ -351,6 +357,53 @@ def test_the_field_sees_every_trajectory_step_as_one_row(bilinear, monkeypatch):
     assert all(len(shape) == 2 and shape[1] == bilinear.n for shape in seen)
     assert sum(rows for rows, _ in seen) == 2 * 4 * steps * 500
     assert max(rows for rows, _ in seen) == 128
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "one_column"])
+def test_integrate_batch_never_writes_the_starts(layout):
+    """The witness search reads the starts after integrating them. A
+    column-major or one-column batch is integrated with no copy of its
+    starts (np.asfortranarray returns it as it is), so the in-place RK4
+    must never write its first state."""
+    system, starts, levels, steps, sizes = _batch_case("no_switches")
+    if layout == "F":
+        starts = np.asfortranarray(starts)
+    elif layout == "one_column":
+        system = mm.SystemDef.from_strings(1, 1, ["-x1 + w1"], [0.0], [1.0])
+        starts = starts[:, :1].copy()
+        levels = levels[:, :, :1]
+    assert (np.asfortranarray(starts) is starts) == (layout != "C")
+    before = starts.copy()
+    X, alive = _integrate_batch(system, starts, levels, steps, sizes)
+    assert alive.all() and not np.array_equal(X, before)
+    assert _same_bits(starts, before)
+
+
+def test_rk4_hands_post_an_unmodified_old_state(bilinear):
+    """Array parts are combined in place, yet each step hands ``post`` the
+    old state as it was, and the new state is the float parts' bits: the
+    same IEEE operations in the same order as ``simulate``'s per-row loop."""
+    rng = np.random.default_rng(5)
+    x0 = np.asfortranarray(rng.uniform(-0.5, 0.5, (40, 2)))
+    w = [0.125]
+    W = np.full((40, 1), w[0], order="F")
+    sizes = _step_sizes(0.205, 0.01)
+    seen = [x0.tobytes()]
+
+    def field(parts, _t):
+        return [bilinear.eval_field_batch(parts[0], W)]
+
+    def post(old, new, _t, _s):
+        assert old[0].tobytes() == seen[-1]
+        assert not np.shares_memory(old[0], new[0])
+        seen.append(new[0].tobytes())
+        return new
+
+    final, = _rk4(field, [x0], sizes, post)
+    assert len(seen) == len(sizes) + 1 and x0.tobytes() == seen[0]
+    spec = mm.ReachSpec(0.205, 0.01)
+    rows = np.array([mm.simulate(bilinear, x, w, spec).final_state for x in x0])
+    assert _same_bits(np.ascontiguousarray(final), rows)
 
 
 def test_divergent_rows_are_counted_and_never_witnesses():

@@ -176,3 +176,44 @@ def test_batch_layout_does_not_change_bits(name, rng):
     c_out, f_out = system.eval_field_batch(X, W), system.eval_field_batch(FX, FW)
     assert f_out.flags.f_contiguous and c_out.tobytes() == f_out.tobytes()
     assert not np.isfinite(c_out).all() and np.isfinite(c_out).any()
+
+
+# one component per kind of root: a constant, bare variables, an expression
+# of constants, negation, each unary function, ^, each infix operator, and
+# 3-argument min/max
+_EVERY_ROOT = ["2.5", "x2", "w1", "sin(1.0) + 2", "-(x1 * w1)",
+               "sin(x1 + x2)", "cos(x1 * x2)", "tan(x2)", "exp(x1)",
+               "abs(x1 - w1)", "sqrt(x2)", "x1 ^ x2", "x2 ^ 3",
+               "min(x1, w1, x2)", "max(-x2, x1, 0.5)", "1 + x1", "x2 - 1",
+               "0.5 * x1", "w1 / x2"]
+
+
+def test_field_batch_writes_the_component_values_into_its_columns(rng):
+    """Each component's last operation writes into its column of the field;
+    the values are those of ``component_batch_fn`` bit for bit, on either
+    layout and on rows of +-inf and NaN, and no column aliases the input."""
+    n = len(_EVERY_ROOT)
+    system = mm.SystemDef.from_strings(n, 1, _EVERY_ROOT, [-1.0], [1.0])
+    X = rng.uniform(-3.0, 3.0, (301, n))
+    W = rng.uniform(-1.0, 1.0, (301, 1))
+    for rows, value in ((slice(0, 300, 7), np.inf), (slice(3, 300, 11), -np.inf),
+                        (slice(5, 300, 13), np.nan)):
+        X[rows, rows.start % 2] = value
+        W[rows, 0] = value
+    for X, W in ((X, W), (np.asfortranarray(X), np.asfortranarray(W))):
+        out = system.eval_field_batch(X, W)
+        assert out.flags.f_contiguous and out.shape == (301, n)
+        assert not np.shares_memory(out, X) and not np.shares_memory(out, W)
+        for i in range(n):
+            assert out[:, i].tobytes() == system.component_batch_fn(i)(X, W).tobytes()
+        assert not np.isfinite(out).all() and np.isfinite(out).any()
+
+
+def test_field_batch_compiles_the_deepest_field_a_system_accepts():
+    """The column-writing code is compiled at the first batch call. It nests
+    less deeply than the batch code the system compiles when it is built,
+    so the deepest field a system accepts still evaluates."""
+    system = mm.SystemDef.from_strings(1, 1, ["-" * 198 + "x1"], [0.0], [0.1])
+    X, W = np.array([[1.5], [-2.0]]), np.zeros((2, 1))
+    out = system.eval_field_batch(X, W)
+    assert out.tobytes() == system.component_batch_fn(0)(X, W).tobytes()
