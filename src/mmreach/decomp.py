@@ -540,6 +540,8 @@ def check_decomposition(d: Decomposition, probes=1000, seed=0, domain=None):
     domain, else the unit box). Violations beyond ``CHECK_SLACK`` are counted
     and up to 10 witnesses recorded.
     """
+    if probes < 1:  # a check of no probe would pass vacuously
+        raise DimensionMismatchError("need at least one probe")
     system = d.system
     n, m = d.n, d.m
     if domain is None:

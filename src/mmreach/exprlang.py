@@ -28,8 +28,6 @@ import numpy as np
 from .errors import DimensionMismatchError, EvalError, ParseError
 
 MAX_DEPTH = 256
-# CPython refuses source that opens more than 200 brackets at once
-MAX_CODE_NESTING = 200
 FD_STEP = 1e-6
 
 _UNARY_FUNCS = ("sin", "cos", "tan", "exp", "abs", "sqrt")
@@ -335,21 +333,6 @@ def to_source(node):
     return _gen(node, _SOURCE_TABLE)
 
 
-def _code_nesting(node):
-    """Deepest bracket nesting of the compiled code of ``node``, counting the
-    one level that encloses a function body (``(...)`` or ``[...]``)."""
-    deepest = 1
-    for table in (_SCALAR_TABLE, _BATCH_TABLE):
-        depth = 1
-        for ch in _gen(node, table):
-            if ch in "([":
-                depth += 1
-                deepest = max(deepest, depth)
-            elif ch in ")]":
-                depth -= 1
-    return deepest
-
-
 # the scalar code catches the two exception types (see _scalar_compile)
 _SCALAR_ENV = {
     **{f: getattr(math, f) for f in ("sin", "cos", "tan", "exp", "sqrt", "pow")},
@@ -370,14 +353,13 @@ class ExprAst:
     Immutable after construction; evaluation is pure and reentrant.
     """
 
-    __slots__ = ("root", "n", "m", "_scalar", "_batch", "_into")
+    __slots__ = ("root", "n", "m", "_scalar", "_into")
 
     def __init__(self, root, n, m):
         self.root = root
         self.n = n
         self.m = m
         self._scalar = None
-        self._batch = None
         self._into = None
 
     @property
@@ -399,28 +381,22 @@ class ExprAst:
         return self._scalar
 
     def batch_fn(self):
-        """Compiled callable(X, W) over (N, n) and (N, m) arrays."""
-        if self._batch is None:
-            code = f"lambda x, w: ({_gen(self.root, _BATCH_TABLE)})"
-            fn = eval(code, dict(_BATCH_ENV))
+        """Compiled callable(X, W) over (N, n) and (N, m) arrays, returning a
+        fresh float64 array of one value per row (``batch_into_fn``'s)."""
+        into = self.batch_into_fn()
 
-            def wrapped(X, W, _fn=fn):
-                with np.errstate(all="ignore"):
-                    out = _fn(X, W)
-                # a fresh per-row array is returned as it is; a constant, a
-                # scalar or a view of X or W (a bare x1) is broadcast read-only
-                if (type(out) is np.ndarray and out.base is None
-                        and out.dtype == np.float64 and out.shape == X.shape[:1]):
-                    return out
-                return np.broadcast_to(np.asarray(out, dtype=float), (X.shape[0],))
+        def fn(X, W):
+            out = np.empty(X.shape[0])
+            with np.errstate(all="ignore"):
+                into(X, W, out)
+            return out
 
-            self._batch = wrapped
-        return self._batch
+        return fn
 
     def batch_into_fn(self):
-        """Compiled callable(X, W, out) writing the ``batch_fn`` values into
-        the float64 array ``out`` of one value per row, with the same IEEE
-        operations. Floating-point warnings are the caller's to silence."""
+        """Compiled callable(X, W, out) writing the value at each row into
+        the float64 array ``out`` of one value per row. Floating-point
+        warnings are the caller's to silence."""
         if self._into is None:
             code = f"def fn(x, w, o):\n    {_batch_into_code(self.root)}\n"
             env = dict(_BATCH_ENV)
@@ -500,20 +476,22 @@ def parse(src, n, m):
     1-based column on syntax errors, unknown identifiers, out-of-range
     variable indices and non-finite numbers.
 
-    Every accepted tree compiles in each backend: an expression whose
-    generated code would nest more than ``MAX_CODE_NESTING`` brackets is a
-    ParseError too.
+    Every accepted tree compiles: ``parse`` compiles its scalar and batch
+    code, and code that CPython refuses (more than 200 nested brackets) is a
+    ParseError carrying the compiler's message.
     """
     if not src or not src.strip():
         raise ParseError("empty expression", src, 1)
     root = _Parser(src, n, m).parse()
     if _depth(root) > MAX_DEPTH:
         raise ParseError(f"expression deeper than {MAX_DEPTH}", src, 1)
-    nesting = _code_nesting(root)
-    if nesting > MAX_CODE_NESTING:
-        raise ParseError(f"expression compiles to {nesting} nested brackets, "
-                         f"more than {MAX_CODE_NESTING}", src, 1)
-    return ExprAst(root, n, m)
+    expr = ExprAst(root, n, m)
+    try:
+        expr.scalar_fn()
+        expr.batch_into_fn()
+    except SyntaxError as exc:
+        raise ParseError(f"expression does not compile: {exc.msg}", src, 1) from exc
+    return expr
 
 
 def _locate_nonfinite(node, x, w):

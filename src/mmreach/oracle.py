@@ -273,8 +273,11 @@ def audit_containment(points, region, tol=CONTAINMENT_TOL):
     (transformed) coordinates. A list or tuple of regions is their union;
     wrap members in RegionIntersection to require membership in all of them.
     Points with margin < -tol count as violations; up to 10 worst witnesses
-    are recorded.
+    are recorded. ``tol`` must be finite and nonnegative.
     """
+    if not 0.0 <= tol < np.inf:  # a NaN tol would count no violation
+        raise DimensionMismatchError(
+            f"tol must be finite and nonnegative, got {tol}")
     if isinstance(region, (list, tuple)):
         region = UnionInitialSet(region)
     if not isinstance(region, Region):

@@ -27,15 +27,14 @@ class SystemDef:
             raise DimensionMismatchError(
                 f"disturbance box has dimension {dist.dim}, declared m={m}"
             )
-        scalar_fns, batch_fns = [], []
         for i, expr in enumerate(field):
             if expr.n > n or expr.m > m:
                 raise DimensionMismatchError(
                     f"field component {i + 1} references undeclared variables"
                 )
-            try:
-                scalar_fns.append(expr.scalar_fn())
-                batch_fns.append(expr.batch_fn())
+            try:  # the code the embedding and the oracle run
+                expr.scalar_fn()
+                expr.batch_into_fn()
             except SyntaxError as exc:  # a composed field can nest too deeply
                 raise ExprError(f"field component {i + 1} does not compile: "
                                 f"{exc.msg}") from exc
@@ -44,8 +43,6 @@ class SystemDef:
         self.field = tuple(field)
         self.dist = dist
         self.name = name
-        self._scalar_fns = tuple(scalar_fns)
-        self._batch_fns = tuple(batch_fns)
 
     @classmethod
     def from_strings(cls, n, m, sources, w_lo, w_hi, name=""):
@@ -61,15 +58,15 @@ class SystemDef:
 
     def field_values(self, x, w):
         """Raw componentwise evaluation; no finiteness checks (hot path)."""
-        return [fn(x, w) for fn in self._scalar_fns]
+        return [e.scalar_fn()(x, w) for e in self.field]
 
     def component_fn(self, i):
         """Raw compiled scalar callable for component i (hot loops)."""
-        return self._scalar_fns[i]
+        return self.field[i].scalar_fn()
 
     def component_batch_fn(self, i):
         """Vectorized callable for component i over (N, n), (N, m) arrays."""
-        return self._batch_fns[i]
+        return self.field[i].batch_fn()
 
     def eval_field(self, x, w):
         """F(x, w) as an array; non-finite components raise EvalError."""
@@ -89,10 +86,7 @@ class SystemDef:
     def eval_field_batch(self, X, W):
         """Vectorized field over rows of X (N, n) and W (N, m), as a fresh
         column-major (N, n) array: each component is one contiguous column,
-        which its last operation writes into directly. The values are the
-        ``component_batch_fn`` values bit for bit. The code that writes a
-        column is compiled at the first call: it nests no deeper than
-        ``component_batch_fn``'s, so it compiles too."""
+        which its last operation writes into directly."""
         X = np.asarray(X, dtype=float)
         W = np.asarray(W, dtype=float)
         out = np.empty((X.shape[0], self.n), order="F")

@@ -57,7 +57,8 @@ def test_check_rejects_expressions_too_deep_to_compile(tmp_path, capsys,
             "method": "closed_form",
             "sources": ["max(" + ", ".join(["x2"] * 260) + ")", "x1 + 1"]}
     assert main(["check", "--config", _write(tmp_path, raw)]) == 1
-    assert f"error: {location}: expression compiles to" in capsys.readouterr().err
+    assert (f"error: {location}: expression does not compile: too many nested "
+            "parentheses") in capsys.readouterr().err
 
 
 def test_check_singular_shape(tmp_path, capsys):

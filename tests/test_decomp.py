@@ -584,6 +584,13 @@ def test_check_skips_zero_width_state_axes(bilinear):
     assert report.ok()
 
 
+@pytest.mark.parametrize("probes", [0, -5])
+def test_check_refuses_to_pass_on_no_probe(bilinear, probes):
+    """A check of no probe returned a report whose ok() was True."""
+    with pytest.raises(DimensionMismatchError):
+        mm.check_decomposition(mm.tight_decomposition(bilinear), probes=probes)
+
+
 def test_check_flags_planted_fault(bilinear):
     # increasing dependence on the partner state: violates the sign conditions
     broken = mm.closed_form_decomposition(

@@ -301,20 +301,18 @@ def test_batch_matches_scalar(rng):
 
 
 def test_batch_results_never_alias_their_inputs(rng):
-    """A fresh per-row result comes back as it is; a constant, a scalar, and
-    a bare variable (a view of X or W) come back as read-only broadcasts."""
+    """Every result is a fresh, writable array of one value per row: a
+    constant and a bare variable (once a view of X or W) too."""
     X = rng.uniform(-2, 2, (16, 2))
     W = rng.uniform(-1, 1, (16, 1))
-    for src, fresh in (("x1*x2 - w1", True), ("2.5", False), ("x2", False),
-                       ("w1", False)):
+    for src in ("x1*x2 - w1", "2.5", "x2", "w1"):
         e = mm.parse(src, 2, 1)
         out = e.batch_fn()(X, W)
         assert out.shape == (16,) and out.dtype == np.float64
         assert out.tolist() == [e.scalar_fn()(x, w)
                                 for x, w in zip(X.tolist(), W.tolist())]
-        assert out.flags.writeable is fresh, src
-        if fresh:
-            assert not np.shares_memory(out, X) and not np.shares_memory(out, W)
+        assert out.flags.writeable, src
+        assert not np.shares_memory(out, X) and not np.shares_memory(out, W)
 
 
 def test_substitution_and_linear_combination():
@@ -343,24 +341,25 @@ def test_substitution_and_linear_combination():
 
 
 def test_every_accepted_tree_compiles(rng):
-    """Generated code nests one bracket per operator (a min/max folds into
-    nested calls in the batch backend), and CPython compiles at most 200
-    levels. parse rejects deeper trees, so the scalar, batch and
-    many-expression backends compile everything it accepts."""
+    """parse compiles the scalar and batch code of every tree it accepts, so
+    the scalar, batch and many-expression backends compile everything it
+    accepts. Generated code nests one bracket per operator (a min/max folds
+    into nested calls in the batch backend), and CPython compiles at most
+    200 levels; the parser's own depth limit binds the other shapes."""
     # both raised SyntaxError at compile time instead of a ParseError
     with pytest.raises(ParseError):
         mm.parse("-" * 200 + "x1", 1, 0)
     with pytest.raises(ParseError):
         mm.parse("max(" + ", ".join(["x1"] * 260) + ")", 1, 0)
     shapes = [
-        lambda k: "-" * k + "x1",
-        lambda k: "max(" + ", ".join(["x1"] * k) + ")",
-        lambda k: "min(x1, " * k + "w1" + ")" * k,
-        lambda k: "sin(" * k + "x1" + ")" * k,
-        lambda k: "x1" + "^x1" * k,
-        lambda k: "x1" + "/x1" * k,
+        (198, lambda k: "-" * k + "x1"),
+        (200, lambda k: "max(" + ", ".join(["x1"] * k) + ")"),
+        (63, lambda k: "min(x1, " * k + "w1" + ")" * k),
+        (63, lambda k: "sin(" * k + "x1" + ")" * k),
+        (126, lambda k: "x1" + "^x1" * k),
+        (198, lambda k: "x1" + "/x1" * k),
     ]
-    for shape in shapes:
+    for deepest, shape in shapes:
         k = 1
         while k < 400:
             try:
@@ -368,15 +367,21 @@ def test_every_accepted_tree_compiles(rng):
             except ParseError:
                 break
             k += 1
-        assert k < 400
+        assert k == deepest, shape(1)
         e = mm.parse(shape(k), 1, 1)
         X = rng.uniform(0.5, 1.5, (3, 1))
         W = rng.uniform(0.5, 1.5, (3, 1))
-        e.batch_fn()(X, W)
+        batch = e.batch_fn()(X, W)
+        field = mm.SystemDef(1, 1, [e], mm.Box([0.5], [1.5])).eval_field_batch(X, W)
+        assert field[:, 0].tobytes() == batch.tobytes()
         both = exprlang.scalar_list_fn([e.root, e.root])
         for x, w in zip(X.tolist(), W.tolist()):
             value = e.scalar_fn()(x, w)
             assert both(x, w) == [value, value]
+    # the batch code of a flat max nests one call per argument past the first
+    with pytest.raises(ParseError) as err:
+        mm.parse("max(" + ", ".join(["x1"] * 201) + ")", 1, 0)
+    assert "does not compile: too many nested parentheses" in str(err.value)
     with pytest.raises(ParseError) as err:
         mm.parse("x1 + 1e999", 1, 0)
     assert err.value.column == 6  # its literal would compile to a bare `inf`

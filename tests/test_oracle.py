@@ -99,6 +99,17 @@ def test_an_audit_of_no_point_is_not_ok():
     assert not rep.ok
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+def test_audit_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    """A NaN tol counted no violation: a point at margin -4 passed."""
+    with pytest.raises(DimensionMismatchError):
+        mm.audit_containment(np.array([[5.0, 5.0]]), mm.Box([0, 0], [1, 1]),
+                             tol=tol)
+    rep = mm.audit_containment(np.array([[5.0, 5.0]]), mm.Box([0, 0], [1, 1]),
+                               tol=0.0)
+    assert rep.violations == 1 and not rep.ok
+
+
 def test_audit_union_and_intersection_semantics():
     a = mm.Box([0.0], [1.0])
     b = mm.Box([0.5], [2.0])
@@ -219,30 +230,24 @@ def test_occupancy_estimate_converges(bilinear, example1_ptope):
 
 
 def _reference_batch(system, X, levels, switch_steps, sizes):
-    """The integrator the event-driven one replaced: every step recounts the
-    passed switches of every row, and a row that turns non-finite keeps its
-    last finite state. Returns (all rows, alive mask)."""
+    """The integrator the event-driven one replaced, with its own RK4 step:
+    every step recounts the passed switches of every row, builds each stage
+    out of place in the documented order, and a row that turns non-finite
+    keeps its last finite state. Returns (all rows, alive mask)."""
     rows = np.arange(X.shape[0])
     alive = np.ones(X.shape[0], dtype=bool)
-
-    def level_at(s):
-        return levels[rows, (switch_steps <= s).sum(axis=1), :]
-
-    W = level_at(0)
-
-    def field(X, _t):
-        return system.eval_field_batch(X, W)
-
-    def freeze(X, X_new, _t, s):
-        nonlocal W, alive
-        good = np.all(np.isfinite(X_new), axis=1)
-        alive &= good
-        if s + 1 < len(sizes):
-            W = level_at(s + 1)
-        return np.where(good[:, None], X_new, X)
-
     with np.errstate(all="ignore"):
-        X = _rk4(field, X, sizes, freeze)
+        for s, h in enumerate(sizes):
+            W = levels[rows, (switch_steps <= s).sum(axis=1), :]
+            hh = 0.5 * h
+            k1 = system.eval_field_batch(X, W)
+            k2 = system.eval_field_batch(X + hh * k1, W)
+            k3 = system.eval_field_batch(X + hh * k2, W)
+            k4 = system.eval_field_batch(X + h * k3, W)
+            X_new = X + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            good = np.all(np.isfinite(X_new), axis=1)
+            alive &= good
+            X = np.where(good[:, None], X_new, X)
     return X, alive
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mmreach as mm
+from mmreach import exprlang
 from mmreach.errors import DimensionMismatchError, EvalError, ExprError, GeometryError
 
 
@@ -207,6 +208,43 @@ def test_field_batch_writes_the_component_values_into_its_columns(rng):
         for i in range(n):
             assert out[:, i].tobytes() == system.component_batch_fn(i)(X, W).tobytes()
         assert not np.isfinite(out).all() and np.isfinite(out).any()
+
+
+def _lambda_batch_fn(expr):
+    """The batch code as one eval'd lambda of the whole ``_BATCH_TABLE`` code,
+    broadcast to one value per row: an independent reference for the
+    statement code of ``batch_into_fn``."""
+    fn = eval(f"lambda x, w: ({exprlang._gen(expr.root, exprlang._BATCH_TABLE)})",
+              {"np": np, "__builtins__": {}})
+
+    def batch(X, W):
+        with np.errstate(all="ignore"):
+            return np.broadcast_to(np.asarray(fn(X, W), dtype=float), X.shape[:1])
+
+    return batch
+
+
+def test_batch_code_matches_the_whole_tree_lambda(rng):
+    """``batch_fn`` and each column of ``eval_field_batch`` give the whole-tree
+    lambda's values bit for bit, for every kind of root, on either layout
+    and on rows of +-inf and NaN; every ``batch_fn`` result is fresh."""
+    n = len(_EVERY_ROOT)
+    system = mm.SystemDef.from_strings(n, 1, _EVERY_ROOT, [-1.0], [1.0])
+    X = rng.uniform(-3.0, 3.0, (301, n))
+    W = rng.uniform(-1.0, 1.0, (301, 1))
+    for rows, value in ((slice(0, 300, 7), np.inf), (slice(3, 300, 11), -np.inf),
+                        (slice(5, 300, 13), np.nan)):
+        X[rows, rows.start % 2] = value
+        W[rows, 0] = value
+    for X, W in ((X, W), (np.asfortranarray(X), np.asfortranarray(W))):
+        field = system.eval_field_batch(X, W)
+        for i, expr in enumerate(system.field):
+            expected = _lambda_batch_fn(expr)(X, W).tobytes()
+            out = expr.batch_fn()(X, W)
+            assert out.tobytes() == expected, _EVERY_ROOT[i]
+            assert field[:, i].tobytes() == expected, _EVERY_ROOT[i]
+            assert out.flags.writeable and out.flags.owndata
+            assert not np.shares_memory(out, X) and not np.shares_memory(out, W)
 
 
 def test_field_batch_compiles_the_deepest_field_a_system_accepts():
