@@ -10,8 +10,8 @@ builds its own decomposition (``combine``) calls ``integrate``.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from array import array
 from dataclasses import dataclass
 
@@ -102,10 +102,10 @@ def _ordered(v, n, where, t):
     the midpoint); anything larger aborts, since a real violation signals a
     bad decomposition or step size. An ordered state, or one with a NaN
     difference, keeps its values; the list returned may or may not be ``v``.
+    Callers skip it for a state that passes ``_order_test(n)``, so only a
+    state out of order or with a NaN is sliced and compared pair by pair.
     """
     lower, upper = v[:n], v[n:]
-    if all(map(operator.le, lower, upper)):
-        return v
     diff = [a - b for a, b in zip(lower, upper)]
     if any(x != x for x in diff):
         return v
@@ -120,6 +120,15 @@ def _ordered(v, n, where, t):
     return lower + upper
 
 
+@functools.cache
+def _order_test(n):
+    """``v[0] <= v[n] and ... and v[n - 1] <= v[2n - 1]`` as a function of
+    the stacked state v, compiled once per n: true exactly when no pair is
+    out of order or has a NaN, the states ``_ordered`` returns unchanged."""
+    chain = " and ".join(f"v[{i}] <= v[{n + i}]" for i in range(n)) or "True"
+    return eval(f"lambda v: {chain}", {"__builtins__": {}})
+
+
 def _step_sizes(horizon, dt):
     """Full ``dt`` steps up to ``horizon`` plus one shorter remainder step;
     a remainder at rounding scale is dropped."""
@@ -131,6 +140,35 @@ def _step_sizes(horizon, dt):
     return sizes
 
 
+@functools.cache
+def _float_steps(p):
+    """``_rk4``'s ``stage`` and ``combine`` for p float parts, compiled once
+    per p. Each unpacks its part lists into locals and writes the new parts
+    out term by term, ``a_i + c * b_i`` and
+    ``a_i + h6 * (b1_i + 2.0 * b2_i + 2.0 * b3_i + b4_i)``: the IEEE
+    operations of the array path, in the same order."""
+    def names(prefix):
+        return ", ".join(f"{prefix}{i}" for i in range(p))
+
+    def terms(template):
+        return ", ".join(template.format(i=i) for i in range(p))
+
+    new_part = "a{i} + h6 * (b1_{i} + 2.0 * b2_{i} + 2.0 * b3_{i} + b4_{i})"
+    source = (
+        f"def stage(x, c, k):\n"
+        f"    [{names('a')}] = x\n"
+        f"    [{names('b')}] = k\n"
+        f"    return [{terms('a{i} + c * b{i}')}]\n"
+        f"def combine(x, h6, k1, k2, k3, k4):\n"
+        f"    [{names('a')}] = x\n"
+        + "".join(f"    [{names(f'b{j}_')}] = k{j}\n" for j in range(1, 5))
+        + f"    return [{terms(new_part)}]\n"
+    )
+    env = {"__builtins__": {}}
+    exec(source, env)
+    return env["stage"], env["combine"]
+
+
 def _rk4(f, x, sizes, post):
     """Classical 4th-order Runge-Kutta over the step list ``sizes``.
 
@@ -140,12 +178,13 @@ def _rk4(f, x, sizes, post):
     caller's bookkeeping and returns the state to continue from. Returns the
     final state.
 
-    Array parts are combined in place, through the same IEEE operations in
-    the same order as float parts: each stage state is built in one buffer
-    per part that ``_rk4`` owns, and k2, k3 and k4 fold into k1, which
-    becomes the new state. So ``f`` must return arrays that nothing else
-    holds, and ``f`` and ``post`` must not keep the stage state they are
-    given; the old state handed to ``post`` is never written.
+    Float parts run the ``stage`` and ``combine`` that ``_float_steps``
+    generates for their count. Array parts are combined in place, through
+    the same IEEE operations in the same order: each stage state is built
+    in one buffer per part that ``_rk4`` owns, and k2, k3 and k4 fold into
+    k1, which becomes the new state. So ``f`` must return arrays that
+    nothing else holds, and ``f`` and ``post`` must not keep the stage
+    state they are given; the old state handed to ``post`` is never written.
     """
     if len(x) and isinstance(x[0], np.ndarray):
         buffers = [np.empty_like(a) for a in x]
@@ -165,12 +204,7 @@ def _rk4(f, x, sizes, post):
                 np.add(a, b1, out=b1)
             return k1
     else:
-        def stage(x, c, k):
-            return [a + c * b for a, b in zip(x, k)]
-
-        def combine(x, h6, k1, k2, k3, k4):
-            return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                    for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        stage, combine = _float_steps(len(x))
     t = 0.0
     for s, h in enumerate(sizes):
         hh = 0.5 * h
@@ -202,15 +236,22 @@ def integrate(d: Decomposition, x0: Box, spec: ReachSpec):
     times = [0.0]
     states = array("d", v0)
 
+    in_order = _order_test(n)
+
     def rhs(v, t):
-        return d.embedding_field(_ordered(v, n, "inside a step near", t))
+        if not in_order(v):
+            v = _ordered(v, n, "inside a step near", t)
+        return d.embedding_field(v)
 
     def record(_v, v, t, _s):
-        if not all(map(math.isfinite, v)):
+        # a finite sum has finite terms; only a sum that overflows or meets
+        # an inf or NaN needs the part-by-part test
+        if not (math.isfinite(sum(v)) or all(map(math.isfinite, v))):
             raise DivergenceError(
                 f"embedding state diverged near t={t:.6g}", last_time=times[-1]
             )
-        v = _ordered(v, n, "after the step to", t)
+        if not in_order(v):
+            v = _ordered(v, n, "after the step to", t)
         times.append(t)
         states.extend(v)
         return v

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mmreach as mm
+from mmreach.embed import _order_test, _ordered, _rk4, _step_sizes
 from mmreach.errors import (
     DimensionMismatchError,
     DivergenceError,
@@ -320,3 +321,160 @@ def test_trajectories_are_pinned_bit_for_bit(cubic, trig):
         (35, "678ea3ec6001cc11053f674031fe3b5ef98a0637f5118038f3f4a1394586b587",
          "eced116affbb4f3bf2285db033a06e3243f3a2512a350934291f8d978550757c"),
     ]
+
+
+def _reference_rk4(f, x, sizes):
+    """Every state of an out-of-place classical RK4 on a list of floats, in
+    the documented order: stage states ``a + c * b``, new states
+    ``a + h/6 * (b1 + 2.0*b2 + 2.0*b3 + b4)``."""
+    states, t = [x], 0.0
+    for h in sizes:
+        hh = 0.5 * h
+        k1 = f(x, t)
+        k2 = f([a + hh * b for a, b in zip(x, k1)], t + hh)
+        k3 = f([a + hh * b for a, b in zip(x, k2)], t + hh)
+        k4 = f([a + h * b for a, b in zip(x, k3)], t + h)
+        t += h
+        h6 = h / 6.0
+        x = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        states.append(x)
+    return states
+
+
+def _rk4_states(f, x, sizes):
+    states = [x]
+
+    def post(_x, x_new, _t, _s):
+        states.append(x_new)
+        return x_new
+
+    _rk4(f, x, sizes, post)
+    return states
+
+
+def _bits(states):
+    return np.array(states, dtype=float).tobytes()
+
+
+def _mixing_field(x, t):
+    p = len(x)
+    return [x[i] * x[(i + 1) % p] - 0.5 * x[i - 1] + t for i in range(p)]
+
+
+@pytest.mark.parametrize("special", [None, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("p", range(1, 7))
+def test_float_rk4_matches_an_out_of_place_reference(p, special, rng):
+    """The generated float stage and combine of every part count give the
+    reference's states bit for bit, through a shorter remainder step and
+    with an inf or NaN part."""
+    x0 = rng.uniform(-1.0, 1.0, p).tolist()
+    if special is not None:
+        x0[p // 2] = special
+    sizes = [0.1] * 10 + [0.03]
+    got = _rk4_states(_mixing_field, x0, sizes)
+    assert len(got) == 12
+    assert _bits(got) == _bits(_reference_rk4(_mixing_field, x0, sizes))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_simulate_matches_the_out_of_place_reference(n):
+    s = mm.SystemDef.from_strings(
+        n, 1, [f"x{i + 1}*x{(i + 1) % n + 1} - 0.5*x{(i - 1) % n + 1} + w1"
+               for i in range(n)], [-0.1], [0.1])
+
+    def w(t):
+        return [0.1 if t < 0.25 else -0.1]
+
+    x0 = [0.3, -0.2, 0.7][:n]
+    spec = mm.ReachSpec(1.03, 0.1)  # ten full steps and a 0.03 remainder
+    traj = mm.simulate(s, x0, w, spec)
+    ref = _reference_rk4(lambda x, t: s.field_values(x, w(t)), x0,
+                         _step_sizes(spec.horizon, spec.dt))
+    assert len(ref) == 12
+    assert traj.states.tobytes() == _bits(ref)
+
+
+def test_integrate_matches_the_out_of_place_reference(bilinear):
+    """An embedding that stays ordered is the reference RK4 of its field."""
+    d = mm.closed_form_decomposition(bilinear, mm.parse_closed_form(
+        bilinear, ["max(x1, 0)*x2 + min(x1, 0)*x4 + w1", "x1 + 1"]))
+    x0, spec = mm.Box([0.0, -0.25], [0.75, 0.25]), mm.ReachSpec(0.255, 0.01)
+    traj = mm.integrate(d, x0, spec)
+    ref = _reference_rk4(lambda v, _t: d.embedding_field(v),
+                         x0.lo.tolist() + x0.hi.tolist(),
+                         _step_sizes(spec.horizon, spec.dt))
+    assert len(ref) == 27
+    assert traj.states.tobytes() == _bits(ref)
+
+
+def _custom(component, w_lo=0.0, w_hi=1.0):
+    """A one-dimensional decomposition from a Python component: the lower
+    bound's field sees w = w_lo, the upper bound's w = w_hi."""
+    s = mm.SystemDef.from_strings(1, 1, ["0*x1"], [w_lo], [w_hi])
+    return mm.Decomposition(s, "custom", lambda i, x, w, xh, wh: component(x[0], w[0]))
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308])
+def test_a_state_whose_sum_overflows_is_finite(value):
+    """Every part is finite although their float sum is not."""
+    s = mm.SystemDef.from_strings(2, 1, ["0*x1", "0*x2"], [0.0], [0.0])
+    d = mm.Decomposition(s, "custom", lambda i, x, w, xh, wh: 0.0)
+    assert not math.isfinite(sum([value] * 4))
+    traj = mm.integrate(d, mm.Box([value] * 2, [value] * 2), mm.ReachSpec(1.0, 0.5))
+    assert traj.states.tolist() == [[value] * 4] * 3
+
+
+@pytest.mark.parametrize("component, time, last_time", [
+    (lambda x, w: 2.5e307, "8", 7.0),  # the state grows to +inf
+    (lambda x, w: -2.5e307, "8", 7.0),  # and to -inf
+    # k1 + 2*k2 is -inf and 2*k3 is +inf: the new state is NaN
+    (lambda x, w: 1.5e308 if x <= 0.0 else -1.5e308, "1", 0.0),
+])
+def test_a_state_with_an_inf_or_nan_part_diverges(component, time, last_time):
+    with pytest.raises(DivergenceError) as err:
+        mm.integrate(_custom(component), mm.Box([0.0], [0.0]), mm.ReachSpec(10.0, 1.0))
+    assert str(err.value) == f"embedding state diverged near t={time}"
+    assert err.value.last_time == last_time
+
+
+def test_an_order_violation_below_the_tolerance_is_snapped():
+    # the lower bound gains 5e-10 a unit of time, the upper bound nothing
+    d = _custom(lambda x, w: 5e-10 * (1.0 - w))
+    traj = mm.integrate(d, mm.Box([0.0], [0.0]), mm.ReachSpec(1.0, 1.0))
+    lower = 0.0 + 1.0 / 6.0 * (5e-10 + 2.0 * 5e-10 + 2.0 * 5e-10 + 5e-10)
+    assert lower - 0.0 == pytest.approx(5e-10)
+    assert traj.states.tolist() == [[0.0, 0.0], [0.5 * lower, 0.5 * lower]]
+
+
+def test_an_order_violation_above_the_tolerance_aborts():
+    # a stage state: the lower bound runs 1e-6 ahead at the half step
+    d = _custom(lambda x, w: 2e-6 * (1.0 - w))
+    with pytest.raises(StepOrderError) as err:
+        mm.integrate(d, mm.Box([0.0], [0.0]), mm.ReachSpec(1.0, 1.0))
+    assert str(err.value) == ("order violation 1.000e-06 inside a step near "
+                              "t=0.5; retry with a smaller dt")
+    # the stage states stay ordered (k1 = k2 = k3 = 1 at both bounds) and
+    # only k4 at x = 1 sets the lower bound 1e-6 ahead
+    d = _custom(lambda x, w: 1.0 if x < 0.75 else 1.0 + 6e-6 * (1.0 - w))
+    with pytest.raises(StepOrderError) as err:
+        mm.integrate(d, mm.Box([0.0], [0.0]), mm.ReachSpec(1.0, 1.0))
+    assert str(err.value) == ("order violation 1.000e-06 after the step to "
+                              "t=1; retry with a smaller dt")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_order_test_is_the_pairwise_comparison(n, rng):
+    pool = [0.0, -0.0, 1.0, -1.0, 1e-300, math.inf, -math.inf, math.nan]
+    for _ in range(300):
+        v = [pool[k] for k in rng.integers(0, len(pool), 2 * n)]
+        assert _order_test(n)(v) == all(a <= b for a, b in zip(v[:n], v[n:]))
+
+
+@pytest.mark.parametrize("v", [
+    [math.nan, 5.0, 0.0, 1.0],  # x2 out of order by 4, but x1's gap is NaN
+    [math.inf, 5.0, math.inf, 1.0],  # inf - inf is NaN
+])
+def test_a_nan_difference_keeps_its_values(v):
+    assert not _order_test(2)(v)
+    assert _bits(_ordered(list(v), 2, "after the step to", 1.0)) == _bits(v)

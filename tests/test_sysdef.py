@@ -248,9 +248,9 @@ def test_batch_code_matches_the_whole_tree_lambda(rng):
 
 
 def test_field_batch_compiles_the_deepest_field_a_system_accepts():
-    """The column-writing code is compiled at the first batch call. It nests
-    less deeply than the batch code the system compiles when it is built,
-    so the deepest field a system accepts still evaluates."""
+    """A system compiles each component's ``batch_into_fn`` when it is
+    built, and ``eval_field_batch`` runs that same code: so the deepest field
+    a system accepts evaluates in a batch, bit for bit as ``batch_fn``."""
     system = mm.SystemDef.from_strings(1, 1, ["-" * 198 + "x1"], [0.0], [0.1])
     X, W = np.array([[1.5], [-2.0]]), np.zeros((2, 1))
     out = system.eval_field_batch(X, W)
