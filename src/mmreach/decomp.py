@@ -32,6 +32,7 @@ from .errors import (
 from .geometry import Box
 
 OPTIMIZER_TOL = 1e-8
+FD_STEP = 1e-6  # the difference quotients of the tight probe and of the check
 CHECK_SLACK = 1e-7
 CONSISTENCY_TOL = 1e-6
 
@@ -52,10 +53,6 @@ def pair_order(x, w, xh, wh):
         f"arguments are unordered: x={list(x)}, w={list(w)}, "
         f"xh={list(xh)}, wh={list(wh)}"
     )
-
-
-def _sign_tol(f_plus, f_minus):
-    return 1e-9 * max(1.0, abs(f_plus), abs(f_minus))
 
 
 class Decomposition:
@@ -204,8 +201,8 @@ def _axis(lo, hi):
 # coordinate c is the locals t<c>[i<c>] (its slot in y or z), lo<c> and hi<c>;
 # the probe adds b/u/d/s<c> (base, base + step, base - step, step) and its
 # sign flags pos<c>, neg<c>; the descent adds p<c> (its point) and s<c> (its
-# step). The probe's tolerance is _sign_tol(fp, fm) * 2.0 * step inline, its
-# scale max(1.0, |fp|, |fm|) by comparisons, NaN included; the descent clamps
+# step). The probe's tolerance is 1e-9 * max(1.0, |fp|, |fm|) * 2.0 * step,
+# that scale by comparisons, NaN included; the descent clamps
 # as min(hi, max(lo, cand)) would, NaN included.
 
 _PROBE_LEVELS = """\
@@ -309,7 +306,7 @@ def _kernel(name, k):
     """The generated ``probe`` or ``descend`` for k free coordinates, built
     on first use."""
     source = {"probe": _probe_source, "descend": _descent_source}[name](k)
-    env = {"abs": abs, "max": max, "range": range, "FD_STEP": exprlang.FD_STEP,
+    env = {"abs": abs, "max": max, "range": range, "FD_STEP": FD_STEP,
            "STEPS": _GRID_DENSE - 1.0, "ROUNDS": _DESCENT_MAX_ROUNDS,
            "TOL": OPTIMIZER_TOL, "__builtins__": {}}
     exec(source, env)
@@ -336,11 +333,14 @@ def tight_decomposition(system):
 
 
 def _sampled_partials(system, domain, samples, seed):
-    """Central differences of every off-diagonal state entry and every
-    disturbance entry of the Jacobian at ``samples`` random points.
+    """Exact partials of every off-diagonal state entry and every disturbance
+    entry of the Jacobian at ``samples`` random points, one batch call each.
 
-    Yields (i, is_state, j, x, w, fd, zero_tol) entry by entry: for each
-    component i, its state entries j != i, then its disturbance entries.
+    Yields (i, kind, j, pos, neg) entry by entry: for each component i, its
+    state entries j != i, then its disturbance entries. ``pos``/``neg`` is
+    the first sampled (x, w, partial) beyond the zero tolerance
+    1e-9 * max(1, |F_i(x, w)|) on that side, or None; the tolerance absorbs
+    the partials of about 1e-16 that a transform leaves.
     """
     if domain.dim != system.n:
         raise DimensionMismatchError(
@@ -351,17 +351,14 @@ def _sampled_partials(system, domain, samples, seed):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(domain.lo, domain.hi, size=(samples, system.n))
     ws = rng.uniform(system.dist.lo, system.dist.hi, size=(samples, system.m))
-    for i in range(system.n):
-        fi = system.component_fn(i)
-        entries = [(True, j) for j in range(system.n) if j != i]
-        entries += [(False, k) for k in range(system.m)]
-        for is_state, j in entries:
-            for x, w in zip(xs, ws):
-                x, w = list(x), list(w)
-                probe = (lambda v: fi(v, w)) if is_state else (lambda v: fi(x, v))
-                fd, f_plus, f_minus = exprlang.central_difference(
-                    probe, x if is_state else w, j, exprlang.FD_STEP)
-                yield i, is_state, j, x, w, fd, _sign_tol(f_plus, f_minus)
+    for i, expr in enumerate(system.field):
+        tol = 1e-9 * np.fmax(1.0, np.abs(expr.batch_fn()(xs, ws)))
+        entries = [("x", j) for j in range(system.n) if j != i]
+        for kind, j in entries + [("w", k) for k in range(system.m)]:
+            d = exprlang.derivative_expr(expr, exprlang.Var(kind, j)).batch_fn()(xs, ws)
+            firsts = [side.argmax() if side.any() else None for side in (d > tol, d < -tol)]
+            yield i, kind, j, *[None if r is None else (xs[r].tolist(), ws[r].tolist(), float(d[r]))
+                                for r in firsts]
 
 
 def jacobian_sign_decomposition(system, domain, samples=200, seed=0):
@@ -369,30 +366,21 @@ def jacobian_sign_decomposition(system, domain, samples=200, seed=0):
     signs are uniform over ``domain``.
 
     The sign of every off-diagonal state partial and every disturbance
-    partial is estimated at ``samples`` random points; a sign-indefinite
-    entry raises SignIndefiniteError naming the entry and two witnesses.
+    partial is read at ``samples`` random points; a sign-indefinite entry
+    raises SignIndefiniteError naming the entry and the first sampled point
+    of each sign.
     """
     n, m = system.n, system.m
     # per component, each argument with a negative partial is read from its
     # hat copy: x_j from x_(n+j), w_k from w_(m+k)
     hats = [{} for _ in range(n)]
-    seen = {}  # (i, kind, j, sign) -> latest witness point
-
-    for i, is_state, j, x, w, fd, tol in _sampled_partials(system, domain,
-                                                            samples, seed):
-        if not abs(fd) > tol:  # within the zero tolerance, or NaN
-            continue
-        sign = 1 if fd > 0 else -1
-        seen[(i, is_state, j, sign)] = (x, w, fd)
-        kind = "x" if is_state else "w"
-        if (i, is_state, j, -sign) in seen:
+    for i, kind, j, pos, neg in _sampled_partials(system, domain, samples, seed):
+        if pos and neg:
             raise SignIndefiniteError(
                 f"dF{i + 1}/d{kind}{j + 1} changes sign over the sampled domain",
-                entry=(i + 1, j + 1),
-                witnesses=[seen[(i, is_state, j, 1)], seen[(i, is_state, j, -1)]],
-            )
-        if sign < 0:
-            hats[i][exprlang.Var(kind, j)] = exprlang.Var(kind, (n if is_state else m) + j)
+                entry=(i + 1, j + 1), witnesses=[pos, neg])
+        if neg:
+            hats[i][exprlang.Var(kind, j)] = exprlang.Var(kind, (n if kind == "x" else m) + j)
 
     exprs = [exprlang.ExprAst(exprlang.substitute(e.root, hats[i]), 2 * n, 2 * m)
              for i, e in enumerate(system.field)]
@@ -404,17 +392,13 @@ def monotone_decomposition(system, domain, samples=200, seed=0):
 
     All off-diagonal state partials and all disturbance partials must be
     nonnegative at every sampled point; a violation raises NotMonotoneError
-    with the witness.
+    with the first sampled point of the first such entry.
     """
-    for i, is_state, j, x, w, fd, tol in _sampled_partials(system, domain,
-                                                            samples, seed):
-        if fd < -tol:
-            kind = "x" if is_state else "w"
+    for i, kind, j, _, neg in _sampled_partials(system, domain, samples, seed):
+        if neg:
             raise NotMonotoneError(
-                f"dF{i + 1}/d{kind}{j + 1} = {fd:.3e} < 0 at a sampled point",
-                witness=(x, w, fd),
-            )
-
+                f"dF{i + 1}/d{kind}{j + 1} = {neg[2]:.3e} < 0 at a sampled point",
+                witness=neg)
     return _Compiled(system, "monotone", system.field, domain)
 
 
@@ -570,11 +554,17 @@ def check_decomposition(d: Decomposition, probes=1000, seed=0, domain=None):
             witnesses.append((cond, i + 1, j + 1, side, fd))
 
     def fd_of(i, group, j, args):
-        # group: 0 = x, 1 = w, 2 = xh, 3 = wh
-        def f(v):
+        # a central difference, since tight and combined have no tree to
+        # differentiate; group: 0 = x, 1 = w, 2 = xh, 3 = wh
+        v = list(args[group])
+        base = v[j]
+        step = FD_STEP * max(1.0, abs(base))
+
+        def f(t):
+            v[j] = t
             return d.evaluate_component(i, *args[:group], v, *args[group + 1:])
 
-        return exprlang.central_difference(f, args[group], j, exprlang.FD_STEP)[0]
+        return (f(base + step) - f(base - step)) / (2.0 * step)
 
     for p in range(probes):
         x_lo, x_hi = _ordered_pair(rng, domain.lo, domain.hi, gap_min)

@@ -53,8 +53,9 @@ class EvalError(ExprError):
 class SignIndefiniteError(MmreachError):
     """A Jacobian entry changed sign over the sampled domain.
 
-    ``entry`` is the 1-based (i, j) index pair; ``witnesses`` holds two
-    sample points with finite differences of opposite sign.
+    ``entry`` is the 1-based (i, j) index pair; ``witnesses`` holds the first
+    sampled (x, w, partial) with a positive partial, then the first with a
+    negative one.
     """
 
     def __init__(self, message, entry, witnesses):

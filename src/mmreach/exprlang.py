@@ -10,7 +10,8 @@ Grammar (whitespace-insensitive)::
 
 Variables are ``x1..xn`` (state) and ``w1..wm`` (disturbance), 1-based in the
 source text, 0-based in the API. Unary functions: sin, cos, tan, exp, abs,
-sqrt. ``min``/``max`` take two or more arguments. The scalar code runs on
+sqrt. ``min``/``max`` take two or more arguments. ``derivative`` trees may
+also hold sign and log, which the parser rejects. The scalar code runs on
 Python floats and ``math``; where these raise (1/0, sqrt(-1), exp(1000)), it
 returns the numpy batch code's value at that row, so infinities and NaNs come
 from numpy alone. ``evaluate`` turns a non-finite value into an EvalError
@@ -25,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvalError, ParseError
+from .errors import DimensionMismatchError, EvalError, ExprError, ParseError
 
 MAX_DEPTH = 256
-FD_STEP = 1e-6
 
 _UNARY_FUNCS = ("sin", "cos", "tan", "exp", "abs", "sqrt")
+_INTERNAL_FUNCS = ("sign", "log")  # in derivative trees only
 _NARY_FUNCS = ("min", "max")
 
 
@@ -49,7 +50,7 @@ class Var:
 
 @dataclass(frozen=True)
 class Unary:
-    op: str  # neg, sin, cos, tan, exp, abs, sqrt
+    op: str  # neg, sin, cos, tan, exp, abs, sqrt; internal: sign, log
     child: object
 
 
@@ -282,21 +283,21 @@ def _table(var, ops):
 
 # canonical source text; reparses to the same tree
 _SOURCE_TABLE = _table(lambda v: f"{v.kind}{v.index + 1}", {
-    **{f: _call(f) for f in _UNARY_FUNCS + _NARY_FUNCS},
+    **{f: _call(f) for f in _UNARY_FUNCS + _INTERNAL_FUNCS + _NARY_FUNCS},
     **{op: _infix(op) for op in "+-*/^"},
 })
 
 # float lists x, w; Python's operators and math's functions, which raise
 # where IEEE arithmetic gives +-inf or NaN (see _scalar_compile)
 _SCALAR_TABLE = _table(lambda v: f"{v.kind}[{v.index}]", {
-    **{f: _call(f) for f in _UNARY_FUNCS + _NARY_FUNCS},
+    **{f: _call(f) for f in _UNARY_FUNCS + _INTERNAL_FUNCS + _NARY_FUNCS},
     **{op: _infix(op) for op in "+-*/"},
     "^": _call("pow"),
 })
 
 # row batches x (N, n), w (N, m); min/max fold pairwise from the right
 _BATCH_TABLE = _table(lambda v: f"{v.kind}[:, {v.index}]", {
-    **{f: _call(f"np.{f}") for f in _UNARY_FUNCS},
+    **{f: _call(f"np.{f}") for f in _UNARY_FUNCS + _INTERNAL_FUNCS},
     **{op: _infix(op) for op in "+-*/"},
     "^": _call("np.power"),
     "min": _right_fold("np.minimum"),
@@ -307,8 +308,22 @@ _BATCH_TABLE = _table(lambda v: f"{v.kind}[:, {v.index}]", {
 # the numpy ufunc of each operator of _BATCH_TABLE, which ``batch_into_fn``
 # calls with ``out=``
 _UFUNCS = {"neg": "negative", "+": "add", "-": "subtract", "*": "multiply",
-           "/": "divide", "^": "power", "abs": "absolute", "min": "minimum",
-           "max": "maximum", **{f: f for f in ("sin", "cos", "tan", "exp", "sqrt")}}
+           "/": "divide", "^": "power", "min": "minimum", "max": "maximum",
+           **{f: f for f in _UNARY_FUNCS + _INTERNAL_FUNCS}}
+
+_ZERO, _ONE = Const(0.0), Const(1.0)
+
+# d f(u)/du of each unary function f, as a tree over u and the node f(u)
+_CHAIN = {
+    "sin": lambda u, f: Unary("cos", u),
+    "cos": lambda u, f: Unary("neg", Unary("sin", u)),
+    "tan": lambda u, f: Binary("+", _ONE, Binary("*", f, f)),
+    "exp": lambda u, f: f,
+    "sqrt": lambda u, f: Binary("/", Const(0.5), f),
+    "abs": lambda u, f: Unary("sign", u),  # a Clarke subgradient: 0 at 0
+    "sign": lambda u, f: _ZERO,
+    "log": lambda u, f: Binary("/", _ONE, u),
+}
 
 
 def _has_var(node):
@@ -335,7 +350,8 @@ def to_source(node):
 
 # the scalar code catches the two exception types (see _scalar_compile)
 _SCALAR_ENV = {
-    **{f: getattr(math, f) for f in ("sin", "cos", "tan", "exp", "sqrt", "pow")},
+    **{f: getattr(math, f) for f in ("sin", "cos", "tan", "exp", "sqrt", "log", "pow")},
+    "sign": lambda a: a if a != a else float((a > 0) - (a < 0)),  # as np.sign
     "abs": abs,
     "min": min,
     "max": max,
@@ -371,6 +387,16 @@ class ExprAst:
 
     def negated(self):
         return ExprAst(Unary("neg", self.root), self.n, self.m)
+
+    def compiled(self, what):
+        """Self, its scalar and batch code compiled; code that CPython refuses
+        (more than 200 nested brackets) raises ExprError naming ``what``."""
+        try:
+            self.scalar_fn()
+            self.batch_into_fn()
+        except SyntaxError as exc:
+            raise ExprError(f"{what} does not compile: {exc.msg}") from exc
+        return self
 
     def scalar_fn(self):
         """Raw compiled callable(x, w) -> float. No finiteness checks."""
@@ -471,27 +497,77 @@ def substitute(node, mapping):
     return type(node)(node.op, *children)
 
 
+def _fold(op, a, b):
+    """``Binary(op, a, b)`` with the constants 0 and 1 folded away."""
+    if a == _ZERO and op in "*/" or b == _ZERO and op == "*":
+        return _ZERO
+    if b == _ZERO and op in "+-" or b == _ONE and op in "*/":
+        return a
+    if a == _ZERO and op in "+-" or a == _ONE and op == "*":
+        return b if op != "-" else Unary("neg", b)
+    return Binary(op, a, b)
+
+
+def derivative(node, var):
+    """The tree of the partial derivative of ``node`` in the ``Var`` ``var``.
+
+    A kink takes a Clarke subgradient: ``abs(u)`` gives ``sign(u) * du``, and
+    ``min``/``max``, paired from the right as the batch code folds them, the
+    partial of the argument they pick, or the mean of the two at a tie.
+    """
+    children = _children(node)
+    if not children:
+        return _ONE if node == var else _ZERO
+    if isinstance(node, Nary):
+        a, rest = children[0], children[1:]
+        b = rest[0] if len(rest) == 1 else Nary(node.op, rest)
+        # weights (1 + s)/2 and (1 - s)/2, or swapped for min: 1, 1/2 or 0
+        s = Unary("sign", _fold("-", a, b))
+        wa, wb = (Binary("*", Const(0.5), Binary(op, _ONE, s))
+                  for op in ("+-" if node.op == "max" else "-+"))
+        return _fold("+", _fold("*", derivative(a, var), wa),
+                     _fold("*", derivative(b, var), wb))
+    d = [derivative(child, var) for child in children]
+    if node.op == "neg":
+        return _fold("-", _ZERO, d[0])
+    if isinstance(node, Unary):
+        return _fold("*", _CHAIN[node.op](node.child, node), d[0])
+    (u, v), (du, dv) = children, d
+    if node.op in "+-":
+        return _fold(node.op, du, dv)
+    if node.op == "*":
+        return _fold("+", _fold("*", du, v), _fold("*", u, dv))
+    if node.op == "/":
+        return _fold("/", _fold("-", du, _fold("*", node, dv)), v)
+    if dv == _ZERO:  # u ^ v with v free of var
+        return _fold("*", _fold("*", v, Binary("^", u, Binary("-", v, _ONE))), du)
+    return _fold("*", node, _fold("+", _fold("*", dv, Unary("log", u)),
+                                  _fold("/", _fold("*", v, du), u)))
+
+
+def derivative_expr(expr: ExprAst, var):
+    """``derivative(expr.root, var)``, compiled (see ``ExprAst.compiled``)."""
+    return ExprAst(derivative(expr.root, var), expr.n, expr.m).compiled(
+        f"the partial derivative in {var.kind}{var.index + 1}")
+
+
 def parse(src, n, m):
     """Parse ``src`` against declared dimensions; raises ParseError with a
     1-based column on syntax errors, unknown identifiers, out-of-range
     variable indices and non-finite numbers.
 
-    Every accepted tree compiles: ``parse`` compiles its scalar and batch
-    code, and code that CPython refuses (more than 200 nested brackets) is a
-    ParseError carrying the compiler's message.
+    Every accepted tree compiles: code that CPython refuses (more than 200
+    nested brackets) is a ParseError carrying the compiler's message.
     """
     if not src or not src.strip():
         raise ParseError("empty expression", src, 1)
     root = _Parser(src, n, m).parse()
     if _depth(root) > MAX_DEPTH:
         raise ParseError(f"expression deeper than {MAX_DEPTH}", src, 1)
-    expr = ExprAst(root, n, m)
     try:
-        expr.scalar_fn()
-        expr.batch_into_fn()
-    except SyntaxError as exc:
-        raise ParseError(f"expression does not compile: {exc.msg}", src, 1) from exc
-    return expr
+        return ExprAst(root, n, m).compiled("expression")
+    except ExprError as exc:
+        raise ParseError(str(exc), src, 1) from exc
 
 
 def _locate_nonfinite(node, x, w):
@@ -527,38 +603,12 @@ def evaluate(expr: ExprAst, x, w):
     return value
 
 
-def central_difference(f, v, index, h):
-    """Central difference of ``f`` in coordinate ``index`` of the vector ``v``.
-
-    The step is h * max(1, |v[index]|). Returns (fd, f_plus, f_minus); the
-    values are not checked for finiteness.
-    """
-    v = list(v)
-    base = v[index]
-    step = h * max(1.0, abs(base))
-    v[index] = base + step
-    f_plus = f(v)
-    v[index] = base - step
-    f_minus = f(v)
-    return (f_plus - f_minus) / (2.0 * step), f_plus, f_minus
-
-
-def partial(expr: ExprAst, kind, index, x, w, h=FD_STEP):
-    """Central finite difference of the expression.
-
-    ``kind`` is "state" or "disturbance"; ``index`` is 0-based. The step is
-    scaled by max(1, |coordinate|). Probe points that evaluate non-finite
-    raise EvalError.
-    """
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
+def partial(expr: ExprAst, kind, index, x, w):
+    """The exact partial of the expression: its ``derivative`` tree,
+    evaluated. ``kind`` is "state" or "disturbance"; ``index`` is 0-based."""
     if kind not in ("state", "disturbance"):
         raise ValueError(f"kind must be 'state' or 'disturbance', got {kind!r}")
-    x = [float(v) for v in x]
-    w = [float(v) for v in w]
-    target = x if kind == "state" else w
-    if index < 0 or index >= len(target):
+    var = Var("x" if kind == "state" else "w", index)
+    if index < 0 or index >= (expr.n if var.kind == "x" else expr.m):
         raise DimensionMismatchError(f"{kind} index {index} out of range")
-    f = ((lambda v: evaluate(expr, v, w)) if kind == "state"
-         else (lambda v: evaluate(expr, x, v)))
-    return central_difference(f, target, index, h)[0]
+    return evaluate(derivative_expr(expr, var), x, w)

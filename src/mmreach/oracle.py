@@ -8,12 +8,13 @@ over endpoint clouds estimates the area of the true reachable set.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .embed import ReachSpec, Trajectory, _rk4, _step_sizes
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, DivergenceError
 from .geometry import (
     Box,
     Parallelotope,
@@ -343,7 +344,8 @@ def simulate(system, x0, w, spec: ReachSpec):
     """Single trajectory under a constant or callable disturbance signal.
 
     ``w`` is either a constant vector or a callable t -> vector (evaluated at
-    the stage times of each step).
+    the stage times of each step). A non-finite state raises DivergenceError
+    with the last time of a finite one.
     """
     w_of = w if callable(w) else (lambda _t, _w=[float(v) for v in w]: _w)
     times = [0.0]
@@ -353,6 +355,9 @@ def simulate(system, x0, w, spec: ReachSpec):
         return system.field_values(x, w_of(t))
 
     def record(_x, x, t, _s):
+        if not (math.isfinite(sum(x)) or all(map(math.isfinite, x))):
+            raise DivergenceError(f"trajectory diverged near t={t:.6g}",
+                                  last_time=times[-1])
         times.append(t)
         states.append(x)
         return x

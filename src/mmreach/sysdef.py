@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from . import exprlang
-from .errors import DimensionMismatchError, ExprError, GeometryError
+from .errors import DimensionMismatchError, GeometryError
 from .geometry import Box, invert_shape
 
 
@@ -32,12 +32,9 @@ class SystemDef:
                 raise DimensionMismatchError(
                     f"field component {i + 1} references undeclared variables"
                 )
-            try:  # the code the embedding and the oracle run
-                expr.scalar_fn()
-                expr.batch_into_fn()
-            except SyntaxError as exc:  # a composed field can nest too deeply
-                raise ExprError(f"field component {i + 1} does not compile: "
-                                f"{exc.msg}") from exc
+            # the code the embedding and the oracle run; a composed field can
+            # nest too deeply to compile
+            expr.compiled(f"field component {i + 1}")
         self.n = n
         self.m = m
         self.field = tuple(field)

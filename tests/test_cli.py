@@ -192,6 +192,21 @@ def test_check_rejects_a_decomposition_reach_would_reject(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {message.split(': ', 1)[1]}\n"
 
 
+@pytest.mark.parametrize("method", ["monotone", "jacobian_sign"])
+def test_check_rejects_a_partial_that_does_not_compile(tmp_path, capsys, method):
+    """The product rule doubles the nesting of a chain of products that the
+    field parser accepts; the sign certification reports it as an error."""
+    raw = _fast_box_config()
+    raw["system"] = {"n": 2, "m": 1, "field": ["*".join(["x2"] * 150), "x1"],
+                     "w_lo": [0.0], "w_hi": [0.25]}
+    raw["decomposition"] = {"method": method, "domain_lo": [-1, -1],
+                            "domain_hi": [1, 1]}
+    assert main(["check", "--config", _write(tmp_path, raw)]) == 1
+    assert capsys.readouterr().err == (
+        "error: initial_set: the partial derivative in x2 does not compile: "
+        "too many nested parentheses\n")
+
+
 def test_reach_intersection_outputs(tmp_path):
     raw = {
         "system": "bilinear",

@@ -297,7 +297,7 @@ def _interpreted_probe(y, z, free, fi, minimize):
     for c, (target, idx, lo, hi) in enumerate(free):
         records = []
         for base in (lo, 0.5 * (lo + hi), hi):
-            step = mm.exprlang.FD_STEP * max(1.0, abs(base))
+            step = decomp.FD_STEP * max(1.0, abs(base))
             records.append((c, target, idx, base, base + step, base - step, step))
         levels.append(records)
     has_pos = [False] * len(free)
@@ -312,7 +312,7 @@ def _interpreted_probe(y, z, free, fi, minimize):
             f_minus = fi(y, z)
             target[idx] = base
             fd = f_plus - f_minus
-            tol = decomp._sign_tol(f_plus, f_minus) * 2.0 * step
+            tol = 1e-9 * max(1.0, abs(f_plus), abs(f_minus)) * 2.0 * step
             if fd > tol:
                 if has_neg[c]:
                     return None

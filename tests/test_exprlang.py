@@ -5,7 +5,7 @@ import pytest
 
 import mmreach as mm
 from mmreach import exprlang
-from mmreach.errors import DimensionMismatchError, EvalError, ParseError
+from mmreach.errors import DimensionMismatchError, EvalError, ExprError, ParseError
 
 
 def test_parse_and_eval_product_plus_disturbance():
@@ -157,28 +157,13 @@ def test_partial_cube():
     assert mm.partial(e, "state", 1, [0, 1], []) == pytest.approx(3.0, abs=1e-5)
 
 
-def test_central_difference_returns_unchecked_probes():
-    fd, f_plus, f_minus = exprlang.central_difference(
-        lambda v: v[0] * v[1], [3.0, 5.0], 1, 1e-6
-    )
-    assert fd == pytest.approx(3.0, abs=1e-7)
-    assert f_plus == pytest.approx(15.0 + 3 * 5e-6)
-    assert f_minus == pytest.approx(15.0 - 3 * 5e-6)
-    fd, f_plus, f_minus = exprlang.central_difference(
-        lambda v: math.inf if v[0] > 0 else 0.0, [0.0], 0, 1e-6
-    )
-    assert fd == math.inf and f_plus == math.inf and f_minus == 0.0
-
-
 def test_partial_validation():
     e = mm.parse("x1", 1, 0)
-    with pytest.raises(ValueError):
-        mm.partial(e, "state", 0, [1.0], [], h=0.0)
     with pytest.raises(ValueError):
         mm.partial(e, "foo", 0, [1.0], [])
     with pytest.raises(DimensionMismatchError):
         mm.partial(e, "state", 3, [1.0], [])
-    # a probe point outside the domain of sqrt
+    # the derivative 0.5 / sqrt(x1) is infinite at 0
     with pytest.raises(EvalError):
         mm.partial(mm.parse("sqrt(x1)", 1, 0), "state", 0, [0.0], [])
 
@@ -208,6 +193,20 @@ _BATTERY = [
     ("max(x1, x2)", 2, 0, ([2.0, 1.0], []), "state", 1, lambda x, w: 0.0),
     ("x1 / x2", 2, 0, ([1.0, 2.0], []), "state", 1, lambda x, w: -x[0] / x[1] ** 2),
     ("2^x1", 1, 0, ([1.3], []), "state", 0, lambda x, w: math.log(2) * 2 ** x[0]),
+    ("x1^x2", 2, 0, ([1.7, 2.3], []), "state", 1,
+     lambda x, w: math.log(x[0]) * x[0] ** x[1]),
+    ("x1^x2", 2, 0, ([1.7, 2.3], []), "state", 0,
+     lambda x, w: x[1] * x[0] ** (x[1] - 1)),
+    ("min(x1, x2, w1)", 2, 1, ([2.0, 1.0], [1.5]), "state", 1, lambda x, w: 1.0),
+    ("min(x1, x2, w1)", 2, 1, ([2.0, 1.0], [0.5]), "disturbance", 0,
+     lambda x, w: 1.0),
+    ("min(x1, x2, w1)", 2, 1, ([0.2, 1.0], [0.5]), "state", 1, lambda x, w: 0.0),
+    # a tie takes the mean of the tied partials
+    ("min(3*x1, x2)", 2, 0, ([1.0, 3.0], []), "state", 0, lambda x, w: 1.5),
+    ("max(x1, -x1)", 1, 0, ([0.0], []), "state", 0, lambda x, w: 0.0),
+    ("max(2*x1, x2 + x1)", 2, 0, ([1.0, 1.0], []), "state", 0, lambda x, w: 1.5),
+    ("sqrt(x1 * w1 + 1)", 1, 1, ([2.0], [0.75]), "disturbance", 0,
+     lambda x, w: x[0] / (2 * math.sqrt(x[0] * w[0] + 1))),
 ]
 
 
@@ -216,7 +215,7 @@ def test_partial_matches_analytic(src, n, m, point, kind, index, deriv):
     e = mm.parse(src, n, m)
     x, w = point
     assert mm.partial(e, kind, index, x, w) == pytest.approx(
-        deriv(x, w), abs=1e-5
+        deriv(x, w), rel=1e-12, abs=0
     )
 
 
@@ -243,6 +242,62 @@ def _random_expr(rng, n, m, depth):
     if op == 4:
         return f"min({a}, {b})"
     return f"max({a}, {b})"
+
+
+def test_partial_matches_central_difference(rng):
+    """Away from a kink, which a random point misses, the exact partial is
+    a central difference of the expression up to the difference's error."""
+    for _ in range(60):
+        e = mm.parse(_random_expr(rng, 2, 1, 4), 2, 1)
+        for kind, index in (("state", 0), ("state", 1), ("disturbance", 0)):
+            x, w = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 1)
+            v = x if kind == "state" else w
+            h = 1e-6 * max(1.0, abs(v[index]))
+
+            def at(t):  # (x, w) with the coordinate moved to t
+                moved = v.copy()
+                moved[index] = t
+                return (moved, w) if kind == "state" else (x, moved)
+
+            fd = (mm.evaluate(e, *at(v[index] + h))
+                  - mm.evaluate(e, *at(v[index] - h))) / (2 * h)
+            assert mm.partial(e, kind, index, x, w) == pytest.approx(
+                fd, rel=1e-6, abs=1e-6)
+
+
+def test_internal_functions_agree_across_backends():
+    """sign and log, which only derivative trees hold, give the same bits in
+    the scalar and batch code, also where math.log raises."""
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, -2.5, 3.0, 5e-324]
+    for op in ("sign", "log"):
+        e = exprlang.ExprAst(exprlang.Unary(op, exprlang.Var("x", 0)), 1, 0)
+        batch = e.batch_fn()(np.array([[v] for v in specials]), np.empty((8, 0)))
+        for v, b in zip(specials, batch):
+            assert np.float64(e.scalar_fn()([v], [])).tobytes() == b.tobytes()
+        with pytest.raises(ParseError, match="unknown identifier"):
+            mm.parse(f"{op}(x1)", 1, 0)
+
+
+def test_derivative_folds_zero_and_one():
+    x1, x2 = exprlang.Var("x", 0), exprlang.Var("x", 1)
+    e = mm.parse("x1 * x2 + 3 * x1 + sin(x2)", 2, 0)
+    assert exprlang.to_source(exprlang.derivative(e.root, x1)) == "(x2 + 3.0)"
+    assert exprlang.derivative(mm.parse("w1 ^ 2", 1, 1).root, x1) == exprlang.Const(0.0)
+    assert exprlang.to_source(exprlang.derivative(e.root, x2)) == "(x1 + cos(x2))"
+
+
+def test_a_derivative_that_does_not_compile_is_an_expr_error():
+    """The product rule doubles the nesting of a chain of products that
+    parse accepts; every path that builds the derivative says so."""
+    chain = "*".join(["x1"] * 150)
+    with pytest.raises(ExprError, match="does not compile: too many nested"):
+        mm.partial(mm.parse(chain, 1, 0), "state", 0, [1.0], [])
+    system = mm.SystemDef.from_strings(2, 1, [chain.replace("1", "2"), "x1"],
+                                       [0.0], [0.0])
+    domain = mm.Box([0.0, 0.0], [1.0, 1.0])
+    for build in (mm.jacobian_sign_decomposition, mm.monotone_decomposition):
+        with pytest.raises(ExprError, match="does not compile"):
+            build(system, domain, samples=10)
 
 
 def test_print_parse_round_trip(rng):

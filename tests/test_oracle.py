@@ -8,7 +8,7 @@ import pytest
 import mmreach as mm
 from mmreach import oracle
 from mmreach.embed import _rk4, _step_sizes
-from mmreach.errors import DimensionMismatchError
+from mmreach.errors import DimensionMismatchError, DivergenceError
 from mmreach.oracle import _draw_signals, _integrate_batch, _sample_initial
 
 
@@ -200,6 +200,20 @@ def test_simulate_piecewise_signal():
     traj = mm.simulate(s, [0.0], w_of, spec)
     # stage sampling across the switch leaves O(dt) local error there
     assert traj.final_state[0] == pytest.approx(0.0, abs=2e-3)
+
+
+def test_simulate_raises_divergence_with_the_last_finite_time():
+    """x' = x^2 from 3 escapes at t = 1/3. RK4 at dt 1e-3 lags the exact
+    flow and stays finite to t = 0.335; the trajectory stops there, at the
+    time integrate's embedding of the same flow stops, instead of running on
+    through inf and NaN."""
+    s = mm.SystemDef.from_strings(1, 1, ["x1^2"], [0.0], [0.0])
+    spec = mm.ReachSpec(1.0, 1e-3)
+    with pytest.raises(DivergenceError) as err:
+        mm.simulate(s, [3.0], [0.0], spec)
+    with pytest.raises(DivergenceError) as embedded:
+        mm.reach_box(s, mm.Box([3.0], [3.0]), spec, "tight")
+    assert 1.0 / 3.0 < err.value.last_time == embedded.value.last_time < 0.34
 
 
 def test_intersection_volume_mc():
