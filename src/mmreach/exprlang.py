@@ -288,9 +288,10 @@ _SOURCE_TABLE = _table(lambda v: f"{v.kind}{v.index + 1}", {
 })
 
 # float lists x, w; Python's operators and math's functions, which raise
-# where IEEE arithmetic gives +-inf or NaN (see _scalar_compile)
+# where IEEE arithmetic gives +-inf or NaN (see _scalar_compile); min/max
+# are comparisons that _scalar_code writes
 _SCALAR_TABLE = _table(lambda v: f"{v.kind}[{v.index}]", {
-    **{f: _call(f) for f in _UNARY_FUNCS + _INTERNAL_FUNCS + _NARY_FUNCS},
+    **{f: _call(f) for f in _UNARY_FUNCS + _INTERNAL_FUNCS},
     **{op: _infix(op) for op in "+-*/"},
     "^": _call("pow"),
 })
@@ -353,8 +354,6 @@ _SCALAR_ENV = {
     **{f: getattr(math, f) for f in ("sin", "cos", "tan", "exp", "sqrt", "log", "pow")},
     "sign": lambda a: a if a != a else float((a > 0) - (a < 0)),  # as np.sign
     "abs": abs,
-    "min": min,
-    "max": max,
     "ArithmeticError": ArithmeticError,
     "ValueError": ValueError,
     "__builtins__": {},
@@ -402,8 +401,7 @@ class ExprAst:
         """Raw compiled callable(x, w) -> float. No finiteness checks."""
         if self._scalar is None:
             self._scalar = _scalar_compile(
-                f"({_gen(self.root, _SCALAR_TABLE)})",
-                lambda x, w: _row([self], x, w)[0])
+                [self.root], "({})", lambda x, w: _row([self], x, w)[0])
         return self._scalar
 
     def batch_fn(self):
@@ -437,16 +435,59 @@ def _row(exprs, x, w):
     return [float(e.batch_fn()(X, W)[0]) for e in exprs]
 
 
-def _scalar_compile(body, fallback):
-    """Callable(x, w) returning the scalar code ``body``, or ``fallback(x, w)``
+def _scalar_code(roots):
+    """The scalar code of the trees ``roots``: statements binding the
+    temporaries t0, t1, ..., and one expression per root.
+
+    ``min``/``max`` follow Python's builtins, so NaN placement and signed
+    zeros are theirs: each argument is evaluated once, left to right, and
+    the running value is kept unless the next argument compares strictly
+    less (min) or greater (max). A compound argument and every running value
+    but the last are temporaries, so the code nests no deeper than the batch
+    code. A tree without min/max has no statements.
+    """
+    lines = []
+
+    def bind(code):
+        name = f"t{len(lines)}"
+        lines.append(f"{name} = {code}")
+        return name
+
+    def gen(node):
+        children = _children(node)
+        if not children:
+            return _SCALAR_TABLE[node.op](node)
+        if not isinstance(node, Nary):
+            return _SCALAR_TABLE[node.op](*map(gen, children))
+        args = [bind(gen(child)) if _children(child) else gen(child)
+                for child in children]
+        cmp = "<" if node.op == "min" else ">"
+
+        def keep(running, arg):  # the running value after ``arg``
+            return f"({arg} if {arg} {cmp} {running} else {running})"
+
+        out = args[0]
+        for arg in args[1:-1]:
+            out = bind(keep(out, arg))
+        return keep(out, args[-1])
+
+    exprs = [gen(root) for root in roots]
+    return lines, exprs
+
+
+def _scalar_compile(roots, form, fallback):
+    """Callable(x, w) returning the scalar code of the trees ``roots``,
+    joined by commas into ``form`` ("({})" or "[{}]"), or ``fallback(x, w)``
     (the batch values) where a float or ``math`` operation raises.
 
-    A NaN made without an exception (inf - inf) still reaches Python's
-    ``min``/``max``, which drop it unless it is their first argument.
+    A NaN made without an exception (inf - inf) still reaches the min/max
+    comparisons, which drop it unless it is their first argument.
     """
+    lines, exprs = _scalar_code(roots)
     code = ("def fn(x, w):\n"
             "    try:\n"
-            f"        return {body}\n"
+            + "".join(f"        {line}\n" for line in lines)
+            + f"        return {form.format(', '.join(exprs))}\n"
             "    except (ArithmeticError, ValueError):\n"
             "        return fallback(x, w)\n")
     env = dict(_SCALAR_ENV, fallback=fallback)
@@ -458,8 +499,7 @@ def scalar_list_fn(roots):
     """One compiled callable(x, w) -> list of the values of the ASTs
     ``roots``, in order; the code of each is its ``scalar_fn`` code. No
     finiteness checks."""
-    body = ", ".join(_gen(root, _SCALAR_TABLE) for root in roots)
-    return _scalar_compile(f"[{body}]", lambda x, w: _row(
+    return _scalar_compile(roots, "[{}]", lambda x, w: _row(
         [ExprAst(root, len(x), len(w)) for root in roots], x, w))
 
 

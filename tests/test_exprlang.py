@@ -128,6 +128,57 @@ def test_evaluate_sees_the_special_values_numpy_gives():
     assert mm.evaluate(mm.parse("min(x1^(0-1), 5)", 1, 0), [0.0], []) == 5.0
 
 
+def test_scalar_min_max_follow_the_builtins():
+    """The scalar min/max are comparisons under Python's builtin rule: the
+    same bits as min/max, signed zeros and NaN placement included, through
+    scalar_fn and a two-root scalar_list_fn whose temporaries are apart."""
+    cases = [
+        ("min(x1, x2)", lambda a, b, c: min(a, b)),
+        ("max(x1, x2)", lambda a, b, c: max(a, b)),
+        ("min(x1, x2, x3)", lambda a, b, c: min(a, b, c)),
+        ("max(x1, x2, x3)", lambda a, b, c: max(a, b, c)),
+        ("max(x1*1.0, x2 + 0.0, min(x3, x1))",
+         lambda a, b, c: max(a * 1.0, b + 0.0, min(c, a))),
+    ]
+    rotate = {exprlang.Var("x", i): exprlang.Var("x", (i + 1) % 3) for i in range(3)}
+    specials = [0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]
+    points = [[a, b, c] for a in specials for b in specials for c in specials]
+    bits = lambda values: np.array(values, dtype=float).tobytes()
+    for src, builtin in cases:
+        e = mm.parse(src, 3, 0)
+        one = e.scalar_fn()
+        both = exprlang.scalar_list_fn([e.root, exprlang.substitute(e.root, rotate)])
+        for a, b, c in points:
+            expected = [builtin(a, b, c), builtin(b, c, a)]
+            assert bits(one([a, b, c], [])) == bits(expected[0]), (src, a, b, c)
+            assert bits(both([a, b, c], [])) == bits(expected), (src, a, b, c)
+    # a raising operand still falls back to the batch value
+    e = mm.parse("max(1/x1, 0)", 1, 0)
+    for x1, expected in ((0.0, math.inf), (-0.0, 0.0)):
+        batch = e.batch_fn()(np.array([[x1]]), np.zeros((1, 0)))[0]
+        assert [e.scalar_fn()([x1], []), exprlang.scalar_list_fn([e.root])([x1], [])[0],
+                batch] == [expected] * 3
+
+
+def test_scalar_min_max_nest_as_deep_as_the_batch_code():
+    """Trees built without the parser (as transform and derivative build
+    them) are checked by compiling both backends: at every depth of a
+    max(x1 + ..., 0) nest whose batch code compiles, the scalar code
+    compiles too, because its min/max operands are statements."""
+    x1 = exprlang.Var("x", 0)
+    node, depth = x1, 0
+    while True:
+        node = exprlang.Nary("max", (exprlang.Binary("+", x1, node), exprlang.Const(0.0)))
+        e = exprlang.ExprAst(node, 1, 0)
+        try:
+            e.batch_into_fn()
+        except SyntaxError:
+            break
+        depth += 1
+        assert e.scalar_fn()([1.0], []) == depth + 1.0
+    assert depth == 99
+
+
 def test_eval_dimension_mismatch():
     e = mm.parse("x1 + w1", 1, 1)
     with pytest.raises(DimensionMismatchError):
