@@ -217,6 +217,36 @@ def _rk4(f, x, sizes, post):
     return x
 
 
+def _trajectory(f, x0, spec: ReachSpec, keep, diverged):
+    """The float ``_rk4`` run of ``f`` from the list ``x0`` as a Trajectory,
+    its final time pinned to the horizon. A non-finite state raises
+    DivergenceError "``diverged`` near t=...", and an EvalError of ``f``
+    gains ``last_time``, the last time of a finite state. A finite state is
+    recorded as ``keep(x, t)``, and the run goes on from that."""
+    # the history is one flat buffer of C doubles, 8 bytes a value
+    times = [0.0]
+    states = array("d", x0)
+
+    def record(_x, x, t, _s):
+        # a finite sum has finite terms; only a sum that overflows or meets
+        # an inf or NaN needs the part-by-part test
+        if not (math.isfinite(sum(x)) or all(map(math.isfinite, x))):
+            raise DivergenceError(f"{diverged} near t={t:.6g}", last_time=times[-1])
+        x = keep(x, t)
+        times.append(t)
+        states.extend(x)
+        return x
+
+    try:
+        _rk4(f, x0, _step_sizes(spec.horizon, spec.dt), record)
+    except EvalError as exc:
+        exc.last_time = times[-1]
+        raise
+    # the step list sums to the horizon up to rounding; pin the final time
+    times[-1] = spec.horizon
+    return Trajectory(np.array(times), np.frombuffer(states).reshape(len(times), len(x0)))
+
+
 def integrate(d: Decomposition, x0: Box, spec: ReachSpec):
     """Classical fixed-step 4th-order integration of the embedding system of
     ``d`` from the state [x0.lo, x0.hi].
@@ -230,12 +260,6 @@ def integrate(d: Decomposition, x0: Box, spec: ReachSpec):
         raise DimensionMismatchError(
             f"initial state has dimension {x0.dim}, embedding expects {n}"
         )
-    v0 = x0.lo.tolist() + x0.hi.tolist()
-    # the state is a list of 2n floats; the history is one flat buffer of
-    # C doubles, 8 bytes a value, which becomes the Trajectory at the end
-    times = [0.0]
-    states = array("d", v0)
-
     in_order = _order_test(n)
 
     def rhs(v, t):
@@ -243,29 +267,16 @@ def integrate(d: Decomposition, x0: Box, spec: ReachSpec):
             v = _ordered(v, n, "inside a step near", t)
         return d.embedding_field(v)
 
-    def record(_v, v, t, _s):
-        # a finite sum has finite terms; only a sum that overflows or meets
-        # an inf or NaN needs the part-by-part test
-        if not (math.isfinite(sum(v)) or all(map(math.isfinite, v))):
-            raise DivergenceError(
-                f"embedding state diverged near t={t:.6g}", last_time=times[-1]
-            )
-        if not in_order(v):
-            v = _ordered(v, n, "after the step to", t)
-        times.append(t)
-        states.extend(v)
-        return v
+    def keep(v, t):
+        return v if in_order(v) else _ordered(v, n, "after the step to", t)
 
     try:
-        _rk4(rhs, v0, _step_sizes(spec.horizon, spec.dt), record)
+        return _trajectory(rhs, x0.lo.tolist() + x0.hi.tolist(), spec, keep,
+                           "embedding state diverged")
     except EvalError as exc:
-        raise DivergenceError(
-            f"embedding field diverged near t={times[-1]:.6g}: {exc}",
-            last_time=times[-1],
-        ) from exc
-    # the step list sums to the horizon up to rounding; pin the final time
-    times[-1] = spec.horizon
-    return Trajectory(np.array(times), np.frombuffer(states).reshape(len(times), 2 * n))
+        t = exc.last_time
+        raise DivergenceError(f"embedding field diverged near t={t:.6g}: {exc}",
+                              last_time=t) from exc
 
 
 def embedding(system, x0: Box, spec: ReachSpec, method="tight", **options):

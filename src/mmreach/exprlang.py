@@ -499,8 +499,14 @@ def scalar_list_fn(roots):
     """One compiled callable(x, w) -> list of the values of the ASTs
     ``roots``, in order; the code of each is its ``scalar_fn`` code. No
     finiteness checks."""
-    return _scalar_compile(roots, "[{}]", lambda x, w: _row(
-        [ExprAst(root, len(x), len(w)) for root in roots], x, w))
+    exprs = []  # the fallback's, built once, so their batch code compiles once
+
+    def fallback(x, w):
+        if not exprs:
+            exprs.extend(ExprAst(root, len(x), len(w)) for root in roots)
+        return _row(exprs, x, w)
+
+    return _scalar_compile(roots, "[{}]", fallback)
 
 
 def linear_combination(pairs):

@@ -8,13 +8,12 @@ over endpoint clouds estimates the area of the true reachable set.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import ReachSpec, Trajectory, _rk4, _step_sizes
-from .errors import DimensionMismatchError, DivergenceError
+from .embed import ReachSpec, _rk4, _step_sizes, _trajectory
+from .errors import DimensionMismatchError
 from .geometry import (
     Box,
     Parallelotope,
@@ -274,7 +273,8 @@ def audit_containment(points, region, tol=CONTAINMENT_TOL):
     (transformed) coordinates. A list or tuple of regions is their union;
     wrap members in RegionIntersection to require membership in all of them.
     Points with margin < -tol count as violations; up to 10 worst witnesses
-    are recorded. ``tol`` must be finite and nonnegative.
+    are recorded. A NaN margin (a NaN coordinate) counts as the margin -inf,
+    a violation that sorts first. ``tol`` must be finite and nonnegative.
     """
     if not 0.0 <= tol < np.inf:  # a NaN tol would count no violation
         raise DimensionMismatchError(
@@ -291,6 +291,8 @@ def audit_containment(points, region, tol=CONTAINMENT_TOL):
     if len(pts) == 0:
         return ContainmentReport(total=0, violations=0, worst_margin=np.inf)
     margins = region.margins(pts)
+    # margins < -tol is false for NaN, which would count the point as inside
+    margins = np.where(np.isnan(margins), -np.inf, margins)
     bad = margins < -tol
     violations = int(bad.sum())
     worst = float(margins.min())
@@ -307,14 +309,17 @@ def audit_containment(points, region, tol=CONTAINMENT_TOL):
 
 def occupancy_area(points, cell=DEFAULT_CELL):
     """Occupied-cell area of a 2-D endpoint cloud: cells holding at least one
-    point, times cell^2."""
-    if cell <= 0:
-        raise DimensionMismatchError(f"cell must be positive, got {cell}")
+    point, times cell^2. ``cell`` must be finite and positive, and the points
+    finite."""
+    if not 0.0 < cell < np.inf:  # a NaN cell would pass cell <= 0
+        raise DimensionMismatchError(f"cell must be finite and positive, got {cell}")
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         return 0.0
-    if pts.shape[1] != 2:
+    if pts.ndim != 2 or pts.shape[1] != 2:
         raise DimensionMismatchError("occupancy area requires 2-D points")
+    if not np.isfinite(pts).all():
+        raise DimensionMismatchError("occupancy area requires finite points")
     cells = np.floor(pts / cell).astype(np.int64)
     occupied = np.unique(cells, axis=0)
     return float(len(occupied)) * cell * cell
@@ -348,33 +353,24 @@ def simulate(system, x0, w, spec: ReachSpec):
     with the last time of a finite one.
     """
     w_of = w if callable(w) else (lambda _t, _w=[float(v) for v in w]: _w)
-    times = [0.0]
-    states = [np.array(x0, dtype=float).tolist()]
 
     def field(x, t):
         return system.field_values(x, w_of(t))
 
-    def record(_x, x, t, _s):
-        if not (math.isfinite(sum(x)) or all(map(math.isfinite, x))):
-            raise DivergenceError(f"trajectory diverged near t={t:.6g}",
-                                  last_time=times[-1])
-        times.append(t)
-        states.append(x)
-        return x
-
-    _rk4(field, states[0], _step_sizes(spec.horizon, spec.dt), record)
-    times[-1] = spec.horizon
-    return Trajectory(np.array(times), np.array(states))
+    return _trajectory(field, np.array(x0, dtype=float).tolist(), spec,
+                       lambda x, _t: x, "trajectory diverged")
 
 
 def intersection_volume_mc(ptopes, samples=10**6, seed=0):
     """Monte-Carlo volume of an intersection of parallelotopes or boxes.
 
     Samples uniformly in the intersection of the members' bounding boxes.
-    Returns (volume, ci95).
+    Returns (volume, ci95). ``samples`` must be at least 1.
     """
     if not ptopes:
         raise DimensionMismatchError("no parallelotopes given")
+    if samples < 1:
+        raise DimensionMismatchError(f"samples must be >= 1, got {samples}")
     boxes = [p.bounding_box() for p in ptopes]
     lo = np.max([b.lo for b in boxes], axis=0)
     hi = np.min([b.hi for b in boxes], axis=0)

@@ -160,6 +160,20 @@ def test_scalar_min_max_follow_the_builtins():
                 batch] == [expected] * 3
 
 
+def test_scalar_list_fn_compiles_its_fallback_once(monkeypatch):
+    """The batch code behind a scalar_list_fn's fallback compiles at most
+    once per root, however many calls raise and take it."""
+    e = mm.parse("min(1/x1, 5) + x2", 2, 0)
+    compiled = []
+    batch_into_code = exprlang._batch_into_code
+    monkeypatch.setattr(exprlang, "_batch_into_code",
+                        lambda node: compiled.append(node) or batch_into_code(node))
+    both = exprlang.scalar_list_fn([e.root, e.root])
+    for _ in range(3):
+        assert both([0.0, 1.0], []) == [6.0, 6.0]  # 1/0 raises; the batch 1/0 is inf
+    assert len(compiled) <= 2
+
+
 def test_scalar_min_max_nest_as_deep_as_the_batch_code():
     """Trees built without the parser (as transform and derivative build
     them) are checked by compiling both backends: at every depth of a

@@ -155,6 +155,22 @@ def test_audit_rejects_unsupported_region():
         mm.audit_containment(np.array([[0.5, 0.5, 0.5]]), mm.Box([0, 0], [1, 1]))
 
 
+def test_audit_counts_a_nan_point_as_a_violation(example1_ptope):
+    """A NaN coordinate gives a NaN margin in every region type, and
+    NaN < -tol is false: the point counts as a violation with margin -inf,
+    the first witness."""
+    box = mm.Box([0, 0], [1, 1])
+    for region in (box, example1_ptope, [box, example1_ptope]):
+        report = mm.audit_containment(np.array([[np.nan, 0.5]]), region)
+        assert (report.total, report.violations, report.ok) == (1, 1, False)
+        assert report.worst_margin == -math.inf
+    report = mm.audit_containment(np.array([[2.0, 0.5], [0.5, np.nan], [0.5, 0.5]]), box)
+    assert (report.total, report.violations) == (3, 2)
+    x1, x2, margin = report.witnesses[0]
+    assert x1 == 0.5 and math.isnan(x2) and margin == -math.inf
+    assert report.witnesses[1] == [2.0, 0.5, -1.0]
+
+
 def test_occupancy_full_unit_square(rng):
     pts = rng.uniform(0, 1, (10**6, 2))
     assert mm.occupancy_area(pts, 0.05) == pytest.approx(1.0, abs=0.01)
@@ -167,6 +183,19 @@ def test_occupancy_single_point_and_empty():
         mm.occupancy_area(np.array([[1.0, 2.0]]), 0.0)
     with pytest.raises(DimensionMismatchError):
         mm.occupancy_area(np.array([[1.0, 2.0, 3.0]]), 0.1)
+    with pytest.raises(DimensionMismatchError):
+        mm.occupancy_area(np.array([1.0, 2.0]), 0.1)  # one point, not an (N, 2) cloud
+
+
+@pytest.mark.parametrize("points, cell", [
+    ([[1.0, 2.0]], math.nan),  # passes cell <= 0
+    ([[1.0, 2.0]], math.inf),
+    ([[math.nan, 2.0]], 0.02),  # floor(NaN) has no int64 cell
+    ([[1.0, -math.inf]], 0.02),
+])
+def test_occupancy_rejects_what_has_no_cell(points, cell):
+    with pytest.raises(DimensionMismatchError):
+        mm.occupancy_area(np.array(points), cell)
 
 
 def test_backward_witnesses_scalar_decay():
@@ -223,6 +252,14 @@ def test_intersection_volume_mc():
     shifted = mm.Parallelotope(np.eye(2), mm.Box([2, 2], [3, 3]))
     vol, ci = mm.intersection_volume_mc([unit, shifted], samples=1000, seed=7)
     assert vol == 0.0
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_intersection_volume_mc_needs_a_sample(samples):
+    """No sample has no mean: the volume would be NaN."""
+    unit = mm.Parallelotope(np.eye(2), mm.Box([0, 0], [1, 1]))
+    with pytest.raises(DimensionMismatchError):
+        mm.intersection_volume_mc([unit, unit], samples=samples)
 
 
 def test_occupancy_estimate_converges(bilinear, example1_ptope):

@@ -1,18 +1,22 @@
-"""Soundness properties that the code does not meet yet.
+"""Soundness properties, stated against real field values.
 
-Each test states the correct property of a known defect and is a strict
-xfail naming the ROADMAP item that fixes it: when the fix lands the test
-passes, the strict mark fails the suite, and the fixing change removes the
-mark.
+A test of a known defect states the correct property and is a strict xfail
+naming the ROADMAP item that fixes it: when the fix lands the test passes,
+the strict mark fails the suite, and the fixing change removes the mark.
+A decomposition that meets a property today runs it unmarked, as a
+positive control of the same harness.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 import mmreach as mm
 from mmreach.errors import MmreachError
 from mmreach.oracle import SampleConfig
+
+GRID = 101  # points per free axis of the decomposition property
 
 
 def _audit(system, x0, spec, box, seed, init_mode):
@@ -59,3 +63,75 @@ def test_jacobian_sign_is_sound_past_its_domain():
     except MmreachError:
         return
     assert _audit(system, x0, spec, box, 1, "uniform").ok
+
+
+def _random_field(rng):
+    """A planar field with one disturbance w1 in [-0.5, 0.5]: each component
+    sums three terms a*sin(f*v), a*cos(f*v)*u, a*v*u or a*v^2 over
+    v, u in {x1, x2, w1}, with a in [-2, 2] and f in [0.5, 6]."""
+    forms = ("{a}*sin({f}*{v})", "{a}*cos({f}*{v})*{u}", "{a}*{v}*{u}", "{a}*{v}^2")
+    names = ("x1", "x2", "w1")
+    sources = [" + ".join(
+        forms[rng.integers(len(forms))].format(
+            a=repr(float(rng.uniform(-2, 2))), f=repr(float(rng.uniform(0.5, 6))),
+            v=names[rng.integers(3)], u=names[rng.integers(3)])
+        for _ in range(3)) for _ in range(2)]
+    return mm.SystemDef.from_strings(2, 1, sources, [-0.5], [0.5])
+
+
+def _random_box(rng):
+    """A state box with its centre in [-2, 2]^2 and half-widths in [0.05, 1]."""
+    centre, half = rng.uniform(-2, 2, 2), rng.uniform(0.05, 1, 2)
+    return mm.Box(centre - half, centre + half)
+
+
+def _unsound(d, box):
+    """The (component, side, decomposition value, grid value) of every bound
+    of ``d`` over ``box`` that a grid value of the field lies past: the
+    lower value d_i(lo, w_lo, hi, w_hi) above the least field value on a
+    GRID-per-axis grid of the box with x_i pinned at lo_i, or the upper
+    value d_i(hi, w_hi, lo, w_lo) below the greatest with x_i at hi_i."""
+    n = d.n
+    lo, hi = box.lo.tolist(), box.hi.tolist()
+    axes = [np.linspace(a, b, GRID) for a, b in zip(lo + d.w_lo, hi + d.w_hi)]
+    found = []
+    for i in range(n):
+        fi = d.system.component_batch_fn(i)
+        for side, args, pick in (("lower", (lo, d.w_lo, hi, d.w_hi), np.min),
+                                 ("upper", (hi, d.w_hi, lo, d.w_lo), np.max)):
+            grid = np.meshgrid(*axes[:i], [args[0][i]], *axes[i + 1:], indexing="ij")
+            points = np.stack(grid, -1).reshape(-1, len(axes))
+            grid_value = float(pick(fi(points[:, :n], points[:, n:])))
+            value = d.evaluate_component(i, *args)
+            past = value - grid_value if side == "lower" else grid_value - value
+            if past > 1e-9 * max(1.0, abs(grid_value)):
+                found.append((i, side, value, grid_value))
+    return found
+
+
+@pytest.mark.xfail(strict=True, reason="item 2")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tight_bounds_random_fields_by_their_grid_values(seed):
+    """Every tight value of 20 random fields over 10 random boxes each is at
+    most (lower) or at least (upper) every grid value of its component. A
+    grid value is a real field value, so a failure is a proven unsound
+    bound."""
+    rng = np.random.default_rng(seed)
+    found = []
+    for _ in range(20):
+        d = mm.tight_decomposition(_random_field(rng))
+        for _ in range(10):
+            found += _unsound(d, _random_box(rng))
+    assert found == []
+
+
+def test_the_closed_form_bounds_its_grid_values(bilinear):
+    """The positive control: closedform-box's closed form of the bilinear
+    field is exact, so no grid value lies past it, on 200 random boxes."""
+    d = mm.closed_form_decomposition(bilinear, mm.parse_closed_form(
+        bilinear, ["max(x1, 0)*x2 + min(x1, 0)*x4 + w1", "x1 + 1"]))
+    rng = np.random.default_rng(0)
+    found = []
+    for _ in range(200):
+        found += _unsound(d, _random_box(rng))
+    assert found == []
