@@ -59,8 +59,13 @@ class Decomposition:
     """Evaluator d(x, w, xh, wh) tagged with its construction method.
 
     ``domain`` records the state box over which sign conditions were
-    certified, when the construction is domain-dependent.
+    certified, when the construction is domain-dependent. ``_trees`` holds
+    the 2n expression trees of the embedding field over v and
+    w_lo ++ w_hi when it has them (the compiled methods), else None;
+    ``embed.integrate`` writes them into its RK4 step.
     """
+
+    _trees = None
 
     def __init__(self, system, method, component_fn, domain=None):
         self.system = system
@@ -473,8 +478,8 @@ class _Compiled(Decomposition):
                 swap[exprlang.Var(kind, j)] = exprlang.Var(kind, size + j)
                 swap[exprlang.Var(kind, size + j)] = exprlang.Var(kind, j)
         roots = [e.root for e in exprs]
-        self._field = exprlang.scalar_list_fn(
-            roots + [exprlang.substitute(r, swap) for r in roots])
+        self._trees = roots + [exprlang.substitute(r, swap) for r in roots]
+        self._field = exprlang.scalar_list_fn(self._trees)
         self._w = self.w_lo + self.w_hi
 
     def embedding_field(self, v):

@@ -24,6 +24,7 @@ from .errors import (
     EvalError,
     StepOrderError,
 )
+from .exprlang import _SCALAR_ENV, _scalar_code
 from .geometry import Box
 from .sysdef import reverse_time
 
@@ -140,36 +141,75 @@ def _step_sizes(horizon, dt):
     return sizes
 
 
+# each RK4 stage: its time, and the factor c and the k of its state
+# a + c * k (the first stage's state is the step's own)
+_STAGES = (("t", None, None), ("t + hh", "hh", 1), ("t + hh", "hh", 2),
+           ("t + h", "h", 3))
+
+# the generated step's globals: the scalar code's, and the finiteness test
+_STEP_ENV = dict(_SCALAR_ENV, isfinite=math.isfinite)
+
+
 @functools.cache
-def _float_steps(p):
-    """``_rk4``'s ``stage`` and ``combine`` for p float parts, compiled once
-    per p. Each unpacks its part lists into locals and writes the new parts
-    out term by term, ``a_i + c * b_i`` and
-    ``a_i + h6 * (b1_i + 2.0 * b2_i + 2.0 * b3_i + b4_i)``: the IEEE
-    operations of the array path, in the same order."""
-    def names(prefix):
-        return ", ".join(f"{prefix}{i}" for i in range(p))
+def _float_step(p, code=None):
+    """``make(f)``, which returns the RK4 step of p float parts,
+    ``step(x, t, h)``: the list state one step of size h on from the list
+    x at time t. Generated once per p and field code.
 
-    def terms(template):
-        return ", ".join(template.format(i=i) for i in range(p))
+    The parts are unpacked into locals; each stage state is written out
+    term by term, ``a_i + c * k_i``, and so is the new state,
+    ``a_i + h6 * (k1_i + 2.0 * k2_i + 2.0 * k3_i + k4_i)``: the IEEE
+    operations of the array path, in the same order. With ``code`` None,
+    each stage calls the field ``f(v, t)``. Otherwise ``code`` is the field
+    written out, the pair (statements, p expressions) of
+    ``exprlang._scalar_code`` over the stage state v0, v1, ..., and a stage
+    runs it inline when its state is in order (``_order_test(p // 2)``),
+    nothing raises ArithmeticError or ValueError and the p values have a
+    finite sum. Any other stage calls ``f``, the field in full, which snaps
+    the state, takes the batch value or names the non-finite component.
+    """
+    def row(term):
+        return ", ".join(term(i) for i in range(p))
 
-    new_part = "a{i} + h6 * (b1_{i} + 2.0 * b2_{i} + 2.0 * b3_{i} + b4_{i})"
-    source = (
-        f"def stage(x, c, k):\n"
-        f"    [{names('a')}] = x\n"
-        f"    [{names('b')}] = k\n"
-        f"    return [{terms('a{i} + c * b{i}')}]\n"
-        f"def combine(x, h6, k1, k2, k3, k4):\n"
-        f"    [{names('a')}] = x\n"
-        + "".join(f"    [{names(f'b{j}_')}] = k{j}\n" for j in range(1, 5))
-        + f"    return [{terms(new_part)}]\n"
-    )
-    env = {"__builtins__": {}}
+    if code is not None:
+        lines, exprs = code
+        order = " and ".join(f"v{i} <= v{p // 2 + i}" for i in range(p // 2))
+    body = [f"[{row(lambda i: f'a{i}')}] = x", "hh = 0.5 * h"]
+    for j, (time, c, prev) in enumerate(_STAGES, 1):
+        def state(i):
+            return f"a{i}" if prev is None else f"a{i} + {c} * k{prev}_{i}"
+
+        k = f"[{row(lambda i: f'k{j}_{i}')}]"
+        if code is None:
+            arg = "x" if prev is None else f"[{row(state)}]"
+            body.append(f"{k} = f({arg}, {time})")
+            continue
+        # a finite left-to-right sum means finite values. Python 3.12's
+        # compensated sum(), which the field's own test uses, can overflow
+        # where it does not; the component loop then returns these values.
+        body += [*(f"v{i} = {state(i)}" for i in range(p)),
+                 f"fast = {order or 'True'}",
+                 "if fast:",
+                 "    try:",
+                 *(f"        {line}" for line in lines),
+                 *(f"        k{j}_{i} = {e}" for i, e in enumerate(exprs)),
+                 f"        fast = isfinite({' + '.join(f'k{j}_{i}' for i in range(p))})",
+                 "    except (ArithmeticError, ValueError):",
+                 "        fast = False",
+                 "if not fast:",
+                 f"    {k} = f([{row(lambda i: f'v{i}')}], {time})"]
+    body += ["h6 = h / 6.0",
+             "return [" + row(lambda i: f"a{i} + h6 * (k1_{i} + 2.0 * k2_{i} "
+                                        f"+ 2.0 * k3_{i} + k4_{i})") + "]"]
+    source = ("def make(f):\n    def step(x, t, h):\n"
+              + "".join(f"        {line}\n" for line in body)
+              + "    return step\n")
+    env = dict(_STEP_ENV)
     exec(source, env)
-    return env["stage"], env["combine"]
+    return env["make"]
 
 
-def _rk4(f, x, sizes, post):
+def _rk4(f, x, sizes, post, code=None):
     """Classical 4th-order Runge-Kutta over the step list ``sizes``.
 
     The state ``x`` is a list of parts (Python floats, or arrays), combined
@@ -178,8 +218,9 @@ def _rk4(f, x, sizes, post):
     caller's bookkeeping and returns the state to continue from. Returns the
     final state.
 
-    Float parts run the ``stage`` and ``combine`` that ``_float_steps``
-    generates for their count. Array parts are combined in place, through
+    Float parts run the step that ``_float_step`` generates for their count
+    and ``code``: None, or the field written out, which then runs in place
+    of ``f`` wherever it can. Array parts are combined in place, through
     the same IEEE operations in the same order: each stage state is built
     in one buffer per part that ``_rk4`` owns, and k2, k3 and k4 fold into
     k1, which becomes the new state. So ``f`` must return arrays that
@@ -195,7 +236,13 @@ def _rk4(f, x, sizes, post):
                 np.add(a, o, out=o)
             return buffers
 
-        def combine(x, h6, k1, k2, k3, k4):
+        def step(x, t, h):
+            hh = 0.5 * h
+            k1 = f(x, t)
+            k2 = f(stage(x, hh, k1), t + hh)
+            k3 = f(stage(x, hh, k2), t + hh)
+            k4 = f(stage(x, h, k3), t + h)
+            h6 = h / 6.0
             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4):
                 np.add(b1, np.multiply(2.0, b2, out=b2), out=b1)
                 np.add(b1, np.multiply(2.0, b3, out=b3), out=b1)
@@ -204,25 +251,21 @@ def _rk4(f, x, sizes, post):
                 np.add(a, b1, out=b1)
             return k1
     else:
-        stage, combine = _float_steps(len(x))
+        step = _float_step(len(x), code)(f)
     t = 0.0
     for s, h in enumerate(sizes):
-        hh = 0.5 * h
-        k1 = f(x, t)
-        k2 = f(stage(x, hh, k1), t + hh)
-        k3 = f(stage(x, hh, k2), t + hh)
-        k4 = f(stage(x, h, k3), t + h)
+        new = step(x, t, h)
         t += h
-        x = post(x, combine(x, h / 6.0, k1, k2, k3, k4), t, s)
+        x = post(x, new, t, s)
     return x
 
 
-def _trajectory(f, x0, spec: ReachSpec, keep, diverged):
-    """The float ``_rk4`` run of ``f`` from the list ``x0`` as a Trajectory,
-    its final time pinned to the horizon. A non-finite state raises
-    DivergenceError "``diverged`` near t=...", and an EvalError of ``f``
-    gains ``last_time``, the last time of a finite state. A finite state is
-    recorded as ``keep(x, t)``, and the run goes on from that."""
+def _trajectory(f, x0, spec: ReachSpec, keep, diverged, code=None):
+    """The float ``_rk4`` run of ``f`` and ``code`` from the list ``x0`` as
+    a Trajectory, its final time pinned to the horizon. A non-finite state
+    raises DivergenceError "``diverged`` near t=...", and an EvalError of
+    ``f`` gains ``last_time``, the last time of a finite state. A finite
+    state is recorded as ``keep(x, t)``, and the run goes on from that."""
     # the history is one flat buffer of C doubles, 8 bytes a value
     times = [0.0]
     states = array("d", x0)
@@ -238,7 +281,7 @@ def _trajectory(f, x0, spec: ReachSpec, keep, diverged):
         return x
 
     try:
-        _rk4(f, x0, _step_sizes(spec.horizon, spec.dt), record)
+        _rk4(f, x0, _step_sizes(spec.horizon, spec.dt), record, code)
     except EvalError as exc:
         exc.last_time = times[-1]
         raise
@@ -270,9 +313,17 @@ def integrate(d: Decomposition, x0: Box, spec: ReachSpec):
     def keep(v, t):
         return v if in_order(v) else _ordered(v, n, "after the step to", t)
 
+    code = None
+    if d._trees is not None:
+        # x_j is the stage state's v_j; w_k, a finite bound of the box, a
+        # constant
+        w = d.w_lo + d.w_hi
+        lines, exprs = _scalar_code(d._trees, lambda v: (
+            f"v{v.index}" if v.kind == "x" else repr(w[v.index])))
+        code = tuple(lines), tuple(exprs)
     try:
         return _trajectory(rhs, x0.lo.tolist() + x0.hi.tolist(), spec, keep,
-                           "embedding state diverged")
+                           "embedding state diverged", code)
     except EvalError as exc:
         t = exc.last_time
         raise DivergenceError(f"embedding field diverged near t={t:.6g}: {exc}",

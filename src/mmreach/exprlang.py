@@ -435,9 +435,10 @@ def _row(exprs, x, w):
     return [float(e.batch_fn()(X, W)[0]) for e in exprs]
 
 
-def _scalar_code(roots):
+def _scalar_code(roots, var=_SCALAR_TABLE["var"]):
     """The scalar code of the trees ``roots``: statements binding the
-    temporaries t0, t1, ..., and one expression per root.
+    temporaries t0, t1, ..., and one expression per root. ``var`` writes a
+    variable: by default ``x[i]`` or ``w[k]``, items of the two lists.
 
     ``min``/``max`` follow Python's builtins, so NaN placement and signed
     zeros are theirs: each argument is evaluated once, left to right, and
@@ -447,6 +448,7 @@ def _scalar_code(roots):
     code. A tree without min/max has no statements.
     """
     lines = []
+    table = {**_SCALAR_TABLE, "var": var}
 
     def bind(code):
         name = f"t{len(lines)}"
@@ -456,9 +458,9 @@ def _scalar_code(roots):
     def gen(node):
         children = _children(node)
         if not children:
-            return _SCALAR_TABLE[node.op](node)
+            return table[node.op](node)
         if not isinstance(node, Nary):
-            return _SCALAR_TABLE[node.op](*map(gen, children))
+            return table[node.op](*map(gen, children))
         args = [bind(gen(child)) if _children(child) else gen(child)
                 for child in children]
         cmp = "<" if node.op == "min" else ">"

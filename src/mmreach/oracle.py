@@ -349,16 +349,26 @@ def simulate(system, x0, w, spec: ReachSpec):
     """Single trajectory under a constant or callable disturbance signal.
 
     ``w`` is either a constant vector or a callable t -> vector (evaluated at
-    the stage times of each step). A non-finite state raises DivergenceError
-    with the last time of a finite one.
+    the stage times of each step, and once more at t = 0 for its
+    dimension). A non-finite state raises DivergenceError with the last
+    time of a finite one; an ``x0`` or ``w`` whose dimension is not the
+    system's, DimensionMismatchError.
     """
     w_of = w if callable(w) else (lambda _t, _w=[float(v) for v in w]: _w)
+    x0 = np.array(x0, dtype=float)
+    if x0.shape != (system.n,):
+        raise DimensionMismatchError(
+            f"initial state has shape {x0.shape}, the system expects ({system.n},)")
+    w_shape = np.shape(w_of(0.0))
+    if w_shape != (system.m,):
+        raise DimensionMismatchError(
+            f"disturbance has shape {w_shape}, the system expects ({system.m},)")
 
     def field(x, t):
         return system.field_values(x, w_of(t))
 
-    return _trajectory(field, np.array(x0, dtype=float).tolist(), spec,
-                       lambda x, _t: x, "trajectory diverged")
+    return _trajectory(field, x0.tolist(), spec, lambda x, _t: x,
+                       "trajectory diverged")
 
 
 def intersection_volume_mc(ptopes, samples=10**6, seed=0):

@@ -1,18 +1,23 @@
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mmreach as mm
+from mmreach import embed
 from mmreach.embed import _order_test, _ordered, _rk4, _step_sizes
 from mmreach.errors import (
     DimensionMismatchError,
     DivergenceError,
+    MmreachError,
     StepOrderError,
 )
 
 T1 = np.array([[1.0, 1.0], [0.0, 1.0]])
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_reach_spec_validation():
@@ -365,7 +370,7 @@ def _mixing_field(x, t):
 @pytest.mark.parametrize("special", [None, math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("p", range(1, 7))
 def test_float_rk4_matches_an_out_of_place_reference(p, special, rng):
-    """The generated float stage and combine of every part count give the
+    """The generated float step of every part count gives the
     reference's states bit for bit, through a shorter remainder step and
     with an inf or NaN part."""
     x0 = rng.uniform(-1.0, 1.0, p).tolist()
@@ -478,3 +483,147 @@ def test_the_order_test_is_the_pairwise_comparison(n, rng):
 def test_a_nan_difference_keeps_its_values(v):
     assert not _order_test(2)(v)
     assert _bits(_ordered(list(v), 2, "after the step to", 1.0)) == _bits(v)
+
+
+def _called(d):
+    """``d`` behind an opaque call: a plain Decomposition with ``d``'s
+    embedding field, which ``integrate`` calls at every stage."""
+    opaque = mm.Decomposition(d.system, d.method, d.evaluate_component)
+    opaque.embedding_field = d.embedding_field
+    return opaque
+
+
+def _outcome(d, x0, spec):
+    """The trajectory of ``integrate``, or the type, text and last time of
+    the error it raises."""
+    try:
+        return mm.integrate(d, x0, spec)
+    except MmreachError as exc:
+        return type(exc), str(exc), getattr(exc, "last_time", None)
+
+
+def _same_outcome(d, x0, spec, inline=None):
+    """Asserts that ``d`` integrates through its inline step (the outcome
+    ``inline``, if given) as it does behind an opaque call; returns the
+    inline outcome."""
+    inline = _outcome(d, x0, spec) if inline is None else inline
+    called = _outcome(_called(d), x0, spec)
+    if isinstance(called, mm.Trajectory):
+        assert np.array_equal(inline.times, called.times)
+        assert np.array_equal(inline.states, called.states)
+    else:
+        assert inline == called
+    return inline
+
+
+def _random_closed_form(rng):
+    """Two components over (x, xh) = x1..x4 and (w, wh) = w1, w2, each the
+    sum of three pieces: a term of tests/test_soundness.py's grammar, its
+    abs, or a min or max of two or three terms."""
+    names = ("x1", "x2", "x3", "x4", "w1", "w2")
+    forms = ("{a}*sin({f}*{v})", "{a}*cos({f}*{v})*{u}", "{a}*{v}*{u}", "{a}*{v}^2")
+
+    def term():
+        return forms[rng.integers(len(forms))].format(
+            a=repr(float(rng.uniform(-2, 2))), f=repr(float(rng.uniform(0.5, 6))),
+            v=names[rng.integers(6)], u=names[rng.integers(6)])
+
+    def piece():
+        kind = rng.integers(4)
+        if kind == 0:
+            return term()
+        if kind == 1:
+            return f"abs({term()})"
+        args = ", ".join(term() for _ in range(rng.integers(2, 4)))
+        return f"{('min', 'max')[rng.integers(2)]}({args})"
+
+    return [" + ".join(piece() for _ in range(3)) for _ in range(2)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_closed_forms_run_inline_as_they_run_called(seed):
+    """A compiled field written into the RK4 step gives the trajectory, or
+    the error, of the same field called at every stage, bit for bit."""
+    rng = np.random.default_rng(seed)
+    ran = 0
+    for _ in range(12):
+        d = _closed_form(2, 1, [-0.5], [0.5], _random_closed_form(rng))
+        centre, half = rng.uniform(-1, 1, 2), rng.uniform(0.2, 0.5, 2)
+        out = _same_outcome(d, mm.Box(centre - half, centre + half),
+                            mm.ReachSpec(0.5, 0.01))
+        ran += isinstance(out, mm.Trajectory)
+    assert ran >= 6  # the rest stop on an order violation
+
+
+def test_sign_certified_decompositions_run_inline_as_they_run_called(bilinear, cubic):
+    spec = mm.ReachSpec(0.5, 0.005)
+    x0 = mm.Box([0.0, -0.25], [0.75, 0.25])
+    domain = mm.Box([0.0, -3.0], [3.0, 3.0])
+    transformed = mm.transform(cubic, T1)
+    for d, box in [
+        (mm.jacobian_sign_decomposition(bilinear, domain), x0),
+        (mm.monotone_decomposition(bilinear, domain), x0),
+        (mm.jacobian_sign_decomposition(cubic, mm.Box([-0.5, -0.5], [0.5, 0.5])),
+         mm.Box([-0.2, -0.2], [0.2, 0.2])),
+        (mm.monotone_decomposition(transformed, mm.Box([-2, -2], [2, 2])),
+         mm.Box([-0.2, -0.2], [0.2, 0.2])),
+    ]:
+        assert d._trees is not None
+        assert isinstance(_same_outcome(d, box, spec), mm.Trajectory)
+
+
+def _count_field_calls(monkeypatch):
+    """The calls of every ``embedding_field`` method, counted."""
+    calls = []
+    for cls in (mm.Decomposition, mm.decomp._Compiled):
+        original = cls.embedding_field
+
+        def counted(self, v, _original=original):
+            calls.append(1)
+            return _original(self, v)
+
+        monkeypatch.setattr(cls, "embedding_field", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sources, x0, spec, ends", [
+    # an order violation under 1e-9 at a stage state, snapped
+    (["0 - 1e-7*w1", "x2 - x1 - 3e-8*w1"], ([0.0, 0.0], [0.0, 0.5]), (1.0, 0.01),
+     mm.Trajectory),
+    # one over 1e-9 at a stage state
+    (["x1 - x3", "0 - 5*w1"], ([0.0, 0.0], [1.0, 0.0]), (1.0, 1e-2), StepOrderError),
+    # a non-finite component at a stage, which the error names
+    (["-1 + 0*sqrt(x1 - 0.5) + w1"], ([1.0], [1.2]), (1.0, 0.1), DivergenceError),
+    (["1/x1 + w1"], ([0.0], [1.0]), (1.0, 0.1), DivergenceError),
+    # Python raises where numpy gives inf, which min turns into a finite value
+    (["min(1/x1, 0)*0 + 1"], ([0.0], [1.0]), (1.0, 0.1), mm.Trajectory),
+    (["min(exp(1000*x1), 1)"], ([0.8], [0.9]), (1.0, 0.1), mm.Trajectory),
+])
+def test_each_stage_fallback_runs_the_called_field(sources, x0, spec, ends, monkeypatch):
+    """A stage the inline code cannot finish calls the embedding field, in
+    integrate's wrapper that snaps the state first or raises the order
+    violation, and that field takes the batch value or names the
+    non-finite component as it always did."""
+    d = _closed_form(len(sources), 1, [0.0], [0.1], sources)
+    box, spec = mm.Box(*x0), mm.ReachSpec(*spec)
+    calls = _count_field_calls(monkeypatch)
+    ordered = embed._ordered
+    monkeypatch.setattr(embed, "_ordered",
+                        lambda *args: calls.append(1) or ordered(*args))
+    inline = _outcome(d, box, spec)
+    assert calls  # the inline run fell back
+    _same_outcome(d, box, spec, inline)
+    assert (type(inline) if isinstance(inline, mm.Trajectory) else inline[0]) is ends
+
+
+def test_closedform_box_never_calls_the_embedding_field(bilinear, monkeypatch):
+    """closedform-box's 10,000 steps run inline: no stage falls back."""
+    config = json.loads(
+        (ROOT / "perfbench" / "configs" / "closedform_box.json").read_text())
+    d = mm.closed_form_decomposition(bilinear, mm.parse_closed_form(
+        bilinear, config["decomposition"]["sources"]))
+    x0 = mm.Box(config["initial_set"]["lo"], config["initial_set"]["hi"])
+    calls = _count_field_calls(monkeypatch)
+    traj = mm.integrate(d, x0, mm.ReachSpec(config["horizon"], config["dt"]))
+    assert len(traj.times) == 10_001
+    assert len(calls) == 0

@@ -231,6 +231,21 @@ def test_simulate_piecewise_signal():
     assert traj.final_state[0] == pytest.approx(0.0, abs=2e-3)
 
 
+@pytest.mark.parametrize("x0, w", [
+    ([0.0], [0.0]),  # a state short of the system's two
+    ([0.0, 0.0], []),  # no disturbance for its one
+    ([0.0, 0.0, 0.0], [0.0]),  # a state of three
+    ([[0.0, 0.0]], [0.0]),  # a state of the right size but shape (1, 2)
+    ([0.0, 0.0], lambda t: [t, t]),  # a signal of two
+])
+def test_simulate_checks_its_dimensions(x0, w):
+    """simulate names a dimension mistake, as integrate does, where the
+    generated scalar code would raise a bare IndexError or ValueError."""
+    s = mm.SystemDef.from_strings(2, 1, ["x2 + w1", "x1"], [0.0], [1.0])
+    with pytest.raises(DimensionMismatchError, match="the system expects"):
+        mm.simulate(s, x0, w, mm.ReachSpec(1.0, 0.1))
+
+
 def test_simulate_raises_divergence_with_the_last_finite_time():
     """x' = x^2 from 3 escapes at t = 1/3. RK4 at dt 1e-3 lags the exact
     flow and stays finite to t = 0.335; the trajectory stops there, at the
