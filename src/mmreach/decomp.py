@@ -38,7 +38,9 @@ CONSISTENCY_TOL = 1e-6
 
 _GRID_DENSE = 9  # fallback search lattice, per free coordinate
 _MAX_FREE_DIMS = 6
-_MAX_PROBE_DIMS = 20  # the probe nests one loop per coordinate; Python allows 20
+# the probe nests one loop per coordinate around a try, and CPython compiles
+# at most 20 nested blocks
+_MAX_PROBE_DIMS = 18
 _DESCENT_MAX_ROUNDS = 500
 
 
@@ -119,75 +121,103 @@ class Decomposition:
 # --- tight construction -------------------------------------------------------
 
 
-def _tight_component(system, i, x, w, xh, wh):
-    sign = pair_order(x, w, xh, wh)
-    minimize = sign > 0
-    y = list(x)
-    z = list(w)
-    free = []  # (target list, index, lo, hi)
-    for j in range(system.n):
-        if j == i:
-            continue
-        a, b = (x[j], xh[j]) if minimize else (xh[j], x[j])
-        if b > a:
-            free.append((y, j, a, b))
-    for k in range(system.m):
-        a, b = (w[k], wh[k]) if minimize else (wh[k], w[k])
-        if b > a:
-            free.append((z, k, a, b))
+class _Tight(Decomposition):
+    """The optimization-defined decomposition (see ``tight_decomposition``).
 
-    fi = system.component_fn(i)
-    if not free:
-        return fi(y, z)
+    Component i is searched over the point x ++ w, whose entry j is x_j for
+    j < n, else w_(j - n); ``_kernels`` keeps the generated ``probe`` and
+    ``descend`` of each (component, tuple of free entries), built on first
+    use.
+    """
 
-    corner = _probe_signs(y, z, free, fi, minimize)
-    if corner is not None:
-        for (target, idx, _, _), value in zip(free, corner):
-            target[idx] = value
-        return fi(y, z)
-    return _grid_descent(system, i, y, z, free, fi, minimize)
+    def __init__(self, system):
+        super().__init__(system, "tight", self._component)
+        self._kernels = {}
+
+    def _component(self, i, x, w, xh, wh):
+        minimize = pair_order(x, w, xh, wh) > 0
+        v = [*x, *w]
+        lo, hi = (v, [*xh, *wh]) if minimize else ([*xh, *wh], v)
+        free = tuple(j for j in range(len(v)) if hi[j] > lo[j] and j != i)
+        if free:
+            bounds = [b for j in free for b in (lo[j], hi[j])]
+            corner = _probe_signs(self, i, free, v, bounds, minimize)
+            if corner is None:
+                return _grid_descent(self, i, free, v, bounds, minimize)
+            for j, value in zip(free, corner):
+                v[j] = value
+        return self.system.component_fn(i)(v[:self.n], v[self.n:])
+
+    def _kernel(self, name, i, free):
+        """Component i's generated ``name`` ("probe" or "descend") for the
+        free entries ``free``, with the component's scalar code written in."""
+        kernel = self._kernels.get((name, i, free))
+        if kernel is None:
+            lines, (expr,) = exprlang._scalar_code([self.system.field[i].root], _local)
+            kernel = self._kernels[name, i, free] = _search_kernel(
+                name, self.n, self.m, free, self.system.component_fn(i), (lines, expr))
+        return kernel
 
 
-def _probe_signs(y, z, free, fi, minimize):
-    """Finite-difference signs on the 3^k probe lattice.
+def _local(var):
+    """The kernels' local of a variable: x_j is ``x<j>``, w_k ``w<k>``."""
+    return f"{var.kind}{var.index}"
+
+
+def _probe_signs(d, i, free, v, bounds, minimize):
+    """Finite-difference signs on the 3^k probe lattice of the k free
+    entries of v, over their ``bounds`` (lo, hi, lo, hi, ...).
 
     Returns the induced corner when every free coordinate is sign-stable,
-    else None (at the first coordinate seen with both signs). Runs the
-    generated ``probe`` for k = len(free).
+    else None (at the first coordinate seen with both signs). Runs
+    component i's generated ``probe``.
     """
     k = len(free)
     if k > _MAX_PROBE_DIMS:
         raise SizeLimitError(
             f"tight subproblem has {k} free coordinates; the probe lattice refuses > {_MAX_PROBE_DIMS}"
         )
-    return _kernel("probe", k)(y, z, free, fi, minimize)
+    return d._kernel("probe", i, free)(v, bounds, minimize)
 
 
-def _grid_descent(system, i, y, z, free, fi, minimize):
+def _grid_descent(d, i, free, v, bounds, minimize):
     """Dense-grid search (vectorized over the lattice) plus coordinate
-    descent refined to the optimizer tolerance, by the generated
-    ``descend`` for k = len(free)."""
+    descent refined to the optimizer tolerance, by component i's generated
+    ``descend``."""
     k = len(free)
     if k > _MAX_FREE_DIMS:
         raise SizeLimitError(
             f"tight subproblem has {k} free coordinates; dense search refuses > {_MAX_FREE_DIMS}"
         )
+    n = d.n
     flip = 1.0 if minimize else -1.0
-    axes = [_axis(lo, hi) for _, _, lo, hi in free]
-    # the lattice rows in C order over the axes (meshgrid "ij" raveled)
-    shape = (_GRID_DENSE,) * k
-    X = np.empty(shape + (len(y),))
-    W = np.empty(shape + (len(z),))
-    X[...] = y
-    W[...] = z
-    for c, (target, idx, _, _) in enumerate(free):
-        (X if target is y else W)[..., idx] = np.reshape(
-            axes[c], [-1 if a == c else 1 for a in range(k)])
-    values = flip * system.component_batch_fn(i)(X.reshape(-1, len(y)),
-                                                 W.reshape(-1, len(z)))
+    axes = [_axis(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2])]
+    X = np.empty((_GRID_DENSE ** k, n))
+    W = np.empty((len(X), d.m))
+    X[...] = v[:n]
+    W[...] = v[n:]
+    for j, axis, index in zip(free, axes, _grid_index(k)):
+        if j < n:
+            X[:, j] = np.array(axis)[index]
+        else:
+            W[:, j - n] = np.array(axis)[index]
+    values = flip * d.system.component_batch_fn(i)(X, W)
     best = int(values.argmin())
-    point = [a[r] for a, r in zip(axes, np.unravel_index(best, shape))]
-    return _kernel("descend", k)(y, z, free, fi, flip, point, float(values[best]))
+    point = [0.0] * k
+    row = best
+    for c in range(k - 1, -1, -1):
+        row, r = divmod(row, _GRID_DENSE)
+        point[c] = axes[c][r]
+    return d._kernel("descend", i, free)(v, bounds, flip, point, float(values[best]))
+
+
+@functools.cache
+def _grid_index(k):
+    """The 9^k lattice rows in C order over k axes (meshgrid "ij" raveled):
+    for each axis, the index into it of every row. Shared, so read-only."""
+    index = np.indices((_GRID_DENSE,) * k).reshape(k, -1)
+    index.flags.writeable = False
+    return index
 
 
 def _axis(lo, hi):
@@ -202,48 +232,55 @@ def _axis(lo, hi):
     return [r * step + lo for r in range(span)] + [hi]
 
 
-# The loops of the tight search, written out for k free coordinates. Free
-# coordinate c is the locals t<c>[i<c>] (its slot in y or z), lo<c> and hi<c>;
-# the probe adds b/u/d/s<c> (base, base + step, base - step, step) and its
-# sign flags pos<c>, neg<c>; the descent adds p<c> (its point) and s<c> (its
-# step). The probe's tolerance is 1e-9 * max(1.0, |fp|, |fm|) * 2.0 * step,
-# that scale by comparisons, NaN included; the descent clamps
-# as min(hi, max(lo, cand)) would, NaN included.
+# The loops of the tight search, written out for the free entries of the
+# point x ++ w, which are the locals x<j> and w<k> of the field's code. Free
+# coordinate c, the local {x}, has bounds lo<c> and hi<c>; the probe adds
+# b/u/d/s<c> (base, base + step, base - step, step) and its sign flags
+# pos<c>, neg<c>; the descent adds p<c> (its point) and s<c> (its step).
+# {fp}, {fm} and {g} are the field slot, which sets that name to the field
+# at the locals ({g} comes indented). The probe's steps are
+# FD_STEP * max(1.0, |level|) and its tolerance is
+# 1e-9 * max(1.0, |fp|, |fm|) * 2.0 * step, each max by comparisons, NaN
+# included; a finite difference whose sign a flag already holds skips the
+# tolerance, since its outcome cannot change the flags. The descent clamps
+# as min(hi, max(lo, cand)) would, NaN included, and stops when every step
+# is below TOL (a step is never NaN: the bounds of a free coordinate differ).
 
 _PROBE_LEVELS = """\
-sl = FD_STEP * max(1.0, abs(lo{c}))
+sl = FD_STEP * (lo{c} if lo{c} > 1.0 else -lo{c} if -lo{c} > 1.0 else 1.0)
 mid = 0.5 * (lo{c} + hi{c})
-sm = FD_STEP * max(1.0, abs(mid))
-sh = FD_STEP * max(1.0, abs(hi{c}))
+sm = FD_STEP * (mid if mid > 1.0 else -mid if -mid > 1.0 else 1.0)
+sh = FD_STEP * (hi{c} if hi{c} > 1.0 else -hi{c} if -hi{c} > 1.0 else 1.0)
 L{c} = ((lo{c}, lo{c} + sl, lo{c} - sl, sl), (mid, mid + sm, mid - sm, sm),
       (hi{c}, hi{c} + sh, hi{c} - sh, sh))
 """
 
 _PROBE_STEP = """\
-t{c}[i{c}] = u{c}
-fp = fi(y, z)
-t{c}[i{c}] = d{c}
-fm = fi(y, z)
-t{c}[i{c}] = b{c}
+{x} = u{c}
+{fp}
+{x} = d{c}
+{fm}
+{x} = b{c}
 fd = fp - fm
-scale = 1.0
-if fp > scale:
-    scale = fp
-elif -fp > scale:
-    scale = -fp
-if fm > scale:
-    scale = fm
-elif -fm > scale:
-    scale = -fm
-tol = 1e-9 * scale * 2.0 * s{c}
-if fd > tol:
-    if neg{c}:
-        return None
-    pos{c} = True
-elif fd < -tol:
-    if pos{c}:
-        return None
-    neg{c} = True
+if not (pos{c} and 0.0 < fd < inf or neg{c} and -inf < fd < 0.0):
+    scale = 1.0
+    if fp > scale:
+        scale = fp
+    elif -fp > scale:
+        scale = -fp
+    if fm > scale:
+        scale = fm
+    elif -fm > scale:
+        scale = -fm
+    tol = 1e-9 * scale * 2.0 * s{c}
+    if fd > tol:
+        if neg{c}:
+            return None
+        pos{c} = True
+    elif fd < -tol:
+        if pos{c}:
+            return None
+        neg{c} = True
 """
 
 _DESCENT_STEP = """\
@@ -253,8 +290,9 @@ if not cand > lo{c}:
 if not cand < hi{c}:
     cand = hi{c}
 if cand != p{c}:
-    t{c}[i{c}] = cand
-    g = flip * fi(y, z)
+    {x} = cand
+{g}
+    g = flip * g
     if g < best:
         best = g
         p{c} = cand
@@ -266,54 +304,75 @@ def _indent(block, depth):
     return "".join("    " * depth + line + "\n" for line in block.splitlines())
 
 
-def _probe_source(k):
+def _probe_source(head, xs, slot):
     """``probe``: a loop over the three levels of each free coordinate, the
     last innermost (the lattice in ``itertools.product`` order); at each
     point the k central differences in coordinate order."""
+    k = len(xs)
     cs = range(k)
-    src = "def probe(y, z, free, fi, minimize):\n"
-    src += _indent("".join(f"(t{c}, i{c}, lo{c}, hi{c}), " for c in cs) + "= free", 1)
+    src = "def probe(v, bounds, minimize):\n" + head
     src += _indent("".join(_PROBE_LEVELS.format(c=c) for c in cs), 1)
     src += _indent("".join(f"pos{c} = neg{c} = " for c in cs) + "False", 1)
     for c in cs:
-        src += _indent(f"for b{c}, u{c}, d{c}, s{c} in L{c}:\n    t{c}[i{c}] = b{c}", c + 1)
-    src += _indent("".join(_PROBE_STEP.format(c=c) for c in cs), k + 1)
+        src += _indent(f"for b{c}, u{c}, d{c}, s{c} in L{c}:\n    {xs[c]} = b{c}", c + 1)
+    src += _indent("".join(_PROBE_STEP.format(c=c, x=xs[c], fp=slot("fp"), fm=slot("fm"))
+                           for c in cs), k + 1)
     # a coordinate is nondecreasing unless only negative differences were seen
     low = ", ".join(f"lo{c} if pos{c} or not neg{c} else hi{c}" for c in cs)
     high = ", ".join(f"hi{c} if pos{c} or not neg{c} else lo{c}" for c in cs)
     return src + _indent(f"if minimize:\n    return [{low}]\nreturn [{high}]", 1)
 
 
-def _descent_source(k):
+def _descent_source(head, xs, slot):
     """``descend``: coordinate descent from the grid's best point, each round
     a step up then down per coordinate; the steps halve after a round
     without improvement."""
-    cs = range(k)
-    steps = f"max({', '.join(f's{c}' for c in cs)})" if k > 1 else "s0"
-    src = "def descend(y, z, free, fi, flip, point, best):\n"
-    src += _indent("".join(f"(t{c}, i{c}, lo{c}, hi{c}), " for c in cs) + "= free", 1)
+    cs = range(len(xs))
+    g = _indent(slot("g"), 1)[:-1]
+    src = "def descend(v, bounds, flip, point, best):\n" + head
     src += _indent("".join(f"p{c}, " for c in cs) + "= point", 1)
-    src += _indent("".join(f"t{c}[i{c}] = p{c}\ns{c} = (hi{c} - lo{c}) / STEPS\n"
+    src += _indent("".join(f"{xs[c]} = p{c}\ns{c} = (hi{c} - lo{c}) / STEPS\n"
                            for c in cs), 1)
     src += _indent(f"for _ in range(ROUNDS):\n"
-                   f"    if {steps} < TOL:\n"
+                   f"    if {' and '.join(f's{c} < TOL' for c in cs)}:\n"
                    f"        break\n"
                    f"    improved = False", 1)
-    src += _indent("".join(_DESCENT_STEP.format(c=c, op="+")
-                           + _DESCENT_STEP.format(c=c, op="-")
-                           + f"t{c}[i{c}] = p{c}\n" for c in cs), 2)
+    src += _indent("".join(_DESCENT_STEP.format(c=c, x=xs[c], op="+", g=g)
+                           + _DESCENT_STEP.format(c=c, x=xs[c], op="-", g=g)
+                           + f"{xs[c]} = p{c}\n" for c in cs), 2)
     src += _indent("if not improved:\n" + "".join(f"    s{c} = 0.5 * s{c}\n" for c in cs), 2)
     return src + _indent("return flip * best", 1)
 
 
-@functools.cache
-def _kernel(name, k):
-    """The generated ``probe`` or ``descend`` for k free coordinates, built
-    on first use."""
-    source = {"probe": _probe_source, "descend": _descent_source}[name](k)
-    env = {"abs": abs, "max": max, "range": range, "FD_STEP": FD_STEP,
-           "STEPS": _GRID_DENSE - 1.0, "ROUNDS": _DESCENT_MAX_ROUNDS,
-           "TOL": OPTIMIZER_TOL, "__builtins__": {}}
+def _search_kernel(name, n, m, free, fi, code=None):
+    """The generated ``probe`` or ``descend`` of the field component ``fi``
+    over x ++ w (n + m entries), with the entries ``free`` free.
+
+    ``code`` is the component written out, the pair (statements, expression)
+    of ``exprlang._scalar_code`` over the locals x0, ..., w0, ...: a point
+    runs it inline, and calls ``fi`` on the locals only where it raises
+    ArithmeticError or ValueError, which takes the batch value. With
+    ``code`` None every point calls ``fi``.
+    """
+    names = [f"x{j}" for j in range(n)] + [f"w{k}" for k in range(m)]
+    call = f"fi([{', '.join(names[:n])}], [{', '.join(names[n:])}])"
+
+    def slot(target):
+        if code is None:
+            return f"{target} = {call}"
+        lines, expr = code
+        return "\n".join(["try:", *(f"    {line}" for line in lines),
+                          f"    {target} = {expr}",
+                          "except (ArithmeticError, ValueError):",
+                          f"    {target} = {call}"])
+
+    head = _indent("".join(f"{x}, " for x in names) + "= v\n"
+                   + "".join(f"lo{c}, hi{c}, " for c in range(len(free))) + "= bounds", 1)
+    source = {"probe": _probe_source, "descend": _descent_source}[name](
+        head, [names[j] for j in free], slot)
+    env = dict(exprlang._SCALAR_ENV, fi=fi, range=range, inf=math.inf,
+               FD_STEP=FD_STEP, STEPS=_GRID_DENSE - 1.0, ROUNDS=_DESCENT_MAX_ROUNDS,
+               TOL=OPTIMIZER_TOL)
     exec(source, env)
     return env[name]
 
@@ -327,11 +386,7 @@ def tight_decomposition(system):
     back to a 9-per-axis grid search refined by coordinate descent to 1e-8.
     Evaluation at unordered argument pairs raises OrderError.
     """
-
-    def component(i, x, w, xh, wh):
-        return _tight_component(system, i, x, w, xh, wh)
-
-    return Decomposition(system, "tight", component)
+    return _Tight(system)
 
 
 # --- Jacobian-sign and monotone constructions ---------------------------------

@@ -1,14 +1,18 @@
+import collections
 import hashlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mmreach as mm
-from mmreach import decomp
+from mmreach import decomp, exprlang
+from mmreach.cli import main
 from mmreach.decomp import pair_order
 from mmreach.errors import (
     DimensionMismatchError,
+    MmreachError,
     NotMonotoneError,
     OrderError,
     SignIndefiniteError,
@@ -205,10 +209,20 @@ def test_tight_values_are_pinned_bit_for_bit(monkeypatch):
         assert got == float.fromhex(value), (name, got.hex(), value)
 
 
+def _call_the_field_at_every_point(monkeypatch):
+    """Generate the search kernels with their field slot filled by a call of
+    the component function, which a test can log, in place of its code."""
+    generate = decomp._search_kernel
+    monkeypatch.setattr(decomp, "_search_kernel",
+                        lambda name, n, m, free, fi, code: generate(name, n, m, free, fi))
+
+
 def test_tight_field_calls_are_pinned(monkeypatch):
     """Every field call of the tight search over the pinned cases, with its
     arguments and value, in order: a reordered search shows here even where
-    the final value does not move."""
+    the final value does not move. The kernels call the field at every
+    point here, where they run its code."""
+    _call_the_field_at_every_point(monkeypatch)
     calls = []
     systems = _pinned_systems()
     for system in systems.values():
@@ -242,6 +256,7 @@ def test_tight_descent_is_pinned_at_three_and_four_free_coordinates(monkeypatch)
     """The generated search at k = 3 and 4, beyond the reach of TIGHT_PINS'
     descent rows: both orientations take the probe and then the descent,
     with these values and these field calls."""
+    _call_the_field_at_every_point(monkeypatch)
     field = "x2^2 + x3^2 - x2*x3*w1"
     systems = [
         mm.SystemDef.from_strings(3, 1, [field, "x1", "x2"], [0.0], [0.5]),
@@ -361,48 +376,127 @@ def _interpreted_descent(y, z, free, fi, flip, point, best):
 def test_generated_search_loops_match_the_interpreted_ones(k, rng):
     """Random boxes, in both orientations, over a field that is monotone in
     some coordinates and not in others: each generated loop returns what the
-    interpreted one does, with the same field calls in the same order, and
-    leaves y and z as it does."""
+    interpreted one does, with the field's code written in and with the
+    field called at every point; called, it makes the same field calls in
+    the same order."""
     system = mm.SystemDef.from_strings(
         4, 3, ["x2^2 - x3*x4 + sin(3*w1)*w2 - w3^3", "x1", "x2", "x3"],
         [-1.0, 0.0, -1.0], [1.0, 0.5, 1.0])
     fi = system.component_fn(0)
+    lines, exprs = exprlang._scalar_code([system.field[0].root], decomp._local)
     for case in range(6):
         y, z = rng.uniform(-1, 1, 4).tolist(), rng.uniform(-1, 1, 3).tolist()
-        slots = [(y, 1), (y, 2), (y, 3), (z, 0), (z, 1), (z, 2)]
-        picked = rng.choice(6, k, replace=False)
-        free = []
-        for s in sorted(picked):
-            target, idx = slots[s]
-            lo, hi = sorted(rng.uniform(-1.5, 1.5, 2))
-            free.append((target, idx, float(lo), float(hi)))
+        # the free entries of y ++ z: x2, x3, x4, w1, w2, w3
+        picked = sorted(1 + int(j) for j in rng.choice(6, k, replace=False))
+        bounds = [float(b) for _ in picked for b in sorted(rng.uniform(-1.5, 1.5, 2))]
         minimize = case % 2 == 0
         flip = 1.0 if minimize else -1.0
-        point = [float(rng.uniform(lo, hi)) for _, _, lo, hi in free]
+        point = [float(rng.uniform(lo, hi)) for lo, hi in zip(bounds[::2], bounds[1::2])]
+        best = flip * fi(y, z)
         runs = []
-        for probe, descend in ((decomp._kernel("probe", k), decomp._kernel("descend", k)),
-                               (_interpreted_probe, _interpreted_descent)):
+        for code in ((lines, exprs[0]), None, "interpreted"):
             calls = []
 
             def logged(a, b):
                 calls.append((tuple(a), tuple(b)))
                 return fi(a, b)
 
-            ys, zs = list(y), list(z)
-            mine = [(ys if t is y else zs, i, lo, hi) for t, i, lo, hi in free]
-            corner = probe(ys, zs, mine, logged, minimize)
-            value = descend(ys, zs, mine, logged, flip, list(point),
-                            flip * fi(ys, zs))
-            runs.append((corner, value.hex(), calls, ys, zs))
-        assert runs[0] == runs[1], (k, case)
+            if code == "interpreted":
+                ys, zs = list(y), list(z)
+                free = [(ys, j, lo, hi) if j < 4 else (zs, j - 4, lo, hi)
+                        for j, lo, hi in zip(picked, bounds[::2], bounds[1::2])]
+                corner = _interpreted_probe(ys, zs, free, logged, minimize)
+                value = _interpreted_descent(ys, zs, free, logged, flip, list(point), best)
+            else:
+                kernels = [decomp._search_kernel(name, 4, 3, tuple(picked), logged, code)
+                           for name in ("probe", "descend")]
+                corner = kernels[0](y + z, bounds, minimize)
+                value = kernels[1](y + z, bounds, flip, list(point), best)
+            runs.append((corner, value.hex(), calls))
+        inline, called, interpreted = runs
+        assert called == interpreted, (k, case)
+        assert inline[:2] == interpreted[:2] and inline[2] == [], (k, case)
 
 
 def test_tight_probe_refuses_more_free_coordinates_than_it_nests():
-    # 21 free disturbances: the generated probe nests one loop per coordinate
-    system = mm.SystemDef.from_strings(1, 21, ["w21^2"], [-1.0] * 21, [1.0] * 21)
+    # 19 free disturbances: the generated probe nests one loop per
+    # coordinate around a try, and CPython compiles at most 20 nested blocks
+    system = mm.SystemDef.from_strings(1, 19, ["w19^2"], [-1.0] * 19, [1.0] * 19)
     d = mm.tight_decomposition(system)
-    with pytest.raises(SizeLimitError, match="21 free coordinates; the probe lattice"):
-        d.evaluate([0.0], [-1.0] * 21, [0.0], [1.0] * 21)
+    with pytest.raises(SizeLimitError, match="19 free coordinates; the probe lattice"):
+        d.evaluate([0.0], [-1.0] * 19, [0.0], [1.0] * 19)
+    # the probe of as many free coordinates as it allows compiles
+    k = decomp._MAX_PROBE_DIMS
+    lines, exprs = exprlang._scalar_code([system.field[0].root], decomp._local)
+    for code in ((lines, exprs[0]), None):
+        decomp._search_kernel("probe", 1, 19, tuple(range(1, k + 1)),
+                              system.component_fn(0), code)
+
+
+# fields whose scalar code raises inside the box: a division by 0, math
+# domain errors, an overflow, and a min whose temporaries raise
+RAISING_FIELDS = ["1/x2", "sqrt(x2)", "x2^0.5", "exp(800*x2)", "tan(3*x2)",
+                  "min(1/x2, x2*w1) + abs(x2)"]
+
+
+def _tight_outcomes(cases):
+    """Each (system, component, x, w, xh, wh) evaluated by a fresh tight
+    decomposition: the value's hex, or the error's type and text."""
+    out = []
+    for system, i, *args in cases:
+        try:
+            out.append(mm.tight_decomposition(system).evaluate_component(i, *args).hex())
+        except MmreachError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def test_inline_kernels_match_the_called_field(monkeypatch):
+    """The tight search with the field's code written into its kernels gives
+    the value or the error of the same search calling the field at every
+    point, on fields that raise inside the box and on random fields of
+    tests/test_soundness.py's grammar, at lower and upper values."""
+    from test_soundness import _random_box, _random_field
+
+    cases = []
+    for src in RAISING_FIELDS:
+        system = mm.SystemDef.from_strings(2, 1, [src, "x1"], [0.0], [0.1])
+        # at x2 = -1e-6 the probe's upper step lands on 0 exactly
+        for lo, hi in ((-1.0, 1.0), (-0.3, 0.7), (-1e-6, 1.0)):
+            cases.append((system, 0, [0.2, lo], [0.0], [0.2, hi], [0.1]))
+            cases.append((system, 0, [0.2, hi], [0.1], [0.2, lo], [0.0]))
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        system, box = _random_field(rng), _random_box(rng)
+        lo, hi = box.lo.tolist(), box.hi.tolist()
+        for i in range(2):
+            cases.append((system, i, lo, [-0.5], hi, [0.5]))
+            cases.append((system, i, hi, [0.5], lo, [-0.5]))
+    inline = _tight_outcomes(cases)
+    _call_the_field_at_every_point(monkeypatch)
+    assert inline == _tight_outcomes(cases)
+    assert len(inline) == 48
+    assert sum(isinstance(o, tuple) for o in inline) >= 4  # some raise
+
+
+@pytest.mark.parametrize("config, probes, descents", [
+    ("intersect10", 20, 12), ("union_verify", 6, 4), ("backward_verify", 2, 1)])
+def test_reach_builds_each_kernel_once(tmp_path, monkeypatch, config, probes, descents):
+    """A reach of a benchmark config builds one probe and at most one
+    descent per (member, component, free-coordinate pattern), which its
+    tight decompositions keep. A cache that missed would give the same
+    outputs, but each kernel takes about 0.6 ms to build."""
+    built = collections.Counter()
+    generate = decomp._search_kernel
+
+    def counted(name, *args):
+        built[name] += 1
+        return generate(name, *args)
+
+    monkeypatch.setattr(decomp, "_search_kernel", counted)
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / f"{config}.json"
+    assert main(["reach", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+    assert built == {"probe": probes, "descend": descents}
 
 
 def test_tight_search_refuses_too_many_free_coordinates():

@@ -65,6 +65,22 @@ def test_jacobian_sign_is_sound_past_its_domain():
     assert _audit(system, x0, spec, box, 1, "uniform").ok
 
 
+@pytest.mark.xfail(strict=True, reason="item 2")
+def test_tight_gives_no_finite_lower_bound_to_an_unbounded_component():
+    """1/x2 + w1 with x1 pinned at 0, x2 in [-1, 1] and w1 in [0, 0.1] has
+    no lower bound: at x2 = -1e-9, a point of the box, it is -1e9. The
+    lower value must refuse with a typed error or lie at or below that
+    value; today it is -2^26 (-67,108,864), while the upper side of the
+    same box raises EvalError."""
+    system = mm.SystemDef.from_strings(2, 1, ["1/x2 + w1", "0"], [0.0], [0.1])
+    d = mm.tight_decomposition(system)
+    try:
+        value = d.evaluate_component(0, [0.0, -1.0], [0.0], [0.0, 1.0], [0.1])
+    except MmreachError:
+        return
+    assert value <= system.eval_field([0.0, -1e-9], [0.0])[0]
+
+
 def _random_field(rng):
     """A planar field with one disturbance w1 in [-0.5, 0.5]: each component
     sums three terms a*sin(f*v), a*cos(f*v)*u, a*v*u or a*v^2 over
