@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import ReachSpec, _rk4, _step_sizes, _trajectory
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, GeometryError
 from .geometry import (
     Box,
     Parallelotope,
@@ -104,7 +104,12 @@ class ContainmentReport:
 def _sample_initial(region, count, rng):
     """Uniform initial states: direct sampling for boxes, parallelotopes and
     one- or two-vertex polygons; rejection sampling from the bounding box,
-    by the region's margins, for other polygons and unions."""
+    by the region's margins, for other polygons and unions.
+
+    A union whose every member is flatter than its bounding box (a
+    zero-width side where the box has none) raises GeometryError: no draw
+    from the box would land in it.
+    """
     if isinstance(region, Box):
         return rng.uniform(region.lo, region.hi, size=(count, region.dim))
     if isinstance(region, Parallelotope):
@@ -119,10 +124,25 @@ def _sample_initial(region, count, rng):
         if len(verts) == 2:  # degenerate hull: sample along the segment
             t = rng.uniform(0.0, 1.0, size=(count, 1))
             return verts[0] + t * (verts[1] - verts[0])
+    if isinstance(region, UnionInitialSet):
+        spanned = _dimension(region.bounding_box())
+        if all(_dimension(m) < spanned for m in region.members):
+            raise GeometryError(
+                "cannot sample the union initial set: every member has a "
+                "zero-width side, so no draw from its bounding box lands in it")
     if isinstance(region, (Polygon2D, UnionInitialSet)):
         return _rejection_sample(rng, region.bounding_box(), count,
                                  lambda batch: region.margins(batch) >= 0.0)
     raise DimensionMismatchError(f"cannot sample from {type(region).__name__}")
+
+
+def _dimension(region):
+    """Sides of positive width of a box or of a parallelotope's coordinate
+    box; a region of another type counts as full."""
+    box = region.coords if isinstance(region, Parallelotope) else region
+    if isinstance(box, Box):
+        return int(np.count_nonzero(box.hi > box.lo))
+    return region.dim
 
 
 def _rejection_sample(rng, bbox, count, accept):
@@ -159,7 +179,7 @@ def _integrate_batch(system, X, levels, switch_steps, sizes):
         out[block] = _integrate_block(system, X[block], levels[block],
                                       switch_steps[block], sizes)
     alive = np.isfinite(out).all(axis=1)
-    return out[alive], alive
+    return (out if alive.all() else out[alive]), alive
 
 
 def _integrate_block(system, X, levels, switch_steps, sizes):
@@ -176,7 +196,7 @@ def _integrate_block(system, X, levels, switch_steps, sizes):
     # switch events grouped by step. The steps lie in [0, last] and so fit a
     # small integer type, which numpy sorts stably by radix.
     last = len(sizes)
-    steps = switch_steps.ravel().astype(np.min_scalar_type(last))
+    steps = switch_steps.ravel().astype(np.min_scalar_type(last), copy=False)
     event_rows = np.argsort(steps, kind="stable")
     event_rows //= max(switch_count, 1)
     event_rows = event_rows.astype(np.int32)
@@ -205,17 +225,28 @@ def _integrate_block(system, X, levels, switch_steps, sizes):
 
 def _draw_signals(rng, count, switch_count, dist: Box, spec: ReachSpec, steps):
     """Levels (count, switch_count + 1, m) and switch steps (count,
-    switch_count) of ``count`` piecewise-constant disturbance signals."""
+    switch_count) of ``count`` piecewise-constant disturbance signals.
+
+    After the levels, the corner-level picks and then the switch times are
+    drawn in pieces of _BLOCK rows. Split uniform draws of one generator
+    return the values of a single draw, so the pieces change no value; they
+    bound the temporaries by the row block. The switch steps lie in [0,
+    steps] and are held in the smallest integer type that fits ``steps``,
+    which ``_integrate_block`` sorts without a copy.
+    """
     segments = switch_count + 1
     levels = rng.uniform(dist.lo, dist.hi, size=(count, segments, dist.dim))
-    pick = rng.uniform(size=(count, segments))
-    levels[pick < 0.5 * _CORNER_LEVEL_PROB] = dist.lo
-    levels[(pick >= 0.5 * _CORNER_LEVEL_PROB) & (pick < _CORNER_LEVEL_PROB)] = dist.hi
-    del pick  # release it before the switch draw so that draw can reuse its pages
-    if switch_count == 0:
-        return levels, np.zeros((count, 0), dtype=int)
-    raw = rng.uniform(0.0, spec.horizon, size=(count, switch_count))
-    return levels, np.clip(np.round(raw / spec.dt).astype(int), 0, steps)
+    for lo in range(0, count, _BLOCK):
+        block = levels[lo : lo + _BLOCK]
+        pick = rng.uniform(size=block.shape[:2])
+        block[pick < 0.5 * _CORNER_LEVEL_PROB] = dist.lo
+        block[(pick >= 0.5 * _CORNER_LEVEL_PROB) & (pick < _CORNER_LEVEL_PROB)] = dist.hi
+    switches = np.empty((count, switch_count), dtype=np.min_scalar_type(steps))
+    for lo in range(0, count, _BLOCK):
+        block = switches[lo : lo + _BLOCK]
+        raw = rng.uniform(0.0, spec.horizon, size=block.shape)
+        block[:] = np.clip(np.round(raw / spec.dt), 0, steps)
+    return levels, switches
 
 
 def _trajectories(system, spec: ReachSpec, cfg: SampleConfig, draw_starts,
@@ -240,7 +271,9 @@ def _trajectories(system, spec: ReachSpec, cfg: SampleConfig, draw_starts,
         starts = draw_starts(rng, count)
         levels, switches = _draw_signals(rng, count, cfg.switch_count,
                                          system.dist, spec, len(sizes))
-        yield (starts, *_integrate_batch(system, starts, levels, switches, sizes))
+        ends = _integrate_batch(system, starts, levels, switches, sizes)
+        del levels, switches  # the caller's selection need not hold them
+        yield (starts, *ends)
 
 
 def sample_endpoints(system, x0, spec: ReachSpec, cfg: SampleConfig):
@@ -254,16 +287,18 @@ def sample_endpoints(system, x0, spec: ReachSpec, cfg: SampleConfig):
         # corner starts under the two extreme constant signals come first
         extremes = (system.dist.lo, system.dist.hi)
         corners = [(c, w) for c in x0.corners() for w in extremes][: cfg.count]
-    endpoints = []
+    points = np.empty((cfg.count, system.n))
+    have = 0
     divergent = 0
     for _, X, alive in _trajectories(system, spec, cfg,
                                      lambda rng, count: _sample_initial(x0, count, rng),
                                      corners):
         divergent += int((~alive).sum())
-        endpoints.append(X)
+        points[have : have + len(X)] = X
+        have += len(X)
     if divergent:
         log.warning("excluded %d divergent trajectories of %d", divergent, cfg.count)
-    return SampleResult(points=np.concatenate(endpoints), divergent=divergent)
+    return SampleResult(points=points[:have], divergent=divergent)
 
 
 def audit_containment(points, region, tol=CONTAINMENT_TOL):
@@ -292,7 +327,7 @@ def audit_containment(points, region, tol=CONTAINMENT_TOL):
         return ContainmentReport(total=0, violations=0, worst_margin=np.inf)
     margins = region.margins(pts)
     # margins < -tol is false for NaN, which would count the point as inside
-    margins = np.where(np.isnan(margins), -np.inf, margins)
+    margins[np.isnan(margins)] = -np.inf
     bad = margins < -tol
     violations = int(bad.sum())
     worst = float(margins.min())

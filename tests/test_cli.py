@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -418,6 +421,31 @@ def test_verify_that_audits_no_point_fails(tmp_path, capsys, direction):
     assert doc["total"] == 0 and doc["violations"] == 0
     assert doc["worst_margin"] is None
     assert doc["divergent"] == divergent
+
+
+def test_verify_of_a_zero_area_union_fails_instead_of_hanging(tmp_path):
+    """Two identity-shape members of zero height: ``check`` and ``reach``
+    accept them, but no draw from their bounding box lands in either, so
+    the sampler refuses the union (exit 1) instead of rejecting forever.
+    The CLI runs in a child process under a timeout."""
+    cfg = _write(tmp_path, {
+        "system": "bilinear",
+        "initial_set": {"type": "union", "members": [
+            {"shape": [[1, 0], [0, 1]], "lo": [0.0, 0.0], "hi": [0.5, 0.0]},
+            {"shape": [[1, 0], [0, 1]], "lo": [0.0, 0.1], "hi": [0.5, 0.1]}]},
+        "horizon": 0.1,
+        "dt": 0.01,
+    })
+    src = str(Path(mm.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-m", "mmreach.cli", "verify", "--config", cfg,
+         "--out", str(tmp_path / "out"), "--quiet"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert child.returncode == 1
+    assert child.stderr == ("error: cannot sample the union initial set: every "
+                            "member has a zero-width side, so no draw from its "
+                            "bounding box lands in it\n")
 
 
 _HULL_POINTS = [[0.0, 0.0], [0.75, -0.25], [0.6, 0.25], [0.1, 0.2]]

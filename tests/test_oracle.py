@@ -1,14 +1,20 @@
 import hashlib
 import logging
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mmreach as mm
 from mmreach import oracle
+from mmreach.config import load_config
 from mmreach.embed import _rk4, _step_sizes
-from mmreach.errors import DimensionMismatchError, DivergenceError
+from mmreach.errors import DimensionMismatchError, DivergenceError, GeometryError
 from mmreach.oracle import _draw_signals, _integrate_batch, _sample_initial
 
 
@@ -76,6 +82,45 @@ def test_sampling_inside_union_is_uniform_over_members(rng):
     assert all(inside)
     left = float(np.mean(res.points[:, 0] < 1.5))
     assert 0.45 <= left <= 0.55
+
+
+def test_a_union_of_zero_area_members_is_refused_before_any_draw():
+    """No draw from the bounding box of two parallel segments lands on
+    either, so rejection sampling would never finish. The call runs in a
+    child process under a timeout, so a sampler that hangs fails the test
+    instead of the suite."""
+    code = (
+        "import numpy as np, mmreach as mm\n"
+        "seg = lambda y: mm.Parallelotope(np.eye(2), mm.Box([0.0, y], [0.5, y]))\n"
+        "union = mm.UnionInitialSet((seg(0.0), seg(0.1)))\n"
+        "mm.sample_endpoints(mm.preset_system('bilinear'), union,\n"
+        "                    mm.ReachSpec(0.1, 0.01), mm.SampleConfig(count=10))\n"
+    )
+    src = str(Path(mm.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, timeout=60,
+                           env={**os.environ, "PYTHONPATH": src})
+    assert child.returncode == 1
+    assert "GeometryError: cannot sample the union initial set" in child.stderr
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    union = mm.UnionInitialSet(tuple(
+        mm.Parallelotope(np.eye(2), mm.Box([0.0, y], [0.5, y])) for y in (0.0, 0.1)))
+    with pytest.raises(GeometryError, match="zero-width side"):
+        _sample_initial(union, 10, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_a_union_as_flat_as_its_bounding_box_is_sampled():
+    """Segments on one line have a flat bounding box, and every draw from
+    it lands on the line: such a union is sampled, not refused."""
+    union = mm.UnionInitialSet((
+        mm.Parallelotope(np.eye(2), mm.Box([0.0, 0.2], [0.5, 0.2])),
+        mm.Parallelotope(np.eye(2), mm.Box([0.25, 0.2], [1.0, 0.2])),
+    ))
+    points = _sample_initial(union, 50, np.random.default_rng(0))
+    assert np.all(points[:, 1] == 0.2)
+    assert np.all((points[:, 0] >= 0.0) & (points[:, 0] <= 1.0))
 
 
 def test_audit_containment_basics():
@@ -505,3 +550,83 @@ def test_divergent_rows_are_counted_and_never_witnesses():
     inside = (ref_X[:, 0] >= 0.0) & (ref_X[:, 0] <= 1e300)
     assert (inside & ~ref_alive).any()  # frozen states the audit must skip
     assert _same_bits(wit, starts[inside & ref_alive])
+
+
+def _one_shot_signals(rng, count, switch_count, dist, spec, steps):
+    """The signal draw that the block-by-block one replaced: every pick and
+    every switch time of the chunk in one draw each, the steps as int."""
+    segments = switch_count + 1
+    levels = rng.uniform(dist.lo, dist.hi, size=(count, segments, dist.dim))
+    pick = rng.uniform(size=(count, segments))
+    levels[pick < 0.1] = dist.lo
+    levels[(pick >= 0.1) & (pick < 0.2)] = dist.hi
+    if switch_count == 0:
+        return levels, np.zeros((count, 0), dtype=int)
+    raw = rng.uniform(0.0, spec.horizon, size=(count, switch_count))
+    return levels, np.clip(np.round(raw / spec.dt).astype(int), 0, steps)
+
+
+_DRAW_CASES = {
+    # name: (count, switch_count, disturbance box, horizon, dt, step type)
+    "ragged": (100, 4, mm.Box([-1.0], [1.0]), 1.0, 0.01, np.uint8),
+    "no_switches": (100, 0, mm.Box([-1.0], [1.0]), 1.0, 0.01, np.uint8),
+    "two_disturbances": (100, 3, mm.Box([-1.0, 0.0], [1.0, 0.5]), 0.5, 0.01,
+                         np.uint8),
+    "over_255_steps": (100, 6, mm.Box([0.0], [2.0]), 3.0, 0.01, np.uint16),
+    "remainder": (100, 4, mm.Box([-1.0], [1.0]), 0.255, 0.01, np.uint8),
+}
+
+
+@pytest.mark.parametrize("name", list(_DRAW_CASES))
+def test_block_draw_matches_the_one_shot_draw(name, monkeypatch):
+    """100 rows in pieces of 7 rows give the one-shot draw's levels and
+    switch steps, in the compact step type, and leave the generator where
+    the one-shot draw leaves it, so the next chunk draws the same too."""
+    count, switch_count, dist, horizon, dt, step_type = _DRAW_CASES[name]
+    spec = mm.ReachSpec(horizon, dt)
+    steps = len(_step_sizes(horizon, dt))
+    if name == "remainder":
+        assert _step_sizes(horizon, dt)[-1] < dt
+    monkeypatch.setattr(oracle, "_BLOCK", 7)
+    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    levels, switches = _draw_signals(rng, count, switch_count, dist, spec, steps)
+    ref_levels, ref_switches = _one_shot_signals(ref_rng, count, switch_count,
+                                                 dist, spec, steps)
+    assert _same_bits(levels, ref_levels)
+    assert switches.dtype == step_type and switches.shape == ref_switches.shape
+    assert np.array_equal(switches, ref_switches)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if step_type is np.uint16:
+        assert switches.max() > 255
+    assert ((levels == dist.lo) | (levels == dist.hi)).all(axis=2).any()
+
+
+def test_the_witness_search_holds_its_arrays_and_a_few_row_blocks():
+    """tracemalloc traces numpy's buffers too. The witness search of
+    backward-verify's config (80,000 rows in one chunk) holds at once only
+    the chunk's starts, levels, switch steps and endpoints, plus row-block
+    temporaries: the signals are drawn in row-block pieces and released
+    before the witnesses are selected. The bound allows twelve blocks of
+    (2^14, n) float states; a whole-chunk draw or selection exceeds it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench/configs/backward_verify.json"
+    cfg = load_config(path)
+    system, sampling = cfg.system, cfg.sampling
+    spec = mm.ReachSpec(cfg.spec.horizon, cfg.spec.dt, "forward")
+    # compile the field and touch every code path before tracing
+    warm = mm.SampleConfig(count=10, seed=0)
+    mm.backward_witnesses(system, cfg.initial_set, spec, warm, cfg.search_box)
+    count, steps = sampling.count, len(_step_sizes(spec.horizon, spec.dt))
+    arrays = (count * system.n * 8  # starts
+              + count * (sampling.switch_count + 1) * system.m * 8  # levels
+              + count * sampling.switch_count * np.min_scalar_type(steps).itemsize
+              + count * system.n * 8)  # endpoints
+    block = oracle._BLOCK * system.n * 8
+    tracemalloc.start()
+    try:
+        witnesses = mm.backward_witnesses(system, cfg.initial_set, spec, sampling,
+                                          cfg.search_box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(witnesses) > 0
+    assert peak < arrays + 12 * block, (peak, arrays, block)
