@@ -28,8 +28,9 @@ log = logging.getLogger(__name__)
 CONTAINMENT_TOL = 1e-9
 DEFAULT_CELL = 0.02
 
-_CHUNK = 250_000
+_CHUNK = 250_000  # rows per chunk: fixes the layout of the random stream
 _BLOCK = 1 << 14  # rows integrated together: 256 KB per (N, 2) array
+_MIN_AREA_RATIO = 1e-9  # of a rejection-sampled region to its bounding box
 _CORNER_LEVEL_PROB = 0.2  # per-segment chance of an extreme disturbance level
 
 
@@ -106,9 +107,12 @@ def _sample_initial(region, count, rng):
     one- or two-vertex polygons; rejection sampling from the bounding box,
     by the region's margins, for other polygons and unions.
 
-    A union whose every member is flatter than its bounding box (a
-    zero-width side where the box has none) raises GeometryError: no draw
-    from the box would land in it.
+    Before any draw, a union whose every member is flatter than its
+    bounding box (a zero-width side where the box has none) raises
+    GeometryError, and so does a polygon or union whose area is below
+    _MIN_AREA_RATIO of its bounding box's: few or no draws from the box
+    would land in it. A union's area is taken as its members' summed area,
+    an upper bound.
     """
     if isinstance(region, Box):
         return rng.uniform(region.lo, region.hi, size=(count, region.dim))
@@ -131,7 +135,17 @@ def _sample_initial(region, count, rng):
                 "cannot sample the union initial set: every member has a "
                 "zero-width side, so no draw from its bounding box lands in it")
     if isinstance(region, (Polygon2D, UnionInitialSet)):
-        return _rejection_sample(rng, region.bounding_box(), count,
+        bbox = region.bounding_box()
+        box_area = _area(bbox)
+        ratio = _area(region) / box_area if box_area > 0.0 else 1.0
+        if ratio < _MIN_AREA_RATIO:
+            kind = "polygon" if isinstance(region, Polygon2D) else "union"
+            raise GeometryError(
+                f"cannot sample the {kind} initial set: its area is "
+                f"{ratio:.3g} of its bounding box's, below "
+                f"{_MIN_AREA_RATIO:g}, so rejection sampling from the box "
+                "would not finish")
+        return _rejection_sample(rng, bbox, count,
                                  lambda batch: region.margins(batch) >= 0.0)
     raise DimensionMismatchError(f"cannot sample from {type(region).__name__}")
 
@@ -145,45 +159,79 @@ def _dimension(region):
     return region.dim
 
 
+def _area(region):
+    """Volume of a box, parallelotope or polygon; of a union or
+    intersection, its members' summed volume, an upper bound on its own."""
+    if isinstance(region, Box):
+        return float(np.prod(region.hi - region.lo))
+    if isinstance(region, Parallelotope):
+        return abs(float(np.linalg.det(region.shape))) * _area(region.coords)
+    if isinstance(region, Polygon2D):
+        return region.area()
+    return sum(_area(m) for m in region.members)
+
+
+def _row_blocks(count):
+    """Slices that cover ``count`` rows in order: blocks of _BLOCK rows and
+    a remainder. A one-row remainder joins the block before it: numpy
+    multiplies a lone row by a transposed matrix in another summation order
+    than the same row inside a larger product, so the margins of a
+    ``Parallelotope`` could differ in the last bit."""
+    starts = list(range(0, count, _BLOCK))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
+
+
 def _rejection_sample(rng, bbox, count, accept):
+    """``count`` draws from ``bbox`` that ``accept`` passes, in draw order.
+
+    Each round draws max(count, 1024) candidates, tested in _row_blocks
+    pieces; split uniform draws of one generator return the values of a
+    single draw. Once ``count`` have passed, the rest of the round is not
+    drawn: the generator is advanced past it (each uniform double takes one
+    64-bit draw), so it ends where a whole-round draw leaves it.
+    """
     out = np.empty((count, bbox.dim))
     have = 0
     while have < count:
-        batch = rng.uniform(bbox.lo, bbox.hi, size=(max(count, 1024), bbox.dim))
-        accepted = batch[accept(batch)]
-        take = min(count - have, len(accepted))
-        out[have : have + take] = accepted[:take]
-        have += take
+        size = max(count, 1024)
+        for rows in _row_blocks(size):
+            if have == count:
+                rng.bit_generator.advance((size - rows.start) * bbox.dim)
+                break
+            batch = rng.uniform(bbox.lo, bbox.hi,
+                                size=(rows.stop - rows.start, bbox.dim))
+            accepted = batch[accept(batch)]
+            take = min(count - have, len(accepted))
+            out[have : have + take] = accepted[:take]
+            have += take
     return out
 
 
-def _integrate_batch(system, X, levels, switch_steps, sizes):
-    """Vectorized fixed-step 4th-order integration with piecewise-constant
-    disturbances.
+def _integrate_batch(system, X, signals, sizes):
+    """Vectorized fixed-step 4th-order integration of the rows of ``X`` with
+    piecewise-constant disturbances, one _row_blocks block at a time.
 
-    Row ``r`` is driven by ``levels[r, k]`` over the steps at which ``k`` of
-    its ``switch_steps`` have passed: a switch at step ``s`` in
-    [0, len(sizes)] applies from step ``s`` on. Rows are independent, so the
-    batch is integrated in blocks of _BLOCK rows, whose RK4 buffers and
-    field results stay in a core's L2 cache; the blocks change no value.
-    ``X`` is never written: the witness search reads it afterwards, and
-    ``_rk4`` may receive it uncopied. Every row stays in the
-    batch for every step: each RK4 update adds to the state, so a component
-    that turns non-finite stays non-finite, and one finiteness test after
-    the last step finds the diverged rows. Returns (endpoints of the alive
-    rows in row order, alive mask).
+    ``signals(rows)`` gives a block's levels and switch steps: row ``r`` is
+    driven by ``levels[r, k]`` over the steps at which ``k`` of its
+    ``switch_steps`` have passed, a switch at step ``s`` in [0, len(sizes)]
+    applying from step ``s`` on. Rows are independent, and a block's RK4
+    buffers and field results stay in a core's L2 cache; the blocks change
+    no value. ``X`` is never written: the witness search selects from it
+    afterwards, and ``_rk4`` may receive a block uncopied. Every row stays
+    in the block for every step: each RK4 update adds to the state, so a
+    component that turns non-finite stays non-finite, and one finiteness
+    test after the last step finds the diverged rows. Yields (starts,
+    endpoints, alive mask) per block, diverged rows included.
     """
-    out = np.empty(X.shape)
-    for lo in range(0, len(X), _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        out[block] = _integrate_block(system, X[block], levels[block],
-                                      switch_steps[block], sizes)
-    alive = np.isfinite(out).all(axis=1)
-    return (out if alive.all() else out[alive]), alive
+    for rows in _row_blocks(len(X)):
+        ends = _integrate_block(system, X[rows], *signals(rows), sizes)
+        yield X[rows], ends, np.isfinite(ends).all(axis=1)
 
 
 def _integrate_block(system, X, levels, switch_steps, sizes):
-    """``_integrate_batch`` of one row block: its final states, diverged
+    """The final states of one row block of ``_integrate_batch``, diverged
     rows included.
 
     The state and the disturbances are column-major (N, n) and (N, m)
@@ -224,40 +272,59 @@ def _integrate_block(system, X, levels, switch_steps, sizes):
 
 
 def _draw_signals(rng, count, switch_count, dist: Box, spec: ReachSpec, steps):
-    """Levels (count, switch_count + 1, m) and switch steps (count,
-    switch_count) of ``count`` piecewise-constant disturbance signals.
+    """The piecewise-constant disturbance signals of ``count`` rows, drawn
+    block by block: returns ``draw(rows)``, the levels (k, switch_count + 1,
+    m) and switch steps (k, switch_count) of a slice of the rows, and moves
+    ``rng`` past every draw of the ``count`` rows.
 
-    After the levels, the corner-level picks and then the switch times are
-    drawn in pieces of _BLOCK rows. Split uniform draws of one generator
-    return the values of a single draw, so the pieces change no value; they
-    bound the temporaries by the row block. The switch steps lie in [0,
-    steps] and are held in the smallest integer type that fits ``steps``,
-    which ``_integrate_block`` sorts without a copy.
+    The stream layout is that of drawing with ``rng`` all the levels, then
+    all the corner-level picks, then all the switch times. ``draw`` reads a
+    block's piece of each at its offset in that layout, from a second PCG64
+    set to ``rng``'s state and moved with ``advance``, since each uniform
+    double takes one 64-bit draw; split draws return the values of a single
+    draw, so any block gives its rows' values of the one-shot draw. The
+    switch steps lie in [0, steps] and are held in the smallest integer type
+    that fits ``steps``, which ``_integrate_block`` sorts without a copy.
     """
     segments = switch_count + 1
-    levels = rng.uniform(dist.lo, dist.hi, size=(count, segments, dist.dim))
-    for lo in range(0, count, _BLOCK):
-        block = levels[lo : lo + _BLOCK]
-        pick = rng.uniform(size=block.shape[:2])
-        block[pick < 0.5 * _CORNER_LEVEL_PROB] = dist.lo
-        block[(pick >= 0.5 * _CORNER_LEVEL_PROB) & (pick < _CORNER_LEVEL_PROB)] = dist.hi
-    switches = np.empty((count, switch_count), dtype=np.min_scalar_type(steps))
-    for lo in range(0, count, _BLOCK):
-        block = switches[lo : lo + _BLOCK]
-        raw = rng.uniform(0.0, spec.horizon, size=block.shape)
-        block[:] = np.clip(np.round(raw / spec.dt), 0, steps)
-    return levels, switches
+    picks_at = count * segments * dist.dim
+    switches_at = picks_at + count * segments
+    base = rng.bit_generator.state
+    rng.bit_generator.advance(switches_at + count * switch_count)
+    aux = np.random.Generator(np.random.PCG64())
+    step_type = np.min_scalar_type(steps)
+
+    def stream(offset):
+        aux.bit_generator.state = base
+        aux.bit_generator.advance(offset)
+        return aux
+
+    def draw(rows):
+        lo, k = rows.start, rows.stop - rows.start
+        levels = stream(lo * segments * dist.dim).uniform(
+            dist.lo, dist.hi, size=(k, segments, dist.dim))
+        pick = stream(picks_at + lo * segments).uniform(size=(k, segments))
+        levels[pick < 0.5 * _CORNER_LEVEL_PROB] = dist.lo
+        levels[(pick >= 0.5 * _CORNER_LEVEL_PROB) & (pick < _CORNER_LEVEL_PROB)] = dist.hi
+        raw = stream(switches_at + lo * switch_count).uniform(
+            0.0, spec.horizon, size=(k, switch_count))
+        return levels, np.clip(np.round(raw / spec.dt), 0, steps).astype(step_type)
+
+    return draw
 
 
 def _trajectories(system, spec: ReachSpec, cfg: SampleConfig, draw_starts,
                   corners=()):
-    """The one trajectory loop of the oracle: yields (starts, endpoints of
-    the alive rows, alive mask) per integrated batch.
+    """The one trajectory loop of the oracle: yields (starts, endpoints,
+    alive mask) per integrated row block, the endpoints of diverged rows
+    included.
 
-    The ``corners`` (start, constant disturbance) pairs, if any, come first
-    as one batch. The other ``cfg.count - len(corners)`` trajectories follow
-    in chunks of at most _CHUNK; each chunk draws its starts with
-    ``draw_starts(rng, count)`` and then its disturbance signals.
+    The ``corners`` (start, constant disturbance) pairs, if any, come first.
+    The other ``cfg.count - len(corners)`` trajectories follow in chunks of
+    at most _CHUNK, which fix the layout of the random stream: each chunk
+    draws its starts with ``draw_starts(rng, count)``, and each of its row
+    blocks then draws its disturbance signals at its offset in the chunk's
+    stream. A chunk holds its starts; everything else lives for one block.
     """
     sizes = _step_sizes(spec.horizon, spec.dt)
     rng = np.random.default_rng(cfg.seed)
@@ -265,15 +332,14 @@ def _trajectories(system, spec: ReachSpec, cfg: SampleConfig, draw_starts,
         starts = np.array([c for c, _ in corners], dtype=float)
         levels = np.array([np.tile(w, (cfg.switch_count + 1, 1)) for _, w in corners])
         switches = np.zeros((len(corners), cfg.switch_count), dtype=int)
-        yield (starts, *_integrate_batch(system, starts, levels, switches, sizes))
+        yield from _integrate_batch(system, starts,
+                                    lambda rows: (levels[rows], switches[rows]), sizes)
     for done in range(len(corners), cfg.count, _CHUNK):
         count = min(_CHUNK, cfg.count - done)
         starts = draw_starts(rng, count)
-        levels, switches = _draw_signals(rng, count, cfg.switch_count,
-                                         system.dist, spec, len(sizes))
-        ends = _integrate_batch(system, starts, levels, switches, sizes)
-        del levels, switches  # the caller's selection need not hold them
-        yield (starts, *ends)
+        signals = _draw_signals(rng, count, cfg.switch_count, system.dist, spec,
+                                len(sizes))
+        yield from _integrate_batch(system, starts, signals, sizes)
 
 
 def sample_endpoints(system, x0, spec: ReachSpec, cfg: SampleConfig):
@@ -289,13 +355,13 @@ def sample_endpoints(system, x0, spec: ReachSpec, cfg: SampleConfig):
         corners = [(c, w) for c in x0.corners() for w in extremes][: cfg.count]
     points = np.empty((cfg.count, system.n))
     have = 0
-    divergent = 0
     for _, X, alive in _trajectories(system, spec, cfg,
                                      lambda rng, count: _sample_initial(x0, count, rng),
                                      corners):
-        divergent += int((~alive).sum())
+        X = X[alive]
         points[have : have + len(X)] = X
         have += len(X)
+    divergent = cfg.count - have
     if divergent:
         log.warning("excluded %d divergent trajectories of %d", divergent, cfg.count)
     return SampleResult(points=points[:have], divergent=divergent)
@@ -368,10 +434,16 @@ def backward_witnesses(system, x0: Parallelotope, spec: ReachSpec,
     construction, so it must lie inside any sound backward over-approximation.
     Returns an (k, n) array; logs a warning when no witnesses were found.
     """
-    batches = _trajectories(system, spec, cfg, lambda rng, count: rng.uniform(
-        search_box.lo, search_box.hi, size=(count, system.n)))
-    witnesses = np.concatenate([starts[alive][x0.margins(X) >= -CONTAINMENT_TOL]
-                                for starts, X, alive in batches])
+    witnesses = []
+    for starts, X, alive in _trajectories(
+            system, spec, cfg, lambda rng, count: rng.uniform(
+                search_box.lo, search_box.hi, size=(count, system.n))):
+        # margins of the whole block, so no call has a lone row (see
+        # _row_blocks); the diverged rows' are masked out
+        with np.errstate(all="ignore"):
+            inside = x0.margins(X) >= -CONTAINMENT_TOL
+        witnesses.append(starts[alive & inside])
+    witnesses = np.concatenate(witnesses)
     if len(witnesses) == 0:
         log.warning(
             "no backward witnesses found in %d samples; the target may be "

@@ -448,7 +448,34 @@ def test_verify_of_a_zero_area_union_fails_instead_of_hanging(tmp_path):
                             "bounding box lands in it\n")
 
 
-_HULL_POINTS = [[0.0, 0.0], [0.75, -0.25], [0.6, 0.25], [0.1, 0.2]]
+def test_verify_of_a_thin_union_fails_instead_of_hanging(tmp_path):
+    """Two members 1e-12 high fill 2e-11 of their bounding box: a draw
+    would land in one about once in 5e10 tries. ``check`` accepts them,
+    and the sampler refuses the union (exit 1) before it draws."""
+    cfg = _write(tmp_path, {
+        "system": "bilinear",
+        "initial_set": {"type": "union", "members": [
+            {"shape": [[1, 0], [0, 1]], "lo": [0.0, 0.0], "hi": [0.5, 1e-12]},
+            {"shape": [[1, 0], [0, 1]], "lo": [0.0, 0.1], "hi": [0.5, 0.1 + 1e-12]}]},
+        "horizon": 0.1,
+        "dt": 0.01,
+    })
+    src = str(Path(mm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    cli = [sys.executable, "-m", "mmreach.cli"]
+    check = subprocess.run(cli + ["check", "--config", cfg, "--quiet"],
+                           capture_output=True, text=True, timeout=60, env=env)
+    assert check.returncode == 0, check.stderr
+    child = subprocess.run(
+        cli + ["verify", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert child.returncode == 1
+    assert child.stderr == ("error: cannot sample the union initial set: its area "
+                            "is 2e-11 of its bounding box's, below 1e-09, so "
+                            "rejection sampling from the box would not finish\n")
+
+
+_HULL_POINTS =[[0.0, 0.0], [0.75, -0.25], [0.6, 0.25], [0.1, 0.2]]
 
 
 @pytest.mark.parametrize("points", [

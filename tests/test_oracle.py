@@ -15,7 +15,8 @@ from mmreach import oracle
 from mmreach.config import load_config
 from mmreach.embed import _rk4, _step_sizes
 from mmreach.errors import DimensionMismatchError, DivergenceError, GeometryError
-from mmreach.oracle import _draw_signals, _integrate_batch, _sample_initial
+from mmreach.oracle import (_draw_signals, _integrate_batch, _rejection_sample,
+                            _row_blocks, _sample_initial)
 
 
 def test_sample_determinism(bilinear, example1_ptope):
@@ -108,6 +109,39 @@ def test_a_union_of_zero_area_members_is_refused_before_any_draw():
         mm.Parallelotope(np.eye(2), mm.Box([0.0, y], [0.5, y])) for y in (0.0, 0.1)))
     with pytest.raises(GeometryError, match="zero-width side"):
         _sample_initial(union, 10, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_a_thin_union_is_refused_before_any_draw():
+    """Two strips 1e-12 high fill 2e-11 of their bounding box, so about one
+    draw from it in 5e10 would land in them: rejection sampling would run
+    until killed. The call runs in a child process under a timeout."""
+    code = (
+        "import numpy as np, mmreach as mm\n"
+        "strip = lambda y: mm.Parallelotope(np.eye(2), mm.Box([0.0, y], [0.5, y + 1e-12]))\n"
+        "union = mm.UnionInitialSet((strip(0.0), strip(0.1)))\n"
+        "mm.sample_endpoints(mm.preset_system('bilinear'), union,\n"
+        "                    mm.ReachSpec(0.1, 0.01), mm.SampleConfig(count=10))\n"
+    )
+    src = str(Path(mm.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, timeout=60,
+                           env={**os.environ, "PYTHONPATH": src})
+    assert child.returncode == 1
+    assert ("GeometryError: cannot sample the union initial set: its area is "
+            "2e-11 of its bounding box's, below 1e-09") in child.stderr
+
+
+def test_a_sliver_polygon_is_refused_before_any_draw():
+    """A triangle along the diagonal of its unit bounding box fills 5e-11 of
+    it; the generator is left as it was."""
+    sliver = mm.convex_hull_2d([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5 + 1e-10]])
+    assert len(sliver) == 3
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(GeometryError, match="the polygon initial set: its area "
+                                            "is 5e-11 of its bounding box's"):
+        _sample_initial(sliver, 10, rng)
     assert rng.bit_generator.state == state
 
 
@@ -366,6 +400,15 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _integrate(system, X, levels, switch_steps, sizes):
+    """``_integrate_batch`` of whole signal arrays, its row blocks joined:
+    (endpoints of the alive rows, alive mask)."""
+    blocks = list(_integrate_batch(
+        system, X, lambda rows: (levels[rows], switch_steps[rows]), sizes))
+    alive = np.concatenate([a for _, _, a in blocks])
+    return np.concatenate([e for _, e, _ in blocks])[alive], alive
+
+
 _BLOWUP = mm.SystemDef.from_strings(1, 1, ["x1*x1 + w1"], [0.0], [1.0])
 
 
@@ -416,7 +459,7 @@ _BATCH_CASES = [
 def test_integrate_batch_matches_the_per_step_reference(name):
     system, starts, levels, steps, sizes = _batch_case(name)
     ref_X, ref_alive = _reference_batch(system, starts, levels, steps, sizes)
-    X, alive = _integrate_batch(system, starts, levels, steps, sizes)
+    X, alive = _integrate(system, starts, levels, steps, sizes)
     assert _same_bits(alive, ref_alive)
     assert _same_bits(X, ref_X[ref_alive])
     if name == "diverge_at_different_steps":
@@ -490,7 +533,7 @@ def test_integrate_batch_never_writes_the_starts(layout):
         levels = levels[:, :, :1]
     assert (np.asfortranarray(starts) is starts) == (layout != "C")
     before = starts.copy()
-    X, alive = _integrate_batch(system, starts, levels, steps, sizes)
+    X, alive = _integrate(system, starts, levels, steps, sizes)
     assert alive.all() and not np.array_equal(X, before)
     assert _same_bits(starts, before)
 
@@ -533,8 +576,8 @@ def test_divergent_rows_are_counted_and_never_witnesses():
     res = mm.sample_endpoints(_BLOWUP, x0, spec, cfg)
     rng = np.random.default_rng(cfg.seed)
     starts = _sample_initial(x0, cfg.count, rng)
-    levels, steps = _draw_signals(rng, cfg.count, cfg.switch_count,
-                                  _BLOWUP.dist, spec, len(sizes))
+    levels, steps = _one_shot_signals(rng, cfg.count, cfg.switch_count,
+                                      _BLOWUP.dist, spec, len(sizes))
     ref_X, ref_alive = _reference_batch(_BLOWUP, starts, levels, steps, sizes)
     assert 0 < res.divergent == int((~ref_alive).sum()) < cfg.count
     assert _same_bits(res.points, ref_X[ref_alive])
@@ -544,8 +587,8 @@ def test_divergent_rows_are_counted_and_never_witnesses():
     wit = mm.backward_witnesses(_BLOWUP, target, spec, cfg, search)
     rng = np.random.default_rng(cfg.seed)
     starts = rng.uniform(search.lo, search.hi, size=(cfg.count, 1))
-    levels, steps = _draw_signals(rng, cfg.count, cfg.switch_count,
-                                  _BLOWUP.dist, spec, len(sizes))
+    levels, steps = _one_shot_signals(rng, cfg.count, cfg.switch_count,
+                                      _BLOWUP.dist, spec, len(sizes))
     ref_X, ref_alive = _reference_batch(_BLOWUP, starts, levels, steps, sizes)
     inside = (ref_X[:, 0] >= 0.0) & (ref_X[:, 0] <= 1e300)
     assert (inside & ~ref_alive).any()  # frozen states the audit must skip
@@ -566,67 +609,238 @@ def _one_shot_signals(rng, count, switch_count, dist, spec, steps):
     return levels, np.clip(np.round(raw / spec.dt).astype(int), 0, steps)
 
 
+def _one_shot_search(system, target, spec, cfg, search, chunk):
+    """The trajectory loop that the streamed one replaced: each chunk draws
+    its starts from ``search``, then all its levels, picks and switch times
+    at once, integrates them by the per-step reference and selects the
+    witnesses among the chunk's alive rows. Returns the levels, switch
+    steps, endpoints of the alive rows and witnesses of all chunks, and the
+    generator state after each chunk."""
+    sizes = _step_sizes(spec.horizon, spec.dt)
+    rng = np.random.default_rng(cfg.seed)
+    levels, switches, ends, witnesses, states = [], [], [], [], []
+    for done in range(0, cfg.count, chunk):
+        count = min(chunk, cfg.count - done)
+        starts = rng.uniform(search.lo, search.hi, size=(count, system.n))
+        chunk_levels, chunk_switches = _one_shot_signals(
+            rng, count, cfg.switch_count, system.dist, spec, len(sizes))
+        X, alive = _reference_batch(system, starts, chunk_levels, chunk_switches,
+                                    sizes)
+        X = X[alive]
+        levels.append(chunk_levels)
+        switches.append(chunk_switches)
+        ends.append(X)
+        witnesses.append(starts[alive][target.margins(X) >= -oracle.CONTAINMENT_TOL])
+        states.append(rng.bit_generator.state)
+    return (*map(np.concatenate, (levels, switches, ends, witnesses)), states)
+
+
 _DRAW_CASES = {
-    # name: (count, switch_count, disturbance box, horizon, dt, step type)
-    "ragged": (100, 4, mm.Box([-1.0], [1.0]), 1.0, 0.01, np.uint8),
-    "no_switches": (100, 0, mm.Box([-1.0], [1.0]), 1.0, 0.01, np.uint8),
+    # name: (count, switch_count, disturbance box, horizon, dt, step type,
+    #        rows per chunk)
+    "ragged": (100, 4, mm.Box([-1.0], [1.0]), 1.0, 0.01, np.uint8, 100),
+    "no_switches": (100, 0, mm.Box([-1.0], [1.0]), 1.0, 0.01, np.uint8, 100),
     "two_disturbances": (100, 3, mm.Box([-1.0, 0.0], [1.0, 0.5]), 0.5, 0.01,
-                         np.uint8),
-    "over_255_steps": (100, 6, mm.Box([0.0], [2.0]), 3.0, 0.01, np.uint16),
-    "remainder": (100, 4, mm.Box([-1.0], [1.0]), 0.255, 0.01, np.uint8),
+                         np.uint8, 100),
+    "over_255_steps": (100, 6, mm.Box([0.0], [2.0]), 3.0, 0.01, np.uint16, 100),
+    "remainder": (100, 4, mm.Box([-1.0], [1.0]), 0.255, 0.01, np.uint8, 100),
+    # chunks of 60 and 40 rows: blocks of 7 rows and a remainder in each
+    "two_chunks": (100, 4, mm.Box([-1.0], [1.0]), 1.0, 0.01, np.uint8, 60),
+    # chunks of 50 and 49 rows: the first ends in a one-row remainder
+    "one_row_last_block": (99, 4, mm.Box([-1.0], [1.0]), 1.0, 0.01, np.uint8, 50),
+    "diverging": (100, 4, mm.Box([0.0], [1.0]), 1.0, 0.01, np.uint8, 60),
 }
+
+
+def _draw_case_system(name, dist):
+    """A planar system driven by every disturbance of ``dist``; in the
+    diverging case, x1' = x1^2 + ... blows up from the larger starts."""
+    w = " + ".join(f"w{k + 1}" for k in range(dist.dim))
+    first = "x1*x1" if name == "diverging" else "x2"
+    return mm.SystemDef.from_strings(2, dist.dim, [f"{first} + {w}", "x1 - x2"],
+                                     dist.lo, dist.hi)
 
 
 @pytest.mark.parametrize("name", list(_DRAW_CASES))
 def test_block_draw_matches_the_one_shot_draw(name, monkeypatch):
-    """100 rows in pieces of 7 rows give the one-shot draw's levels and
-    switch steps, in the compact step type, and leave the generator where
-    the one-shot draw leaves it, so the next chunk draws the same too."""
-    count, switch_count, dist, horizon, dt, step_type = _DRAW_CASES[name]
+    """Rows drawn in blocks of 7 at their stream offsets give the one-shot
+    draw's levels and switch steps, in the compact step type, and leave the
+    generator where the one-shot draw leaves it. Run through the trajectory
+    loop in chunks, every block's signals, every endpoint, the witness set
+    and the generator state after each chunk are bit for bit those of the
+    one-shot loop, and no block or margin call has a single row."""
+    count, switch_count, dist, horizon, dt, step_type, chunk = _DRAW_CASES[name]
     spec = mm.ReachSpec(horizon, dt)
     steps = len(_step_sizes(horizon, dt))
     if name == "remainder":
         assert _step_sizes(horizon, dt)[-1] < dt
     monkeypatch.setattr(oracle, "_BLOCK", 7)
     rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
-    levels, switches = _draw_signals(rng, count, switch_count, dist, spec, steps)
+    draw = _draw_signals(rng, count, switch_count, dist, spec, steps)
     ref_levels, ref_switches = _one_shot_signals(ref_rng, count, switch_count,
                                                  dist, spec, steps)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # any block, in any order, draws its own rows
+    middle_levels, middle_switches = draw(slice(30, 44))
+    assert _same_bits(middle_levels, ref_levels[30:44])
+    assert np.array_equal(middle_switches, ref_switches[30:44])
+    pieces = [draw(rows) for rows in _row_blocks(count)]
+    levels = np.concatenate([lv for lv, _ in pieces])
+    switches = np.concatenate([sw for _, sw in pieces])
     assert _same_bits(levels, ref_levels)
     assert switches.dtype == step_type and switches.shape == ref_switches.shape
     assert np.array_equal(switches, ref_switches)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
     if step_type is np.uint16:
         assert switches.max() > 255
     assert ((levels == dist.lo) | (levels == dist.hi)).all(axis=2).any()
 
+    system = _draw_case_system(name, dist)
+    search = mm.Box([-1.0, -1.0], [20.0 if name == "diverging" else 1.0, 1.0])
+    target = mm.Parallelotope([[1.0, -2.0], [1.0, 1.0]], mm.Box([-1.0, -1.0], [1.0, 1.0]))
+    cfg = mm.SampleConfig(count=count, seed=23, switch_count=switch_count)
+    ref_levels, ref_switches, ref_ends, ref_witnesses, ref_states = _one_shot_search(
+        system, target, spec, cfg, search, chunk)
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    blocks, states = [], []
+    integrate_block, draw_signals = oracle._integrate_block, oracle._draw_signals
 
-def test_the_witness_search_holds_its_arrays_and_a_few_row_blocks():
-    """tracemalloc traces numpy's buffers too. The witness search of
-    backward-verify's config (80,000 rows in one chunk) holds at once only
-    the chunk's starts, levels, switch steps and endpoints, plus row-block
-    temporaries: the signals are drawn in row-block pieces and released
-    before the witnesses are selected. The bound allows twelve blocks of
-    (2^14, n) float states; a whole-chunk draw or selection exceeds it."""
+    def integrate_spy(system, X, levels, switch_steps, sizes):
+        blocks.append((levels, switch_steps))
+        return integrate_block(system, X, levels, switch_steps, sizes)
+
+    def draw_spy(rng, *args):
+        draw = draw_signals(rng, *args)
+        states.append(rng.bit_generator.state)
+        return draw
+
+    margin_rows = []
+    margins = mm.Parallelotope.margins
+
+    def margins_spy(self, pts):
+        margin_rows.append(len(pts))
+        return margins(self, pts)
+
+    monkeypatch.setattr(oracle, "_integrate_block", integrate_spy)
+    monkeypatch.setattr(oracle, "_draw_signals", draw_spy)
+    monkeypatch.setattr(mm.Parallelotope, "margins", margins_spy)
+    witnesses = mm.backward_witnesses(system, target, spec, cfg, search)
+    # a lone row's product rounds apart from the same row in a batch
+    assert min(len(lv) for lv, _ in blocks) >= 2 and min(margin_rows) >= 2
+    assert _same_bits(np.concatenate([lv for lv, _ in blocks]), ref_levels)
+    assert np.array_equal(np.concatenate([sw for _, sw in blocks]), ref_switches)
+    assert _same_bits(witnesses, ref_witnesses)
+    assert 0 < len(witnesses) < count
+    res = mm.sample_endpoints(system, search, spec, cfg)
+    assert _same_bits(res.points, ref_ends)
+    assert res.divergent == count - len(ref_ends)
+    assert (res.divergent > 0) == (name == "diverging")
+    assert states == ref_states + ref_states
+
+
+def _traced_witness_search(count):
+    """The witness search of backward-verify's config at ``count`` rows:
+    (its ``tracemalloc`` peak, its witnesses, the system). tracemalloc
+    traces numpy's buffers too."""
     path = Path(__file__).resolve().parents[1] / "perfbench/configs/backward_verify.json"
     cfg = load_config(path)
-    system, sampling = cfg.system, cfg.sampling
     spec = mm.ReachSpec(cfg.spec.horizon, cfg.spec.dt, "forward")
     # compile the field and touch every code path before tracing
     warm = mm.SampleConfig(count=10, seed=0)
-    mm.backward_witnesses(system, cfg.initial_set, spec, warm, cfg.search_box)
-    count, steps = sampling.count, len(_step_sizes(spec.horizon, spec.dt))
-    arrays = (count * system.n * 8  # starts
-              + count * (sampling.switch_count + 1) * system.m * 8  # levels
-              + count * sampling.switch_count * np.min_scalar_type(steps).itemsize
-              + count * system.n * 8)  # endpoints
-    block = oracle._BLOCK * system.n * 8
+    mm.backward_witnesses(cfg.system, cfg.initial_set, spec, warm, cfg.search_box)
+    sampling = mm.SampleConfig(count=count, seed=cfg.sampling.seed,
+                               switch_count=cfg.sampling.switch_count)
     tracemalloc.start()
     try:
-        witnesses = mm.backward_witnesses(system, cfg.initial_set, spec, sampling,
-                                          cfg.search_box)
+        witnesses = mm.backward_witnesses(cfg.system, cfg.initial_set, spec,
+                                          sampling, cfg.search_box)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(witnesses) > 0
-    assert peak < arrays + 12 * block, (peak, arrays, block)
+    return peak, witnesses, cfg.system
+
+
+def test_the_witness_search_holds_its_arrays_and_a_few_row_blocks():
+    """The witness search of backward-verify's config (80,000 rows in one
+    chunk) holds at once the chunk's starts and the arrays of one row
+    block: its signals, its RK4 state, stage buffer and derivatives, and
+    its event tables. The bound allows the starts plus fourteen (2^14, n)
+    float blocks (twelve are measured); holding a chunk's levels or
+    endpoints exceeds it."""
+    count = 80_000
+    peak, _, system = _traced_witness_search(count)
+    block = oracle._BLOCK * system.n * 8
+    assert peak < count * system.n * 8 + 14 * block, (peak, block)
+
+
+def test_the_witness_search_peak_does_not_grow_with_the_chunk():
+    """Three times the rows in one chunk add their starts, the one
+    chunk-wide array (n doubles a row), and their few witnesses, but less
+    than one more (2^14, n) float block: every other array lives for one
+    row block."""
+    small, _, system = _traced_witness_search(80_000)
+    large, _, _ = _traced_witness_search(240_000)
+    starts = (240_000 - 80_000) * system.n * 8
+    assert large - starts < small + oracle._BLOCK * system.n * 8, (small, large)
+
+
+def _one_shot_rejection(rng, bbox, count, accept):
+    """The rejection sampler that the row-block one replaced: each round
+    draws and tests all its candidates at once."""
+    out = np.empty((count, bbox.dim))
+    have = 0
+    while have < count:
+        batch = rng.uniform(bbox.lo, bbox.hi, size=(max(count, 1024), bbox.dim))
+        accepted = batch[accept(batch)]
+        take = min(count - have, len(accepted))
+        out[have : have + take] = accepted[:take]
+        have += take
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 50, 1024, 1100, 3000])
+def test_rejection_sampler_matches_the_one_shot_sampler(count, monkeypatch):
+    """Candidates tested in pieces of 7 rows (and a remainder) give the
+    one-shot sampler's draws and leave the generator where it leaves it,
+    though the pieces after the last one needed are not drawn. A union of
+    sheared parallelotopes accepts 3/8 of the candidates, so some
+    counts need several rounds; no piece has a single row."""
+    monkeypatch.setattr(oracle, "_BLOCK", 7)
+    shape = [[1.0, -2.0], [1.0, 1.0]]
+    union = mm.UnionInitialSet((
+        mm.Parallelotope(shape, mm.Box([0.0, -0.25], [0.25, 0.0])),
+        mm.Parallelotope(shape, mm.Box([0.25, 0.0], [0.5, 0.25]))))
+    bbox = union.bounding_box()
+    tested, ref_tested = [], []
+
+    def accept(batch, seen):
+        seen.append(len(batch))
+        return union.margins(batch) >= 0.0
+
+    rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+    points = _rejection_sample(rng, bbox, count, lambda b: accept(b, tested))
+    ref = _one_shot_rejection(ref_rng, bbox, count, lambda b: accept(b, ref_tested))
+    assert _same_bits(points, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert min(tested) >= 2
+    assert sum(tested) < sum(ref_tested)  # the last round stops early
+
+
+def test_the_rejection_sampler_holds_its_starts_and_a_few_row_blocks():
+    """example2's 4-vertex hull fills half of its bounding box. One
+    250,000-row chunk of starts (4.0 MB) was sampled at a 20.0 MB peak when
+    a round's candidates were drawn and tested at once; in row-block pieces
+    the peak is the starts plus a few (2^14, 2) float blocks."""
+    hull = mm.convex_hull_2d([[0.5, -0.25], [0.75, 0.0], [0.25, 0.25], [0.0, 0.0]])
+    assert len(hull) == 4
+    count = 250_000
+    _sample_initial(hull, 100, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        points = _sample_initial(hull, count, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(hull.margins(points) >= 0.0)
+    block = oracle._BLOCK * 2 * 8
+    assert peak < count * 2 * 8 + 6 * block, (peak, block)
