@@ -5,10 +5,10 @@ A decomposition d(x, w, xh, wh) agrees with the field on the diagonal, is
 nondecreasing in (x, w) and nonincreasing in (xh, wh) off-diagonal. The
 embedding machinery in :mod:`mmreach.embed` consumes these evaluators
 through ``Decomposition.embedding_field``, all 2n embedding components at
-once. ``tight`` and ``combine`` evaluate them component by component; the
-compiled methods (``closed_form``, ``jacobian_sign``, ``monotone``) in one
-generated function, falling back to the component loop to name a
-non-finite component.
+once, evaluated component by component. The compiled methods
+(``closed_form``, ``jacobian_sign``, ``monotone``) also hold the 2n
+expression trees, which ``embed.integrate`` writes into its RK4 step; a
+stage that code cannot finish calls the component loop.
 """
 
 from __future__ import annotations
@@ -514,8 +514,8 @@ def closed_form_decomposition(system, exprs):
 class _Compiled(Decomposition):
     """Decomposition whose component i is ``exprs[i]`` over (x, xh), (w, wh).
 
-    Its embedding field is one generated function of v = lower ++ upper and
-    w_lo ++ w_hi: the lower half is ``exprs``, the upper half the same trees
+    Its embedding trees, over v = lower ++ upper and w_lo ++ w_hi, are
+    ``exprs`` for the lower half and, for the upper half, the same trees
     with x_j and x_(n+j), w_k and w_(m+k) swapped.
     """
 
@@ -534,15 +534,6 @@ class _Compiled(Decomposition):
                 swap[exprlang.Var(kind, size + j)] = exprlang.Var(kind, j)
         roots = [e.root for e in exprs]
         self._trees = roots + [exprlang.substitute(r, swap) for r in roots]
-        self._field = exprlang.scalar_list_fn(self._trees)
-        self._w = self.w_lo + self.w_hi
-
-    def embedding_field(self, v):
-        out = self._field(v, self._w)
-        if math.isfinite(sum(out)):
-            return out
-        # a non-finite (or overflowing) sum: the loop names the component
-        return super().embedding_field(v)
 
 
 # --- validation ----------------------------------------------------------------

@@ -184,9 +184,8 @@ def _float_step(p, code=None):
             arg = "x" if prev is None else f"[{row(state)}]"
             body.append(f"{k} = f({arg}, {time})")
             continue
-        # a finite left-to-right sum means finite values. Python 3.12's
-        # compensated sum(), which the field's own test uses, can overflow
-        # where it does not; the component loop then returns these values.
+        # a finite left-to-right sum means finite values; where the sum
+        # overflows, the component loop returns these values
         body += [*(f"v{i} = {state(i)}" for i in range(p)),
                  f"fast = {order or 'True'}",
                  "if fast:",

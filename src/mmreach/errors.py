@@ -1,8 +1,15 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class MmreachError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # rebuilt without __init__, whose arguments the message alone does
+        # not give: the type and the message, then the attributes
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class DimensionMismatchError(MmreachError):

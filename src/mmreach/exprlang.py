@@ -288,7 +288,7 @@ _SOURCE_TABLE = _table(lambda v: f"{v.kind}{v.index + 1}", {
 })
 
 # float lists x, w; Python's operators and math's functions, which raise
-# where IEEE arithmetic gives +-inf or NaN (see _scalar_compile); min/max
+# where IEEE arithmetic gives +-inf or NaN (see ExprAst.scalar_fn); min/max
 # are comparisons that _scalar_code writes
 _SCALAR_TABLE = _table(lambda v: f"{v.kind}[{v.index}]", {
     **{f: _call(f) for f in _UNARY_FUNCS + _INTERNAL_FUNCS},
@@ -349,7 +349,7 @@ def to_source(node):
     return _gen(node, _SOURCE_TABLE)
 
 
-# the scalar code catches the two exception types (see _scalar_compile)
+# the scalar code catches the two exception types (see ExprAst.scalar_fn)
 _SCALAR_ENV = {
     **{f: getattr(math, f) for f in ("sin", "cos", "tan", "exp", "sqrt", "log", "pow")},
     "sign": lambda a: a if a != a else float((a > 0) - (a < 0)),  # as np.sign
@@ -398,10 +398,29 @@ class ExprAst:
         return self
 
     def scalar_fn(self):
-        """Raw compiled callable(x, w) -> float. No finiteness checks."""
+        """Raw compiled callable(x, w) -> float: the scalar code, or the
+        batch value at the row (x, w) where a float or ``math`` operation
+        raises. No finiteness checks.
+
+        A NaN made without an exception (inf - inf) still reaches the
+        min/max comparisons, which drop it unless it is their first argument.
+        """
         if self._scalar is None:
-            self._scalar = _scalar_compile(
-                [self.root], "({})", lambda x, w: _row([self], x, w)[0])
+            lines, (expr,) = _scalar_code([self.root])
+            code = ("def fn(x, w):\n"
+                    "    try:\n"
+                    + "".join(f"        {line}\n" for line in lines)
+                    + f"        return ({expr})\n"
+                    "    except (ArithmeticError, ValueError):\n"
+                    "        return fallback(x, w)\n")
+
+            def fallback(x, w):  # the batch value at the one row (x, w)
+                return float(self.batch_fn()(np.array([x], dtype=float),
+                                             np.array([w], dtype=float))[0])
+
+            env = dict(_SCALAR_ENV, fallback=fallback)
+            exec(code, env)
+            self._scalar = env["fn"]
         return self._scalar
 
     def batch_fn(self):
@@ -427,12 +446,6 @@ class ExprAst:
             exec(code, env)
             self._into = env["fn"]
         return self._into
-
-
-def _row(exprs, x, w):
-    """The batch values of the ExprAsts ``exprs`` at the one row (x, w)."""
-    X, W = np.array([x], dtype=float), np.array([w], dtype=float)
-    return [float(e.batch_fn()(X, W)[0]) for e in exprs]
 
 
 def _scalar_code(roots, var=_SCALAR_TABLE["var"]):
@@ -475,40 +488,6 @@ def _scalar_code(roots, var=_SCALAR_TABLE["var"]):
 
     exprs = [gen(root) for root in roots]
     return lines, exprs
-
-
-def _scalar_compile(roots, form, fallback):
-    """Callable(x, w) returning the scalar code of the trees ``roots``,
-    joined by commas into ``form`` ("({})" or "[{}]"), or ``fallback(x, w)``
-    (the batch values) where a float or ``math`` operation raises.
-
-    A NaN made without an exception (inf - inf) still reaches the min/max
-    comparisons, which drop it unless it is their first argument.
-    """
-    lines, exprs = _scalar_code(roots)
-    code = ("def fn(x, w):\n"
-            "    try:\n"
-            + "".join(f"        {line}\n" for line in lines)
-            + f"        return {form.format(', '.join(exprs))}\n"
-            "    except (ArithmeticError, ValueError):\n"
-            "        return fallback(x, w)\n")
-    env = dict(_SCALAR_ENV, fallback=fallback)
-    exec(code, env)
-    return env["fn"]
-
-
-def scalar_list_fn(roots):
-    """One compiled callable(x, w) -> list of the values of the ASTs
-    ``roots``, in order; the code of each is its ``scalar_fn`` code. No
-    finiteness checks."""
-    exprs = []  # the fallback's, built once, so their batch code compiles once
-
-    def fallback(x, w):
-        if not exprs:
-            exprs.extend(ExprAst(root, len(x), len(w)) for root in roots)
-        return _row(exprs, x, w)
-
-    return _scalar_compile(roots, "[{}]", fallback)
 
 
 def linear_combination(pairs):

@@ -38,6 +38,15 @@ def _frozen_vector(values, name):
     return arr
 
 
+def _product(rows, mat):
+    """``rows @ mat``, with a lone row computed as a pair: numpy multiplies
+    one row in another summation order than the same row inside a larger
+    product, so its result would differ in the last bit."""
+    if len(rows) == 1:
+        return (np.repeat(rows, 2, axis=0) @ mat)[:1]
+    return rows @ mat
+
+
 def invert_shape(shape):
     """Invert a shape matrix, rejecting singular or ill-conditioned input.
 
@@ -84,7 +93,8 @@ class Region:
         return pts
 
     def margin(self, x):
-        """Signed margin of one point: positive inside, negative outside."""
+        """Signed margin of one point: positive inside, negative outside;
+        the bits ``margins`` gives its row in any batch."""
         return float(self.margins(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
@@ -173,7 +183,7 @@ class Parallelotope(Region):
 
     def margins(self, pts):
         """Margins of the transformed points within the coordinate box."""
-        return self.coords.margins(self._points(pts) @ self.shape_inv.T)
+        return self.coords.margins(_product(self._points(pts), self.shape_inv.T))
 
     def corners(self):
         return ptope_vertices(self)
@@ -379,7 +389,7 @@ class Polygon2D(Region):
         verts = self.vertices
         if len(verts) < 3:
             a, e = verts[0], verts[-1] - verts[0]
-            t = np.clip((pts - a) @ e / (float(e @ e) or 1.0), 0.0, 1.0)
+            t = np.clip(_product(pts - a, e) / (float(e @ e) or 1.0), 0.0, 1.0)
             gap = pts - a - t[:, None] * e
             return -np.hypot(gap[:, 0], gap[:, 1])
         best = np.full(len(pts), np.inf)

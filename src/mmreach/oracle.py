@@ -173,14 +173,8 @@ def _area(region):
 
 def _row_blocks(count):
     """Slices that cover ``count`` rows in order: blocks of _BLOCK rows and
-    a remainder. A one-row remainder joins the block before it: numpy
-    multiplies a lone row by a transposed matrix in another summation order
-    than the same row inside a larger product, so the margins of a
-    ``Parallelotope`` could differ in the last bit."""
-    starts = list(range(0, count, _BLOCK))
-    if len(starts) > 1 and count - starts[-1] == 1:
-        starts.pop()
-    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
+    a remainder."""
+    return [slice(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK)]
 
 
 def _rejection_sample(rng, bbox, count, accept):
@@ -371,11 +365,12 @@ def audit_containment(points, region, tol=CONTAINMENT_TOL):
     """Membership of every point in the region, with signed margins.
 
     Margins are the region's own ``margins``, measured in its native
-    (transformed) coordinates. A list or tuple of regions is their union;
-    wrap members in RegionIntersection to require membership in all of them.
-    Points with margin < -tol count as violations; up to 10 worst witnesses
-    are recorded. A NaN margin (a NaN coordinate) counts as the margin -inf,
-    a violation that sorts first. ``tol`` must be finite and nonnegative.
+    (transformed) coordinates, one row block at a time. A list or tuple of
+    regions is their union; wrap members in RegionIntersection to require
+    membership in all of them. Points with margin < -tol count as
+    violations; up to 10 worst witnesses are recorded. A NaN margin (a NaN
+    coordinate) counts as the margin -inf, a violation that sorts first.
+    ``tol`` must be finite and nonnegative.
     """
     if not 0.0 <= tol < np.inf:  # a NaN tol would count no violation
         raise DimensionMismatchError(
@@ -391,7 +386,9 @@ def audit_containment(points, region, tol=CONTAINMENT_TOL):
         pts = pts.reshape(-1, pts.shape[-1] if pts.ndim else 1)
     if len(pts) == 0:
         return ContainmentReport(total=0, violations=0, worst_margin=np.inf)
-    margins = region.margins(pts)
+    margins = np.empty(len(pts))
+    for rows in _row_blocks(len(pts)):  # the members' temporaries follow the block
+        margins[rows] = region.margins(pts[rows])
     # margins < -tol is false for NaN, which would count the point as inside
     margins[np.isnan(margins)] = -np.inf
     bad = margins < -tol
@@ -438,8 +435,7 @@ def backward_witnesses(system, x0: Parallelotope, spec: ReachSpec,
     for starts, X, alive in _trajectories(
             system, spec, cfg, lambda rng, count: rng.uniform(
                 search_box.lo, search_box.hi, size=(count, system.n))):
-        # margins of the whole block, so no call has a lone row (see
-        # _row_blocks); the diverged rows' are masked out
+        # margins of the whole block; the diverged rows' are masked out
         with np.errstate(all="ignore"):
             inside = x0.margins(X) >= -CONTAINMENT_TOL
         witnesses.append(starts[alive & inside])
@@ -481,8 +477,9 @@ def simulate(system, x0, w, spec: ReachSpec):
 def intersection_volume_mc(ptopes, samples=10**6, seed=0):
     """Monte-Carlo volume of an intersection of parallelotopes or boxes.
 
-    Samples uniformly in the intersection of the members' bounding boxes.
-    Returns (volume, ci95). ``samples`` must be at least 1.
+    Samples uniformly in the intersection of the members' bounding boxes,
+    drawn and tested one row block at a time. Returns (volume, ci95).
+    ``samples`` must be at least 1.
     """
     if not ptopes:
         raise DimensionMismatchError("no parallelotopes given")
@@ -495,7 +492,11 @@ def intersection_volume_mc(ptopes, samples=10**6, seed=0):
         return 0.0, 0.0
     box_vol = float(np.prod(hi - lo))
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(samples, len(lo)))
-    frac = (RegionIntersection(tuple(ptopes)).margins(pts) >= 0.0).mean()
+    region = RegionIntersection(tuple(ptopes))
+    inside = 0
+    for rows in _row_blocks(samples):  # split draws give a single draw's values
+        pts = rng.uniform(lo, hi, size=(rows.stop - rows.start, len(lo)))
+        inside += int(np.count_nonzero(region.margins(pts) >= 0.0))
+    frac = inside / samples
     ci = 1.96 * float(np.sqrt(max(frac * (1.0 - frac), 0.0) / samples)) * box_vol
     return frac * box_vol, ci

@@ -15,6 +15,7 @@ from mmreach.errors import (
     MmreachError,
     StepOrderError,
 )
+from mmreach.exprlang import ExprAst
 
 T1 = np.array([[1.0, 1.0], [0.0, 1.0]])
 ROOT = Path(__file__).resolve().parent.parent
@@ -245,21 +246,15 @@ def _compiled_decompositions(bilinear, cubic):
     ]
 
 
-def test_compiled_embedding_field_equals_the_component_loop(bilinear, cubic, rng):
-    """The one generated embedding function of a compiled decomposition
-    equals the per-component loop bit for bit, and so do trajectories."""
+def test_compiled_embedding_field_equals_the_component_loop(bilinear, cubic):
+    """A compiled decomposition's trees, written into the RK4 step, give the
+    trajectories of the per-component loop bit for bit."""
     for d, x0 in _compiled_decompositions(bilinear, cubic):
-        assert type(d).embedding_field is not mm.Decomposition.embedding_field
         loop = mm.Decomposition(d.system, d.method, d.evaluate_component)
-        for _ in range(200):
-            lower = rng.uniform(-1.0, 1.0, d.n)
-            upper = lower + rng.uniform(0.0, 1.0, d.n) * (rng.uniform() < 0.9)
-            v = lower.tolist() + upper.tolist()
-            assert d.embedding_field(v) == loop.embedding_field(v)
         spec = mm.ReachSpec(0.5, 0.01)
-        fused, looped = mm.integrate(d, x0, spec), mm.integrate(loop, x0, spec)
-        assert np.array_equal(fused.times, looped.times)
-        assert np.array_equal(fused.states, looped.states)
+        inline, looped = mm.integrate(d, x0, spec), mm.integrate(loop, x0, spec)
+        assert np.array_equal(inline.times, looped.times)
+        assert np.array_equal(inline.states, looped.states)
 
 
 def test_compiled_decomposition_error_paths():
@@ -304,7 +299,7 @@ def _sha256(a):
 def test_trajectories_are_pinned_bit_for_bit(cubic, trig):
     """sha256 of whole trajectories (states and times): a tight and a
     combined embedding, and a simulation under a switching disturbance. The
-    fused-vs-loop test runs both of its paths through the one RK4 loop, so
+    inline-vs-loop test runs both of its paths through the one RK4 loop, so
     only pinned bits catch a change in that loop's arithmetic."""
     tight = mm.integrate(mm.tight_decomposition(trig), mm.Box([0.5, 0.5], [1.5, 1.5]),
                          mm.ReachSpec(0.255, 0.01))  # a remainder step
@@ -573,16 +568,15 @@ def test_sign_certified_decompositions_run_inline_as_they_run_called(bilinear, c
 
 
 def _count_field_calls(monkeypatch):
-    """The calls of every ``embedding_field`` method, counted."""
+    """The calls of ``embedding_field``, counted."""
     calls = []
-    for cls in (mm.Decomposition, mm.decomp._Compiled):
-        original = cls.embedding_field
+    original = mm.Decomposition.embedding_field
 
-        def counted(self, v, _original=original):
-            calls.append(1)
-            return _original(self, v)
+    def counted(self, v):
+        calls.append(1)
+        return original(self, v)
 
-        monkeypatch.setattr(cls, "embedding_field", counted)
+    monkeypatch.setattr(mm.Decomposition, "embedding_field", counted)
     return calls
 
 
@@ -614,6 +608,24 @@ def test_each_stage_fallback_runs_the_called_field(sources, x0, spec, ends, monk
     assert calls  # the inline run fell back
     _same_outcome(d, box, spec, inline)
     assert (type(inline) if isinstance(inline, mm.Trajectory) else inline[0]) is ends
+
+
+def test_a_stage_where_one_component_raises_gets_the_component_loop_values(monkeypatch):
+    """The first stage's lower x1 is 0, where Python's 1/x1 raises: that
+    stage calls the component loop, so component 1's lower value is its
+    batch value and the other three keep their scalar values. The batch
+    code is offset by 0.5 here, which tells the two apart."""
+    batch_fn = ExprAst.batch_fn
+    monkeypatch.setattr(ExprAst, "batch_fn",
+                        lambda self: lambda X, W: batch_fn(self)(X, W) + 0.5)
+    d = _closed_form(2, 1, [0.0], [0.1], ["min(1/x1, 0)*0 + 1", "x2 + w1"])
+    v = [0.0, 0.0, 1.0, 1.0]
+    assert d.embedding_field(v) == [1.5, 0.0, 1.0, 1.1]
+    spec = mm.ReachSpec(0.02, 0.01)
+    ref = _reference_rk4(lambda v, _t: d.embedding_field(v), v,
+                         _step_sizes(spec.horizon, spec.dt))
+    traj = mm.integrate(d, mm.Box(v[:2], v[2:]), spec)
+    assert traj.states.tobytes() == _bits(ref)
 
 
 def test_closedform_box_never_calls_the_embedding_field(bilinear, monkeypatch):

@@ -115,9 +115,8 @@ def test_special_values_agree_across_backends(src, x, expected):
     code's value: signed infinities and NaNs agree bit for bit."""
     e = mm.parse(src, 2, 0)
     values = [e.scalar_fn()(x, []),
-              exprlang.scalar_list_fn([e.root])(x, [])[0],
               e.batch_fn()(np.array([x]), np.zeros((1, 0)))[0]]
-    np.testing.assert_array_equal(values, [expected] * 3)
+    np.testing.assert_array_equal(values, [expected] * 2)
 
 
 def test_evaluate_sees_the_special_values_numpy_gives():
@@ -128,10 +127,20 @@ def test_evaluate_sees_the_special_values_numpy_gives():
     assert mm.evaluate(mm.parse("min(x1^(0-1), 5)", 1, 0), [0.0], []) == 5.0
 
 
+def _scalar_list(roots):
+    """The multi-root scalar code of ``roots`` as a callable(x, w) -> list,
+    without the fallback: the code a generated RK4 step or kernel holds."""
+    lines, exprs = exprlang._scalar_code(roots)
+    env = dict(exprlang._SCALAR_ENV)
+    exec("def fn(x, w):\n" + "".join(f"    {line}\n" for line in lines)
+         + f"    return [{', '.join(exprs)}]\n", env)
+    return env["fn"]
+
+
 def test_scalar_min_max_follow_the_builtins():
     """The scalar min/max are comparisons under Python's builtin rule: the
     same bits as min/max, signed zeros and NaN placement included, through
-    scalar_fn and a two-root scalar_list_fn whose temporaries are apart."""
+    scalar_fn and a two-root scalar code whose temporaries are apart."""
     cases = [
         ("min(x1, x2)", lambda a, b, c: min(a, b)),
         ("max(x1, x2)", lambda a, b, c: max(a, b)),
@@ -147,7 +156,7 @@ def test_scalar_min_max_follow_the_builtins():
     for src, builtin in cases:
         e = mm.parse(src, 3, 0)
         one = e.scalar_fn()
-        both = exprlang.scalar_list_fn([e.root, exprlang.substitute(e.root, rotate)])
+        both = _scalar_list([e.root, exprlang.substitute(e.root, rotate)])
         for a, b, c in points:
             expected = [builtin(a, b, c), builtin(b, c, a)]
             assert bits(one([a, b, c], [])) == bits(expected[0]), (src, a, b, c)
@@ -156,22 +165,21 @@ def test_scalar_min_max_follow_the_builtins():
     e = mm.parse("max(1/x1, 0)", 1, 0)
     for x1, expected in ((0.0, math.inf), (-0.0, 0.0)):
         batch = e.batch_fn()(np.array([[x1]]), np.zeros((1, 0)))[0]
-        assert [e.scalar_fn()([x1], []), exprlang.scalar_list_fn([e.root])([x1], [])[0],
-                batch] == [expected] * 3
+        assert [e.scalar_fn()([x1], []), batch] == [expected] * 2
 
 
-def test_scalar_list_fn_compiles_its_fallback_once(monkeypatch):
-    """The batch code behind a scalar_list_fn's fallback compiles at most
-    once per root, however many calls raise and take it."""
-    e = mm.parse("min(1/x1, 5) + x2", 2, 0)
+def test_scalar_fn_compiles_its_fallback_once(monkeypatch):
+    """The batch code behind a scalar_fn's fallback compiles once, however
+    many calls raise and take it."""
+    root = mm.parse("min(1/x1, 5) + x2", 2, 0).root
     compiled = []
     batch_into_code = exprlang._batch_into_code
     monkeypatch.setattr(exprlang, "_batch_into_code",
                         lambda node: compiled.append(node) or batch_into_code(node))
-    both = exprlang.scalar_list_fn([e.root, e.root])
+    e = exprlang.ExprAst(root, 2, 0)  # its code not yet compiled
     for _ in range(3):
-        assert both([0.0, 1.0], []) == [6.0, 6.0]  # 1/0 raises; the batch 1/0 is inf
-    assert len(compiled) <= 2
+        assert e.scalar_fn()([0.0, 1.0], []) == 6.0  # 1/0 raises; the batch 1/0 is inf
+    assert len(compiled) == 1
 
 
 def test_scalar_min_max_nest_as_deep_as_the_batch_code():
@@ -462,8 +470,8 @@ def test_substitution_and_linear_combination():
 
 def test_every_accepted_tree_compiles(rng):
     """parse compiles the scalar and batch code of every tree it accepts, so
-    the scalar, batch and many-expression backends compile everything it
-    accepts. Generated code nests one bracket per operator (a min/max folds
+    the scalar and batch backends and the inline RK4 step compile everything
+    it accepts. Generated code nests one bracket per operator (a min/max folds
     into nested calls in the batch backend), and CPython compiles at most
     200 levels; the parser's own depth limit binds the other shapes."""
     # both raised SyntaxError at compile time instead of a ParseError
@@ -494,10 +502,14 @@ def test_every_accepted_tree_compiles(rng):
         batch = e.batch_fn()(X, W)
         field = mm.SystemDef(1, 1, [e], mm.Box([0.5], [1.5])).eval_field_batch(X, W)
         assert field[:, 0].tobytes() == batch.tobytes()
-        both = exprlang.scalar_list_fn([e.root, e.root])
+        # the inline RK4 step writes the tree twice, once per embedding half
         for x, w in zip(X.tolist(), W.tolist()):
-            value = e.scalar_fn()(x, w)
-            assert both(x, w) == [value, value]
+            system = mm.SystemDef(1, 1, [e], mm.Box(w, w))
+            d = mm.closed_form_decomposition(system, [e])
+            called = mm.Decomposition(system, d.method, d.evaluate_component)
+            x0, spec = mm.Box(x, x), mm.ReachSpec(1e-3, 1e-3)
+            inline = mm.integrate(d, x0, spec).states
+            assert inline.tobytes() == mm.integrate(called, x0, spec).states.tobytes()
     # the batch code of a flat max nests one call per argument past the first
     with pytest.raises(ParseError) as err:
         mm.parse("max(" + ", ".join(["x1"] * 201) + ")", 1, 0)

@@ -333,6 +333,28 @@ def test_region_scalar_margin_matches_margins(rng):
         assert [region.contains(p) for p in pts] == list(margins >= -1e-12)
 
 
+def test_a_row_alone_gets_its_batch_margin_bit_for_bit():
+    """A lone row's margin, through margins, margin and a one-point audit,
+    is the bits its row gets in a batch of 2,000, for parallelotopes of
+    dimension 2 to 8, unions of them and a segment: numpy's product of a
+    lone row rounds apart from the same row in a batch on some hosts."""
+    rng = np.random.default_rng(7)
+    regions = [mm.Polygon2D(np.array([[0.1, 0.2], [1.3, 0.7]]))]
+    for n in (2, 3, 4, 6, 8):
+        shape = np.eye(n) + rng.uniform(-0.5, 0.5, (n, n))
+        regions.append(mm.Parallelotope(shape, mm.Box(-np.ones(n), np.ones(n))))
+    regions.append(mm.UnionInitialSet((regions[1], mm.Parallelotope(
+        [[1.0, -2.0], [1.0, 1.0]], mm.Box([0.0, -0.25], [0.25, 0.0])))))
+    for region in regions:
+        pts = rng.normal(size=(2000, region.dim))
+        batch = region.margins(pts)
+        alone = np.array([region.margins(p[None])[0] for p in pts])
+        assert alone.tobytes() == batch.tobytes(), type(region).__name__
+        assert np.array([region.margin(p) for p in pts[:200]]).tobytes() == batch[:200].tobytes()
+        worst = [mm.audit_containment([p], region).worst_margin for p in pts[:200]]
+        assert np.array(worst).tobytes() == batch[:200].tobytes()
+
+
 def test_region_margins_reject_dimension_mismatch():
     for region in _regions_2d():
         with pytest.raises(DimensionMismatchError):
