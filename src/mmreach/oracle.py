@@ -7,13 +7,18 @@ over endpoint clouds estimates the area of the true reachable set.
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import os
+import pickle
+import signal
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .embed import ReachSpec, _rk4, _step_sizes, _trajectory
-from .errors import DimensionMismatchError, GeometryError
+from .errors import DimensionMismatchError, GeometryError, MmreachError
 from .geometry import (
     Box,
     Parallelotope,
@@ -217,11 +222,128 @@ def _integrate_batch(system, X, signals, sizes):
     in the block for every step: each RK4 update adds to the state, so a
     component that turns non-finite stays non-finite, and one finiteness
     test after the last step finds the diverged rows. Yields (starts,
-    endpoints, alive mask) per block, diverged rows included.
+    endpoints, alive mask) per block, in block order, diverged rows
+    included; the blocks are integrated by ``_block_workers``.
     """
-    for rows in _row_blocks(len(X)):
-        ends = _integrate_block(system, X[rows], *signals(rows), sizes)
-        yield X[rows], ends, np.isfinite(ends).all(axis=1)
+    blocks = _row_blocks(len(X))
+
+    def integrate(rows):
+        return _integrate_block(system, X[rows], *signals(rows), sizes)
+
+    with _block_workers(integrate, blocks, system.n) as ends_of:
+        for i, rows in enumerate(blocks):
+            ends = ends_of(i)
+            yield X[rows], ends, np.isfinite(ends).all(axis=1)
+
+
+def _allowed_cpus():
+    """The CPUs this process may run on, in order; none where the platform
+    cannot fork a process or pin it to a CPU."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+@contextlib.contextmanager
+def _block_workers(integrate, blocks, n):
+    """``ends(i)``, the (rows, n) column-major endpoints ``integrate`` gives
+    for ``blocks[i]``, to be called for i = 0, 1, ... in order.
+
+    With two or more blocks and two or more allowed CPUs, W = min(blocks,
+    CPUs) forked workers integrate them: worker k, pinned to the k-th
+    allowed CPU, integrates blocks k, k + W, ... and writes each block's
+    endpoints to its own pipe, where ``ends`` reads them back in block
+    order. A worker blocks on its full pipe until they are read, so the
+    parent holds about one block per worker. Otherwise ``ends`` integrates
+    the block in this process. The values are the same either way: a
+    worker runs the same ``integrate`` on the same block, and its bits
+    travel unchanged. A worker's error is raised by ``ends`` at its block,
+    and a worker that dies raises MmreachError there. Every worker is
+    killed, if still running, and reaped on leaving the context.
+    """
+    cpus = _allowed_cpus()[: len(blocks)]
+    if len(cpus) < 2:
+        yield lambda i: integrate(blocks[i])
+        return
+    workers = []  # [pid or None once reaped, read end of its pipe]
+    try:
+        for k, cpu in enumerate(cpus):
+            read, write = os.pipe()
+            # SIGINT stays blocked in the worker for its whole life, so an
+            # interrupt reaches the parent alone, which kills the workers
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                workers.append([None, open(read, "rb")])
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns, in the parent, of forking a
+                    # process that has threads, such as BLAS's; a worker
+                    # makes no BLAS call (its field, RK4 and signal draw are
+                    # elementwise numpy), so the fork is safe
+                    warnings.filterwarnings(
+                        "ignore", r".* is multi-threaded, use of fork\(\)",
+                        DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    _work(integrate, blocks[k :: len(cpus)], cpu, write, workers)
+                workers[-1][0] = pid
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                os.close(write)
+        yield lambda i: _receive(workers[i % len(workers)], blocks[i], n)
+    finally:
+        for worker in workers:
+            worker[1].close()  # a worker still writing then leaves
+            if worker[0] is not None:
+                os.kill(worker[0], signal.SIGKILL)
+                os.waitpid(worker[0], 0)
+
+
+def _work(integrate, blocks, cpu, write, workers):
+    """A forked worker's life: pinned to ``cpu``, it writes to the pipe
+    ``write`` each of ``blocks``' endpoints after a 0 byte, or at its first
+    error a 1 byte and the pickled error, and leaves through os._exit, which
+    runs no exit handler and flushes no stdio buffer it shares with the
+    parent. It closes the read ends of its own and earlier workers' pipes,
+    so a pipe's reader is the parent alone."""
+    try:
+        for _, pipe in workers:
+            os.close(pipe.fileno())
+        with open(write, "wb", closefd=False) as out:
+            try:
+                os.sched_setaffinity(0, {cpu})
+                for rows in blocks:
+                    ends = np.asfortranarray(integrate(rows))
+                    out.write(b"\0")
+                    out.write(ends.T)  # the column-major bytes of ``ends``
+                    out.flush()
+            except Exception as exc:  # raised by the parent at its block
+                try:
+                    payload = pickle.dumps(exc)
+                    pickle.loads(payload)
+                except Exception:  # an error pickle cannot carry
+                    payload = pickle.dumps(MmreachError(
+                        f"{type(exc).__name__}: {exc}"))
+                out.write(b"\1" + payload)
+    finally:
+        os._exit(0)
+
+
+def _receive(worker, rows, n):
+    """The endpoints of ``rows`` from a worker's pipe, or the error the
+    worker sent for them, or MmreachError if it left without either."""
+    pid, pipe = worker
+    status = pipe.read(1)
+    if status == b"\0":
+        ends = np.empty((rows.stop - rows.start, n), order="F")
+        if pipe.readinto(ends.T) == ends.nbytes:  # reads to the end or EOF
+            return ends
+    elif status == b"\1":
+        raise pickle.loads(pipe.read())
+    _, code = os.waitpid(pid, 0)
+    worker[0] = None
+    raise MmreachError(
+        f"the oracle worker integrating rows {rows.start} to {rows.stop - 1} "
+        f"of a chunk died (exit status {os.waitstatus_to_exitcode(code)})")
 
 
 def _integrate_block(system, X, levels, switch_steps, sizes):
@@ -349,12 +471,14 @@ def sample_endpoints(system, x0, spec: ReachSpec, cfg: SampleConfig):
         corners = [(c, w) for c in x0.corners() for w in extremes][: cfg.count]
     points = np.empty((cfg.count, system.n))
     have = 0
-    for _, X, alive in _trajectories(system, spec, cfg,
-                                     lambda rng, count: _sample_initial(x0, count, rng),
-                                     corners):
-        X = X[alive]
-        points[have : have + len(X)] = X
-        have += len(X)
+    # closed on any exit, so the block workers are reaped before it returns
+    with contextlib.closing(_trajectories(
+            system, spec, cfg, lambda rng, count: _sample_initial(x0, count, rng),
+            corners)) as blocks:
+        for _, X, alive in blocks:
+            X = X[alive]
+            points[have : have + len(X)] = X
+            have += len(X)
     divergent = cfg.count - have
     if divergent:
         log.warning("excluded %d divergent trajectories of %d", divergent, cfg.count)
@@ -432,13 +556,14 @@ def backward_witnesses(system, x0: Parallelotope, spec: ReachSpec,
     Returns an (k, n) array; logs a warning when no witnesses were found.
     """
     witnesses = []
-    for starts, X, alive in _trajectories(
+    with contextlib.closing(_trajectories(
             system, spec, cfg, lambda rng, count: rng.uniform(
-                search_box.lo, search_box.hi, size=(count, system.n))):
-        # margins of the whole block; the diverged rows' are masked out
-        with np.errstate(all="ignore"):
-            inside = x0.margins(X) >= -CONTAINMENT_TOL
-        witnesses.append(starts[alive & inside])
+                search_box.lo, search_box.hi, size=(count, system.n)))) as blocks:
+        for starts, X, alive in blocks:
+            # margins of the whole block; the diverged rows' are masked out
+            with np.errstate(all="ignore"):
+                inside = x0.margins(X) >= -CONTAINMENT_TOL
+            witnesses.append(starts[alive & inside])
     witnesses = np.concatenate(witnesses)
     if len(witnesses) == 0:
         log.warning(

@@ -2,9 +2,12 @@ import hashlib
 import logging
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
+import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,8 @@ import mmreach as mm
 from mmreach import oracle
 from mmreach.config import load_config
 from mmreach.embed import _rk4, _step_sizes
-from mmreach.errors import DimensionMismatchError, DivergenceError, GeometryError
+from mmreach.errors import (DimensionMismatchError, DivergenceError, GeometryError,
+                            MmreachError)
 from mmreach.oracle import (_draw_signals, _integrate_batch, _rejection_sample,
                             _row_blocks, _sample_initial)
 
@@ -498,10 +502,17 @@ def test_sampling_is_the_same_at_any_block_size(trig, monkeypatch):
     assert _same_bits(small_witnesses, witnesses)
 
 
+def _one_cpu(monkeypatch):
+    """Integrate every row block in this process, where spies see it."""
+    monkeypatch.setattr(oracle, "_allowed_cpus", lambda: [0])
+
+
 def test_the_field_sees_every_trajectory_step_as_one_row(bilinear, monkeypatch):
     """A profiler counts trajectory steps as the rows of the field's X: every
     call gets a 2-D (rows, n) array, and the rows sum to four RK4 stages per
-    step per trajectory, corner rows included."""
+    step per trajectory, corner rows included. The spy counts in this
+    process, so the blocks are integrated here."""
+    _one_cpu(monkeypatch)
     seen = []
     field = mm.SystemDef.eval_field_batch
 
@@ -668,7 +679,9 @@ def test_block_draw_matches_the_one_shot_draw(name, monkeypatch):
     generator where the one-shot draw leaves it. Run through the trajectory
     loop in chunks, every block's signals, every endpoint, the witness set
     and the generator state after each chunk are bit for bit those of the
-    one-shot loop, a one-row block's included."""
+    one-shot loop, a one-row block's included. The block spy records in
+    this process, so the blocks are integrated here."""
+    _one_cpu(monkeypatch)
     count, switch_count, dist, horizon, dt, step_type, chunk = _DRAW_CASES[name]
     spec = mm.ReachSpec(horizon, dt)
     steps = len(_step_sizes(horizon, dt))
@@ -773,6 +786,325 @@ def test_the_witness_search_peak_does_not_grow_with_the_chunk():
     large, _, _ = _traced_witness_search(240_000)
     starts = (240_000 - 80_000) * system.n * 8
     assert large - starts < small + oracle._BLOCK * system.n * 8, (small, large)
+
+
+@pytest.mark.parametrize("bound", [
+    test_the_witness_search_holds_its_arrays_and_a_few_row_blocks,
+    test_the_witness_search_peak_does_not_grow_with_the_chunk,
+], ids=lambda bound: bound.__name__)
+def test_the_witness_search_bounds_hold_on_one_cpu(bound, monkeypatch):
+    """tracemalloc traces this process alone. On the default path forked
+    workers hold each block's signals and RK4 buffers, so the bounds are
+    also checked where this process integrates every block."""
+    _one_cpu(monkeypatch)
+    bound()
+
+
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")),
+    reason="the row blocks fan out only where a process can fork and pin")
+
+
+def _counted_forks(monkeypatch):
+    """The pids of the processes forked from now on."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _sampled_and_searched(name, monkeypatch):
+    """Corner-first endpoints, their divergent count, the backward witnesses
+    and the generator state after each chunk of one _DRAW_CASES case, in
+    blocks of 7 rows; the 8 corner rows make a 7-row and a 1-row block."""
+    count, switch_count, dist, horizon, dt, _, chunk = _DRAW_CASES[name]
+    monkeypatch.setattr(oracle, "_BLOCK", 7)
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    spec = mm.ReachSpec(horizon, dt)
+    system = _draw_case_system(name, dist)
+    search = mm.Box([-1.0, -1.0], [20.0 if name == "diverging" else 1.0, 1.0])
+    target = mm.Parallelotope([[1.0, -2.0], [1.0, 1.0]], mm.Box([-1.0, -1.0], [1.0, 1.0]))
+    states = []
+    draw_signals = _draw_signals
+
+    def draw_spy(rng, *args):
+        draw = draw_signals(rng, *args)
+        states.append(rng.bit_generator.state)
+        return draw
+
+    monkeypatch.setattr(oracle, "_draw_signals", draw_spy)
+    cfg = mm.SampleConfig(count=count, seed=23, switch_count=switch_count)
+    res = mm.sample_endpoints(system, search, spec, mm.SampleConfig(
+        count=count, seed=23, switch_count=switch_count,
+        init_mode="corners_plus_uniform"))
+    witnesses = mm.backward_witnesses(system, target, spec, cfg, search)
+    return res.points, res.divergent, witnesses, states
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", ["allowed", "three"])
+@pytest.mark.parametrize("name", ["two_chunks", "one_row_last_block", "diverging",
+                                  "two_disturbances", "over_255_steps"])
+def test_the_fan_out_equals_the_one_cpu_path(name, workers, monkeypatch):
+    """Row blocks integrated by forked workers, one per allowed CPU or three
+    on one CPU (blocks k, k + 3, ... each), give the endpoints, divergent
+    count, witnesses and generator states of the blocks integrated in this
+    process, bit for bit: corner rows, two chunks, a one-row last block,
+    diverging rows, two disturbances and more than 255 steps included."""
+    cpus = sorted(os.sched_getaffinity(0))
+    if workers == "three" or len(cpus) < 2:
+        monkeypatch.setattr(oracle, "_allowed_cpus", lambda: cpus[:1] * 3)
+    forks = _counted_forks(monkeypatch)
+    points, divergent, witnesses, states = _sampled_and_searched(name, monkeypatch)
+    assert forks
+    _no_child_left()
+    forks.clear()
+    _one_cpu(monkeypatch)
+    alone = _sampled_and_searched(name, monkeypatch)
+    assert not forks
+    assert _same_bits(points, alone[0])
+    assert divergent == alone[1]
+    assert (divergent > 0) == (name == "diverging")
+    assert _same_bits(witnesses, alone[2]) and 0 < len(witnesses)
+    chunks = -(-(_DRAW_CASES[name][0]) // _DRAW_CASES[name][-1])
+    assert states == alone[3] and len(states) == 2 * chunks
+
+
+@needs_fork
+def test_a_platform_that_cannot_pin_integrates_in_process(bilinear, monkeypatch):
+    monkeypatch.setattr(oracle, "_BLOCK", 100)
+    points, witnesses = _sample_and_search(bilinear)
+    monkeypatch.delattr(os, "sched_setaffinity")
+    forks = _counted_forks(monkeypatch)
+    assert oracle._allowed_cpus() == []
+    alone_points, alone_witnesses = _sample_and_search(bilinear)
+    assert not forks
+    assert _same_bits(points, alone_points)
+    assert _same_bits(witnesses, alone_witnesses)
+
+
+@needs_fork
+def test_worker_k_integrates_every_wth_block_on_the_kth_cpu(monkeypatch):
+    """Three workers over eight blocks: worker k, a process of its own
+    pinned to the k-th listed CPU, integrates blocks k, k + 3, ..., and the
+    blocks come back in order."""
+    monkeypatch.setattr(oracle, "_BLOCK", 7)
+    cpus = sorted(os.sched_getaffinity(0))
+    listed = (cpus * 3)[:3]
+    monkeypatch.setattr(oracle, "_allowed_cpus", lambda: listed)
+
+    def whereabouts(system, X, _levels, _switch_steps, _sizes):
+        # the endpoints name the process, its CPU set and the block's first row
+        allowed = os.sched_getaffinity(0)
+        cpu = min(allowed) if len(allowed) == 1 else -1
+        return np.asfortranarray(np.column_stack(
+            [np.full(len(X), os.getpid()), np.full(len(X), cpu), X[:, 0]]))
+
+    monkeypatch.setattr(oracle, "_integrate_block", whereabouts)
+    X = np.column_stack([np.arange(50.0), np.zeros(50)])
+    three_columns = types.SimpleNamespace(n=3)
+    blocks = list(_integrate_batch(three_columns, X, lambda rows: (None, None), ()))
+    assert len(blocks) == 8
+    pids = [int(ends[0, 0]) for _, ends, _ in blocks]
+    assert len(set(pids[:3])) == 3 and os.getpid() not in pids
+    for i, (starts, ends, _) in enumerate(blocks):
+        assert pids[i] == pids[i % 3]
+        assert (ends[:, 1] == listed[i % 3]).all()
+        assert _same_bits(ends[:, 2].copy(), starts[:, 0].copy())
+    _no_child_left()
+
+
+def _fail_in_workers(monkeypatch, fail):
+    """``_integrate_block`` that runs ``fail()`` at each worker's second
+    block; in this process it never fails."""
+    parent, calls = os.getpid(), []
+    integrate_block = oracle._integrate_block
+
+    def failing(*args):
+        calls.append(None)
+        if os.getpid() != parent and len(calls) == 2:
+            fail()
+        return integrate_block(*args)
+
+    monkeypatch.setattr(oracle, "_integrate_block", failing)
+
+
+class _Unpicklable(Exception):
+    """An error that pickle cannot carry: its __init__ needs two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+def _raise(error):
+    raise error
+
+
+@needs_fork
+@pytest.mark.parametrize("case", ["killed", "raises", "unpicklable"])
+def test_a_failed_worker_surfaces_at_its_block(case, bilinear, monkeypatch):
+    """Two workers over eight 7-row blocks: worker 0 fails at its second
+    block, block 2 (rows 14 to 20). Blocks 0 and 1 come back, then block 2
+    raises the worker's own error, a MmreachError naming it when pickle
+    cannot carry it, or a MmreachError naming its rows and exit status when
+    the worker died; every worker is reaped."""
+    monkeypatch.setattr(oracle, "_BLOCK", 7)
+    cpus = sorted(os.sched_getaffinity(0))
+    monkeypatch.setattr(oracle, "_allowed_cpus", lambda: cpus[:1] * 2)
+    fail, expected = {
+        "killed": (lambda: os.kill(os.getpid(), signal.SIGKILL),
+                   (MmreachError, r"rows 14 to 20 .* died \(exit status -9\)")),
+        "raises": (lambda: _raise(DivergenceError("block failed", 0.25)),
+                   (DivergenceError, "^block failed$")),
+        "unpicklable": (lambda: _raise(_Unpicklable(1, 2)),
+                        (MmreachError, "^_Unpicklable: 1 2$")),
+    }[case]
+    _fail_in_workers(monkeypatch, fail)
+    system, X, levels, steps, sizes = _batch_case("no_switches")
+    X, levels, steps = X[:50], levels[:50], steps[:50]
+    got = []
+    with pytest.raises(expected[0], match=expected[1]) as error:
+        for _, ends, _ in _integrate_batch(system, X, lambda rows: (levels[rows], steps[rows]),
+                                           sizes):
+            got.append(ends)
+    assert len(got) == 2
+    assert type(error.value) is expected[0]
+    if case == "raises":
+        assert error.value.last_time == 0.25
+    _no_child_left()
+
+
+_FAILING_RUN = """
+import os, signal, sys, threading, time
+import numpy as np, mmreach as mm
+from mmreach import oracle
+from mmreach.errors import DivergenceError, MmreachError
+
+case = sys.argv[1]
+oracle._BLOCK = 7
+cpus = sorted(os.sched_getaffinity(0))
+oracle._allowed_cpus = lambda: cpus[:1] * 2
+parent, calls = os.getpid(), []
+integrate_block = oracle._integrate_block
+
+
+def failing(*args):
+    calls.append(None)
+    if os.getpid() != parent and len(calls) == 2:  # each worker's second block
+        if case == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        elif case == "raises":
+            raise DivergenceError("block failed", 0.25)
+        elif case == "interrupted_worker":  # as a terminal's Ctrl-C would
+            os.kill(os.getpid(), signal.SIGINT)
+        else:
+            time.sleep(60)
+    return integrate_block(*args)
+
+
+def interrupt(self, X):
+    raise KeyboardInterrupt
+
+
+oracle._integrate_block = failing
+if case == "interrupted_while_waiting":
+    timer = threading.Timer(0.5, signal.pthread_kill,
+                            (threading.get_ident(), signal.SIGINT))
+    timer.start()
+elif case == "interrupted_between_blocks":
+    mm.Parallelotope.margins = interrupt
+print("start")  # still in this process's buffer when the workers fork
+target = mm.Parallelotope(np.eye(2), mm.Box([0.0, 0.0], [1.0, 1.0]))
+try:
+    mm.backward_witnesses(mm.preset_system("bilinear"), target, mm.ReachSpec(0.5, 0.01),
+                          mm.SampleConfig(count=50), mm.Box([-1.0, -1.0], [1.0, 1.0]))
+    print("finished")
+except KeyboardInterrupt:
+    print("KeyboardInterrupt")
+except MmreachError as exc:
+    print(type(exc).__name__, exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left")
+except ChildProcessError:
+    print("no child is left")
+"""
+
+
+@needs_fork
+@pytest.mark.parametrize("case, outcome", [
+    ("killed", "MmreachError the oracle worker integrating rows 14 to 20 of a "
+               "chunk died (exit status -9)"),
+    ("raises", "DivergenceError block failed"),
+    ("interrupted_while_waiting", "KeyboardInterrupt"),
+    ("interrupted_between_blocks", "KeyboardInterrupt"),
+    ("interrupted_worker", "finished"),
+])
+def test_a_failed_or_interrupted_run_reaps_its_workers(case, outcome):
+    """A run in a child process, its stdout a block-buffered pipe: a worker
+    killed by SIGKILL, a worker whose block raises, and a KeyboardInterrupt
+    while this process waits for a worker sleeping 60 s or while it handles
+    a block, each end in the typed error or the interrupt within seconds,
+    with no child left. A SIGINT sent to a worker is left to the parent:
+    the run finishes. The line printed before the fork is printed once:
+    the workers leave without flushing the buffer they share with the
+    parent, and write nothing to stderr."""
+    src = str(Path(mm.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    child = subprocess.run([sys.executable, "-c", _FAILING_RUN, case],
+                           capture_output=True, text=True, timeout=30,
+                           env={**env, "PYTHONPATH": src})
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == f"start\n{outcome}\nno child is left\n"
+    assert child.stderr == ""
+
+
+@needs_fork
+def test_the_fork_warning_of_python_3_12_is_not_an_error(bilinear, monkeypatch):
+    """Python 3.12+ warns, in the parent and after the child exists, when a
+    process with threads (BLAS's) forks. Emulated here as a warning that
+    the suite's error::DeprecationWarning turns into a raise, it neither
+    raises nor reaches the caller: the oracle ignores exactly that warning
+    around its fork, and the run gives the one-CPU path's bits."""
+    monkeypatch.setattr(oracle, "_BLOCK", 100)
+    cpus = sorted(os.sched_getaffinity(0))
+    monkeypatch.setattr(oracle, "_allowed_cpus", lambda: cpus[:1] * 2)
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, "
+                          "use of fork() may lead to deadlocks in the child.",
+                          DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("error")
+        points, witnesses = _sample_and_search(bilinear)
+    assert not shown
+    _no_child_left()
+    with pytest.raises(DeprecationWarning):
+        warning_fork() or os._exit(0)
+    os.waitpid(-1, 0)
+    _one_cpu(monkeypatch)
+    alone_points, alone_witnesses = _sample_and_search(bilinear)
+    assert _same_bits(points, alone_points)
+    assert _same_bits(witnesses, alone_witnesses)
 
 
 def _one_shot_rejection(rng, bbox, count, accept):
