@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import math
 import os
 import pickle
 import signal
@@ -237,11 +238,36 @@ def _integrate_batch(system, X, signals, sizes):
 
 
 def _allowed_cpus():
-    """The CPUs this process may run on, in order; none where the platform
-    cannot fork a process or pin it to a CPU."""
+    """The CPUs the row blocks may start on, in order: those this process
+    may run on, as many as the CPU time that a cgroup v2 ``cpu.max`` above
+    it allows, rounded up; none where the platform cannot fork a process or
+    set its CPUs."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
         return []
-    return sorted(os.sched_getaffinity(0))
+    cpus = sorted(os.sched_getaffinity(0))
+    return cpus[: min([len(cpus), *map(math.ceil, _cpu_quotas())])]
+
+
+def _cpu_quotas(proc="/proc/self/cgroup", root="/sys/fs/cgroup"):
+    """The CPUs' worth of time that the ``cpu.max`` of this process's cgroup
+    v2, and of each cgroup above it, allows, for those that set a limit."""
+    try:
+        with open(proc) as fh:
+            path = next(line[3:].rstrip("\n") for line in fh if line.startswith("0::"))
+    except (OSError, StopIteration):
+        return []
+    quotas = []
+    while True:
+        try:
+            with open(f"{root}{path.rstrip('/')}/cpu.max") as fh:
+                limit, period = fh.read().split()
+            if limit != "max":
+                quotas.append(int(limit) / int(period))
+        except (OSError, ValueError, ZeroDivisionError):
+            pass
+        if os.path.dirname(path) == path:
+            return quotas
+        path = os.path.dirname(path)
 
 
 @contextlib.contextmanager
@@ -250,7 +276,7 @@ def _block_workers(integrate, blocks, n):
     for ``blocks[i]``, to be called for i = 0, 1, ... in order.
 
     With two or more blocks and two or more allowed CPUs, W = min(blocks,
-    CPUs) forked workers integrate them: worker k, pinned to the k-th
+    CPUs) forked workers integrate them: worker k starts on the k-th
     allowed CPU, integrates blocks k, k + W, ... and writes each block's
     endpoints to its own pipe, where ``ends`` reads them back in block
     order. A worker blocks on its full pipe until they are read, so the
@@ -262,7 +288,8 @@ def _block_workers(integrate, blocks, n):
     killed, if still running, and reaped on leaving the context.
     """
     cpus = _allowed_cpus()[: len(blocks)]
-    if len(cpus) < 2:
+    count = len(cpus)
+    if count < 2:
         yield lambda i: integrate(blocks[i])
         return
     workers = []  # [pid or None once reaped, read end of its pipe]
@@ -284,12 +311,12 @@ def _block_workers(integrate, blocks, n):
                         DeprecationWarning)
                     pid = os.fork()
                 if pid == 0:
-                    _work(integrate, blocks[k :: len(cpus)], cpu, write, workers)
+                    _work(integrate, blocks[k::count], cpu, write, workers)
                 workers[-1][0] = pid
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 os.close(write)
-        yield lambda i: _receive(workers[i % len(workers)], blocks[i], n)
+        yield lambda i: _receive(workers[i % count], blocks[i], n)
     finally:
         for worker in workers:
             worker[1].close()  # a worker still writing then leaves
@@ -299,31 +326,33 @@ def _block_workers(integrate, blocks, n):
 
 
 def _work(integrate, blocks, cpu, write, workers):
-    """A forked worker's life: pinned to ``cpu``, it writes to the pipe
-    ``write`` each of ``blocks``' endpoints after a 0 byte, or at its first
-    error a 1 byte and the pickled error, and leaves through os._exit, which
-    runs no exit handler and flushes no stdio buffer it shares with the
-    parent. It closes the read ends of its own and earlier workers' pipes,
-    so a pipe's reader is the parent alone."""
+    """A forked worker's life: moved to ``cpu`` and then free to run on any
+    allowed CPU, it writes to the pipe ``write`` each of ``blocks``'
+    endpoints after a 0 byte, or at its first error a 1 byte and the
+    pickled error, and leaves through os._exit, which runs no exit handler
+    and flushes no stdio buffer it shares with the parent. An error that
+    pickle cannot carry leaves nothing to read, and the parent reports the
+    worker as died. It closes the read ends of its own and earlier workers'
+    pipes, so a pipe's reader is the parent alone."""
     try:
         for _, pipe in workers:
             os.close(pipe.fileno())
         with open(write, "wb", closefd=False) as out:
             try:
+                # some kernels leave a fresh fork on its parent's CPU (on a
+                # 2-vCPU Firecracker VM two unplaced workers shared one CPU
+                # and ran slower than one process); once placed, a worker
+                # may still be moved off a busy CPU, as a pinned one cannot
+                allowed = os.sched_getaffinity(0)
                 os.sched_setaffinity(0, {cpu})
+                os.sched_setaffinity(0, allowed)
                 for rows in blocks:
                     ends = np.asfortranarray(integrate(rows))
                     out.write(b"\0")
                     out.write(ends.T)  # the column-major bytes of ``ends``
                     out.flush()
             except Exception as exc:  # raised by the parent at its block
-                try:
-                    payload = pickle.dumps(exc)
-                    pickle.loads(payload)
-                except Exception:  # an error pickle cannot carry
-                    payload = pickle.dumps(MmreachError(
-                        f"{type(exc).__name__}: {exc}"))
-                out.write(b"\1" + payload)
+                out.write(b"\1" + pickle.dumps(exc))
     finally:
         os._exit(0)
 

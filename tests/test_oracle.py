@@ -802,7 +802,7 @@ def test_the_witness_search_bounds_hold_on_one_cpu(bound, monkeypatch):
 
 needs_fork = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")),
-    reason="the row blocks fan out only where a process can fork and pin")
+    reason="the row blocks fan out only where a process can fork and set its CPUs")
 
 
 def _counted_forks(monkeypatch):
@@ -859,12 +859,12 @@ def _sampled_and_searched(name, monkeypatch):
                                   "two_disturbances", "over_255_steps"])
 def test_the_fan_out_equals_the_one_cpu_path(name, workers, monkeypatch):
     """Row blocks integrated by forked workers, one per allowed CPU or three
-    on one CPU (blocks k, k + 3, ... each), give the endpoints, divergent
+    started on one CPU (blocks k, k + 3, ... each), give the endpoints, divergent
     count, witnesses and generator states of the blocks integrated in this
     process, bit for bit: corner rows, two chunks, a one-row last block,
     diverging rows, two disturbances and more than 255 steps included."""
     cpus = sorted(os.sched_getaffinity(0))
-    if workers == "three" or len(cpus) < 2:
+    if workers == "three" or len(oracle._allowed_cpus()) < 2:
         monkeypatch.setattr(oracle, "_allowed_cpus", lambda: cpus[:1] * 3)
     forks = _counted_forks(monkeypatch)
     points, divergent, witnesses, states = _sampled_and_searched(name, monkeypatch)
@@ -883,7 +883,8 @@ def test_the_fan_out_equals_the_one_cpu_path(name, workers, monkeypatch):
 
 
 @needs_fork
-def test_a_platform_that_cannot_pin_integrates_in_process(bilinear, monkeypatch):
+def test_a_platform_that_cannot_place_a_worker_integrates_in_process(bilinear,
+                                                                     monkeypatch):
     monkeypatch.setattr(oracle, "_BLOCK", 100)
     points, witnesses = _sample_and_search(bilinear)
     monkeypatch.delattr(os, "sched_setaffinity")
@@ -895,34 +896,79 @@ def test_a_platform_that_cannot_pin_integrates_in_process(bilinear, monkeypatch)
     assert _same_bits(witnesses, alone_witnesses)
 
 
+def test_cgroup_cpu_quotas_are_read_up_to_the_root(tmp_path):
+    """The cpu.max of this process's cgroup v2 and of each cgroup above it,
+    in CPUs, where one sets a limit: "max", a missing or an unreadable file
+    sets none, and a cgroup v1 line is no cgroup v2 path."""
+    proc, root = tmp_path / "cgroup", tmp_path / "fs"
+    proc.write_text("4:cpu,cpuacct:/ignored\n0::/a/b/c\n")
+    (root / "a" / "b" / "c").mkdir(parents=True)
+    (root / "cpu.max").write_text("max 100000\n")
+    (root / "a" / "cpu.max").write_text("150000 100000\n")
+    (root / "a" / "b" / "cpu.max").write_text("not a limit\n")
+    (root / "a" / "b" / "c" / "cpu.max").write_text("300000 100000\n")
+    assert oracle._cpu_quotas(proc, root) == [3.0, 1.5]
+    proc.write_text("4:cpu,cpuacct:/ignored\n")
+    assert oracle._cpu_quotas(proc, root) == []
+    assert oracle._cpu_quotas(tmp_path / "missing", root) == []
+
+
 @needs_fork
-def test_worker_k_integrates_every_wth_block_on_the_kth_cpu(monkeypatch):
-    """Three workers over eight blocks: worker k, a process of its own
-    pinned to the k-th listed CPU, integrates blocks k, k + 3, ..., and the
-    blocks come back in order."""
-    monkeypatch.setattr(oracle, "_BLOCK", 7)
+def test_a_cpu_quota_caps_the_workers(bilinear, monkeypatch):
+    """A quota of 1.5 CPUs allows the first two allowed CPUs, rounded up; a
+    quota of one CPU or less integrates in this process, with the same
+    bits."""
+    monkeypatch.setattr(oracle, "_BLOCK", 100)
     cpus = sorted(os.sched_getaffinity(0))
-    listed = (cpus * 3)[:3]
+    monkeypatch.setattr(oracle, "_cpu_quotas", lambda: [3.0, 1.5])
+    assert oracle._allowed_cpus() == cpus[:2]
+    points, witnesses = _sample_and_search(bilinear)
+    monkeypatch.setattr(oracle, "_cpu_quotas", lambda: [0.5])
+    assert oracle._allowed_cpus() == cpus[:1]
+    forks = _counted_forks(monkeypatch)
+    alone_points, alone_witnesses = _sample_and_search(bilinear)
+    assert not forks
+    assert _same_bits(points, alone_points)
+    assert _same_bits(witnesses, alone_witnesses)
+
+
+@needs_fork
+def test_worker_k_starts_on_the_kth_cpu_and_integrates_every_wth_block(monkeypatch):
+    """Three workers over eight blocks: worker k, a process of its own, is
+    moved to the k-th listed CPU and then given back every allowed CPU; it
+    integrates blocks k, k + 3, ..., and the blocks come back in order."""
+    monkeypatch.setattr(oracle, "_BLOCK", 7)
+    allowed = os.sched_getaffinity(0)
+    listed = (sorted(allowed) * 3)[:3]
     monkeypatch.setattr(oracle, "_allowed_cpus", lambda: listed)
+    moves = []
+    set_affinity = os.sched_setaffinity
+
+    def recorded(pid, cpus):
+        moves.append(sorted(cpus))
+        set_affinity(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recorded)
 
     def whereabouts(system, X, _levels, _switch_steps, _sizes):
-        # the endpoints name the process, its CPU set and the block's first row
-        allowed = os.sched_getaffinity(0)
-        cpu = min(allowed) if len(allowed) == 1 else -1
+        # the endpoints name the process, where the worker was moved, whether
+        # it may now run on every allowed CPU, and the block's rows
+        assert moves[1:] == [sorted(allowed)]
         return np.asfortranarray(np.column_stack(
-            [np.full(len(X), os.getpid()), np.full(len(X), cpu), X[:, 0]]))
+            [np.full(len(X), os.getpid()), np.full(len(X), moves[0][0]),
+             np.full(len(X), os.sched_getaffinity(0) == allowed), X]))
 
     monkeypatch.setattr(oracle, "_integrate_block", whereabouts)
     X = np.column_stack([np.arange(50.0), np.zeros(50)])
-    three_columns = types.SimpleNamespace(n=3)
-    blocks = list(_integrate_batch(three_columns, X, lambda rows: (None, None), ()))
+    five_columns = types.SimpleNamespace(n=5)
+    blocks = list(_integrate_batch(five_columns, X, lambda rows: (None, None), ()))
     assert len(blocks) == 8
     pids = [int(ends[0, 0]) for _, ends, _ in blocks]
     assert len(set(pids[:3])) == 3 and os.getpid() not in pids
     for i, (starts, ends, _) in enumerate(blocks):
         assert pids[i] == pids[i % 3]
-        assert (ends[:, 1] == listed[i % 3]).all()
-        assert _same_bits(ends[:, 2].copy(), starts[:, 0].copy())
+        assert (ends[:, 1] == listed[i % 3]).all() and (ends[:, 2] == 1).all()
+        assert _same_bits(ends[:, 3:].copy(), starts.copy())
     _no_child_left()
 
 
@@ -941,25 +987,17 @@ def _fail_in_workers(monkeypatch, fail):
     monkeypatch.setattr(oracle, "_integrate_block", failing)
 
 
-class _Unpicklable(Exception):
-    """An error that pickle cannot carry: its __init__ needs two arguments."""
-
-    def __init__(self, a, b):
-        super().__init__(f"{a} {b}")
-
-
 def _raise(error):
     raise error
 
 
 @needs_fork
-@pytest.mark.parametrize("case", ["killed", "raises", "unpicklable"])
+@pytest.mark.parametrize("case", ["killed", "raises"])
 def test_a_failed_worker_surfaces_at_its_block(case, bilinear, monkeypatch):
     """Two workers over eight 7-row blocks: worker 0 fails at its second
     block, block 2 (rows 14 to 20). Blocks 0 and 1 come back, then block 2
-    raises the worker's own error, a MmreachError naming it when pickle
-    cannot carry it, or a MmreachError naming its rows and exit status when
-    the worker died; every worker is reaped."""
+    raises the worker's own error, or a MmreachError naming its rows and
+    exit status when the worker died; every worker is reaped."""
     monkeypatch.setattr(oracle, "_BLOCK", 7)
     cpus = sorted(os.sched_getaffinity(0))
     monkeypatch.setattr(oracle, "_allowed_cpus", lambda: cpus[:1] * 2)
@@ -968,8 +1006,6 @@ def test_a_failed_worker_surfaces_at_its_block(case, bilinear, monkeypatch):
                    (MmreachError, r"rows 14 to 20 .* died \(exit status -9\)")),
         "raises": (lambda: _raise(DivergenceError("block failed", 0.25)),
                    (DivergenceError, "^block failed$")),
-        "unpicklable": (lambda: _raise(_Unpicklable(1, 2)),
-                        (MmreachError, "^_Unpicklable: 1 2$")),
     }[case]
     _fail_in_workers(monkeypatch, fail)
     system, X, levels, steps, sizes = _batch_case("no_switches")
