@@ -32,7 +32,7 @@ from .geometry import (
     ptope_polygon,
 )
 from .multiorder import ReachOutcome, reach_plan, run_reach
-from .oracle import audit_containment, backward_witnesses, sample_endpoints
+from .oracle import _beside, audit_containment, backward_witnesses, sample_endpoints
 from .sysdef import transform
 
 
@@ -228,18 +228,24 @@ def cmd_verify(args):
         # audit must sample exactly that hull
         verts = np.array([np.asarray(v) for v in init])
         init = Box(verts[0], verts[0]) if len(verts) == 1 else convex_hull_2d(verts)
-    outcome = run_reach(cfg)
-    region = _scaled_region(outcome.audit_region(), args.debug_scale)
     if cfg.spec.direction == "backward":
         forward_spec = ReachSpec(cfg.spec.horizon, cfg.spec.dt, "forward")
-        points = backward_witnesses(cfg.system, cfg.initial_set, forward_spec,
-                                    cfg.sampling, cfg.search_box)
-        # `divergent` counts forward endpoints excluded from the audit; a
-        # backward search trajectory that diverges cannot be a witness
-        divergent = 0
+
+        def sample():
+            # `divergent` counts forward endpoints excluded from the audit; a
+            # backward search trajectory that diverges cannot be a witness
+            return backward_witnesses(cfg.system, cfg.initial_set, forward_spec,
+                                      cfg.sampling, cfg.search_box), 0
     else:
-        result = sample_endpoints(cfg.system, init, cfg.spec, cfg.sampling)
-        points, divergent = result.points, result.divergent
+        def sample():
+            result = sample_endpoints(cfg.system, init, cfg.spec, cfg.sampling)
+            return result.points, result.divergent
+    # the oracle never reads the bound, so it may run beside the reach; a
+    # failed reach still fails the run before the oracle's own error
+    with _beside(sample, cfg.spec, cfg.sampling) as sampled:
+        outcome = run_reach(cfg)
+        region = _scaled_region(outcome.audit_region(), args.debug_scale)
+        points, divergent = sampled()
     report = audit_containment(points, region)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -38,6 +38,14 @@ _CHUNK = 250_000  # rows per chunk: fixes the layout of the random stream
 _BLOCK = 1 << 14  # rows integrated together: 256 KB per (N, 2) array
 _MIN_AREA_RATIO = 1e-9  # of a rejection-sampled region to its bounding box
 _CORNER_LEVEL_PROB = 0.2  # per-segment chance of an extreme disturbance level
+# _beside forks the oracle from this many trajectory steps (trajectories x
+# RK4 steps) on. On a 2-vCPU Xeon VM a fork and pipe round trip after a
+# reach, at 32 MB resident, took 2.2-4.0 ms, and the oracle in this process
+# 21-26 ns a trajectory step for the bilinear closed form, 130-200 ns for
+# the trig field: here the cheapest field runs about 10 ms, a few forks.
+_FORK_ROW_STEPS = 400_000
+
+_in_worker = False  # set in a forked worker, whose own workers stay in its group
 
 
 @dataclass(frozen=True)
@@ -231,7 +239,7 @@ def _integrate_batch(system, X, signals, sizes):
     def integrate(rows):
         return _integrate_block(system, X[rows], *signals(rows), sizes)
 
-    with _block_workers(integrate, blocks, system.n) as ends_of:
+    with _block_workers(integrate, blocks) as ends_of:
         for i, rows in enumerate(blocks):
             ends = ends_of(i)
             yield X[rows], ends, np.isfinite(ends).all(axis=1)
@@ -271,108 +279,186 @@ def _cpu_quotas(proc="/proc/self/cgroup", root="/sys/fs/cgroup"):
 
 
 @contextlib.contextmanager
-def _block_workers(integrate, blocks, n):
+def _block_workers(integrate, blocks):
     """``ends(i)``, the (rows, n) column-major endpoints ``integrate`` gives
     for ``blocks[i]``, to be called for i = 0, 1, ... in order.
 
     With two or more blocks and two or more allowed CPUs, W = min(blocks,
-    CPUs) forked workers integrate them: worker k starts on the k-th
-    allowed CPU, integrates blocks k, k + W, ... and writes each block's
-    endpoints to its own pipe, where ``ends`` reads them back in block
-    order. A worker blocks on its full pipe until they are read, so the
-    parent holds about one block per worker. Otherwise ``ends`` integrates
-    the block in this process. The values are the same either way: a
-    worker runs the same ``integrate`` on the same block, and its bits
-    travel unchanged. A worker's error is raised by ``ends`` at its block,
-    and a worker that dies raises MmreachError there. Every worker is
-    killed, if still running, and reaped on leaving the context.
+    CPUs) ``_forked`` workers integrate them: worker k starts on the k-th
+    allowed CPU and integrates blocks k, k + W, ..., which ``ends`` reads
+    back in block order. A worker blocks on its full pipe until they are
+    read, so the parent holds about one block per worker. Otherwise ``ends``
+    integrates the block in this process. The values are the same either
+    way: a worker runs the same ``integrate`` on the same block, and its
+    bits travel unchanged.
     """
     cpus = _allowed_cpus()[: len(blocks)]
     count = len(cpus)
     if count < 2:
         yield lambda i: integrate(blocks[i])
         return
+    jobs = [(cpu, lambda k=k: map(integrate, blocks[k::count]))
+            for k, cpu in enumerate(cpus)]
+    with _forked(jobs) as receive:
+        yield lambda i: receive(i % count, f"integrating rows {blocks[i].start} "
+                                           f"to {blocks[i].stop - 1} of a chunk")
+
+
+@contextlib.contextmanager
+def _beside(sample, spec: ReachSpec, cfg: SampleConfig):
+    """``result()``, the value of ``sample()``, which runs the oracle's
+    ``cfg.count`` trajectories over ``spec``'s steps.
+
+    Where two or more CPUs are allowed and the trajectory steps reach
+    _FORK_ROW_STEPS, this process moves to the first allowed CPU and one
+    ``_forked`` worker, started on entry on the second, calls ``sample``
+    beside the caller's own work, and ``result`` reads its value back;
+    otherwise ``result`` calls ``sample`` in this process. ``sample`` must
+    not read what the caller computes meanwhile. The records that the
+    oracle's logger passes in the worker are collected there, not handled,
+    and ``result`` hands them to the logger's handlers in their order, so
+    they show where and as they would in this process.
+    """
+    cpus = _allowed_cpus()
+    if (len(cpus) < 2
+            or cfg.count * len(_step_sizes(spec.horizon, spec.dt)) < _FORK_ROW_STEPS):
+        yield sample
+        return
+
+    def collected():
+        records = []
+        log.addFilter(records.append)  # returns None: the record stops here
+        return [(sample(), records)]
+
+    _place(cpus[0])
+    with _forked([(cpus[1], collected)]) as receive:
+        def result():
+            value, records = receive(0, "sampling the trajectories")
+            for record in records:
+                log.callHandlers(record)
+            return value
+
+        yield result
+
+
+@contextlib.contextmanager
+def _forked(jobs):
+    """``receive(k, what)``, the next item of the iterable ``results()`` of
+    the k-th of ``jobs``' (cpu, results) pairs, which a forked worker of its
+    own computes from entry on, starting on ``cpu`` (``_work``).
+
+    A worker sends each item down its own pipe, where ``receive`` reads it;
+    it blocks on a full pipe until then. ``receive`` raises the error a
+    worker sent in place of an item, and MmreachError, naming ``what`` the
+    worker did, when the worker left without either. Every worker is
+    killed, if still running, and reaped on leaving the context: the
+    workers this process forks lead process groups of their own, which the
+    workers they fork in turn stay in, and each is killed with its group,
+    so no process of the tree outlives the context. SIGINT stays blocked in
+    the workers for their whole life, so an interrupt reaches this process
+    alone, which then kills them.
+    """
     workers = []  # [pid or None once reaped, read end of its pipe]
     try:
-        for k, cpu in enumerate(cpus):
+        for cpu, results in jobs:
             read, write = os.pipe()
-            # SIGINT stays blocked in the worker for its whole life, so an
-            # interrupt reaches the parent alone, which kills the workers
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
                 workers.append([None, open(read, "rb")])
                 with warnings.catch_warnings():
                     # Python 3.12+ warns, in the parent, of forking a
-                    # process that has threads, such as BLAS's; a worker
-                    # makes no BLAS call (its field, RK4 and signal draw are
-                    # elementwise numpy), so the fork is safe
+                    # process that has threads, such as BLAS's; numpy's
+                    # OpenBLAS stops its threads before a fork
+                    # (pthread_atfork) and starts them again at its next
+                    # call, so a worker's margins may call it
                     warnings.filterwarnings(
                         "ignore", r".* is multi-threaded, use of fork\(\)",
                         DeprecationWarning)
                     pid = os.fork()
                 if pid == 0:
-                    _work(integrate, blocks[k::count], cpu, write, workers)
+                    _work(results, cpu, write, workers)
                 workers[-1][0] = pid
+                if not _in_worker:
+                    os.setpgid(pid, pid)  # as the worker does: either may run first
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 os.close(write)
-        yield lambda i: _receive(workers[i % count], blocks[i], n)
+        yield lambda k, what: _receive(workers[k], what)
     finally:
         for worker in workers:
             worker[1].close()  # a worker still writing then leaves
             if worker[0] is not None:
-                os.kill(worker[0], signal.SIGKILL)
-                os.waitpid(worker[0], 0)
+                _end(worker)
 
 
-def _work(integrate, blocks, cpu, write, workers):
-    """A forked worker's life: moved to ``cpu`` and then free to run on any
-    allowed CPU, it writes to the pipe ``write`` each of ``blocks``'
-    endpoints after a 0 byte, or at its first error a 1 byte and the
-    pickled error, and leaves through os._exit, which runs no exit handler
-    and flushes no stdio buffer it shares with the parent. An error that
-    pickle cannot carry leaves nothing to read, and the parent reports the
-    worker as died. It closes the read ends of its own and earlier workers'
-    pipes, so a pipe's reader is the parent alone."""
+def _work(results, cpu, write, workers):
+    """A forked worker's life. It leads a process group of its own, unless
+    a worker forked it, and closes the read ends of its own and earlier
+    workers' pipes, so a pipe's reader is the parent alone. Moved to
+    ``cpu`` and then free to run on any allowed CPU, it writes to the pipe
+    ``write`` each item of ``results()`` pickled after a 0 byte, or at its
+    first error a 1 byte and the pickled error. It leaves through os._exit,
+    which runs no exit handler and flushes no stdio buffer it shares with
+    the parent: with status 0 once it has written all, and 1 where it could
+    not (an error that pickle cannot carry, a pipe the parent closed), which
+    the parent reports as died."""
+    global _in_worker
+    code = 1
     try:
+        if not _in_worker:
+            os.setpgid(0, 0)
+        _in_worker = True
         for _, pipe in workers:
             os.close(pipe.fileno())
         with open(write, "wb", closefd=False) as out:
             try:
-                # some kernels leave a fresh fork on its parent's CPU (on a
-                # 2-vCPU Firecracker VM two unplaced workers shared one CPU
-                # and ran slower than one process); once placed, a worker
-                # may still be moved off a busy CPU, as a pinned one cannot
-                allowed = os.sched_getaffinity(0)
-                os.sched_setaffinity(0, {cpu})
-                os.sched_setaffinity(0, allowed)
-                for rows in blocks:
-                    ends = np.asfortranarray(integrate(rows))
+                _place(cpu)
+                for item in results():
+                    data = pickle.dumps(item, protocol=5)  # whole, or not at all
                     out.write(b"\0")
-                    out.write(ends.T)  # the column-major bytes of ``ends``
+                    out.write(data)
                     out.flush()
-            except Exception as exc:  # raised by the parent at its block
-                out.write(b"\1" + pickle.dumps(exc))
+            except Exception as exc:  # raised by the parent in place of its item
+                out.write(b"\1" + pickle.dumps(exc, protocol=5))
+        code = 0
     finally:
-        os._exit(0)
+        os._exit(code)
 
 
-def _receive(worker, rows, n):
-    """The endpoints of ``rows`` from a worker's pipe, or the error the
-    worker sent for them, or MmreachError if it left without either."""
-    pid, pipe = worker
-    status = pipe.read(1)
-    if status == b"\0":
-        ends = np.empty((rows.stop - rows.start, n), order="F")
-        if pipe.readinto(ends.T) == ends.nbytes:  # reads to the end or EOF
-            return ends
-    elif status == b"\1":
-        raise pickle.loads(pipe.read())
-    _, code = os.waitpid(pid, 0)
-    worker[0] = None
-    raise MmreachError(
-        f"the oracle worker integrating rows {rows.start} to {rows.stop - 1} "
-        f"of a chunk died (exit status {os.waitstatus_to_exitcode(code)})")
+def _place(cpu):
+    """Move this process to ``cpu``, then let it run on every CPU it was
+    allowed again. Some kernels leave a fresh fork on its parent's CPU: on a
+    2-vCPU Firecracker VM two unplaced workers shared one CPU for the whole
+    run, and so did a worker and its busy parent. Once placed, a process may
+    still be moved off a busy CPU, as a pinned one cannot."""
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {cpu})
+    os.sched_setaffinity(0, allowed)
+
+
+def _receive(worker, what):
+    """A worker's next item, or the error it sent in its place, or
+    MmreachError if it left without either."""
+    status = worker[1].read(1)
+    if status in (b"\0", b"\1"):
+        try:
+            item = pickle.load(worker[1])
+        except (EOFError, pickle.UnpicklingError):  # cut short: the worker died
+            pass
+        else:
+            if status == b"\1":
+                raise item
+            return item
+    code = os.waitstatus_to_exitcode(_end(worker))
+    raise MmreachError(f"the oracle worker {what} died (exit status {code})")
+
+
+def _end(worker):
+    """Kill a worker, with its process group if it leads one, and reap it:
+    its wait status. Unreaped, it holds its pid and its group's id."""
+    pid, worker[0] = worker[0], None
+    (os.kill if _in_worker else os.killpg)(pid, signal.SIGKILL)
+    return os.waitpid(pid, 0)[1]
 
 
 def _integrate_block(system, X, levels, switch_steps, sizes):

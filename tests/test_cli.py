@@ -1,7 +1,9 @@
 import json
+import logging
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -9,8 +11,9 @@ import numpy as np
 import pytest
 
 import mmreach as mm
+from mmreach import oracle
 from mmreach.cli import _scaled_region, main
-from mmreach.errors import ConfigError
+from mmreach.errors import ConfigError, GeometryError
 from mmreach.multiorder import ReachOutcome
 
 
@@ -699,3 +702,330 @@ def test_union_audit_region_is_a_union_and_scales():
     assert isinstance(shrunk, mm.UnionInitialSet)
     assert np.allclose(shrunk.members[1].coords.lo, [2.25, 0.25])
     assert np.allclose(shrunk.members[1].coords.hi, [2.75, 0.75])
+
+
+# the oracle runs beside the reach in a forked worker only where a process
+# can fork and set its CPUs
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")),
+    reason="the oracle forks only where a process can fork and set its CPUs")
+
+_UNION = {"type": "union", "members": [
+    {"shape": [[1, 0], [0, 1]], "lo": [0.0, -0.25], "hi": [0.5, 0.0]},
+    {"shape": [[1, -2], [1, 1]], "lo": [0.0, -0.25], "hi": [0.25, 0.0]}]}
+# x' = x^2 + w from 1 escapes before t = 2 for w near 0 and settles for w
+# near -2; the closed form, the tangent at x = 1, keeps the bound finite
+_DIVERGING = {
+    "system": {"n": 1, "m": 1, "field": ["x1*x1 + w1"],
+               "w_lo": [-2.0], "w_hi": [0.0]},
+    "initial_set": {"type": "box", "lo": [1.0], "hi": [1.0]},
+    "horizon": 2.0,
+    "dt": 0.01,
+    "decomposition": {"method": "closed_form", "sources": ["2*x1 - 1 + w1"]},
+    "sampling": {"count": 300, "seed": 0},
+}
+# 2,000 rows: four 600-row blocks, which the worker fans out in turn
+_BACKWARD = {
+    "system": "bilinear",
+    "initial_set": {"type": "parallelotope", "shape": [[1.0, -2.0], [1.0, 1.0]],
+                    "lo": [0.0, -0.25], "hi": [0.25, 0.0]},
+    "horizon": 1.0,
+    "dt": 0.01,
+    "direction": "backward",
+    "sampling": {"count": 2000, "seed": 5,
+                 "search_lo": [-3.0, -3.0], "search_hi": [3.0, 3.0]},
+}
+_OVERLAP_CASES = {
+    "box": _fast_box_config(),
+    "parallelotope": _fast_box_config(initial_set=_BACKWARD["initial_set"]),
+    "vertex_hull": _fast_box_config(
+        initial_set={"type": "vertices", "points": _HULL_POINTS}),
+    "union": _fast_box_config(initial_set=_UNION),
+    "corners_plus_uniform": _fast_box_config(sampling={
+        "count": 800, "seed": 7, "init_mode": "corners_plus_uniform"}),
+    "diverging": _DIVERGING,
+    "backward": _BACKWARD,
+}
+
+
+def _counted_forks(monkeypatch):
+    """The pids of the processes this process forks from now on."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _oracle_path(monkeypatch, forked):
+    """Run the oracle beside the reach in a forked worker, whatever its
+    work, with two CPUs listed (the one allowed CPU twice on a one-CPU
+    host); or in this process, on one CPU listed."""
+    cpus = sorted(os.sched_getaffinity(0))
+    if forked:
+        monkeypatch.setattr(oracle, "_FORK_ROW_STEPS", 0)
+        monkeypatch.setattr(oracle, "_allowed_cpus", lambda: (cpus * 2)[:2])
+    else:
+        monkeypatch.setattr(oracle, "_allowed_cpus", lambda: cpus[:1])
+
+
+def _block_pids(monkeypatch, path):
+    """Record in the file ``path`` the pid of the process that integrates
+    each row block: returns a reader of the pids recorded."""
+    integrate_block = oracle._integrate_block
+
+    def recorded(*args):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return integrate_block(*args)
+
+    monkeypatch.setattr(oracle, "_integrate_block", recorded)
+    return lambda: [int(p) for p in path.read_text().split()] if path.exists() else []
+
+
+def _verify_outputs(tmp_path, name, cfg, capsys, caplog):
+    """Exit code, stdout, stderr, the oracle's log records and the bytes of
+    every output file of one ``verify --save-endpoints`` run."""
+    out = tmp_path / name
+    caplog.clear()
+    code = main(["verify", "--config", cfg, "--out", str(out), "--save-endpoints"])
+    std = capsys.readouterr()
+    records = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return code, std.out, std.err, records, files
+
+
+@needs_fork
+@pytest.mark.parametrize("name", sorted(_OVERLAP_CASES))
+def test_the_oracle_beside_the_reach_equals_the_in_process_run(name, tmp_path,
+                                                              monkeypatch, capsys,
+                                                              caplog):
+    """A verify run whose oracle runs in a forked worker beside the reach
+    gives the exit code, stdout, stderr, log records, verify_report.json
+    and endpoints.csv of the run whose oracle runs after the reach in this
+    process, bit for bit: box, parallelotope, vertex-hull and union starts,
+    corner starts first, diverging rows (with the oracle's warning) and a
+    backward run whose worker fans its four row blocks out to workers of
+    its own."""
+    cfg = _write(tmp_path, _OVERLAP_CASES[name])
+    monkeypatch.setattr(oracle, "_BLOCK", 600)
+    pids_of = _block_pids(monkeypatch, tmp_path / "pids")
+    forks = _counted_forks(monkeypatch)
+    _oracle_path(monkeypatch, forked=True)
+    beside = _verify_outputs(tmp_path, "beside", cfg, capsys, caplog)
+    assert len(forks) == 1  # the worker; it forks the block workers itself
+    assert os.getpid() not in pids_of()
+    if name == "backward":
+        assert len(pids_of()) == 4 and forks[0] not in pids_of()
+        assert len(set(pids_of())) == 2
+    (tmp_path / "pids").unlink()
+    forks.clear()
+    _oracle_path(monkeypatch, forked=False)
+    alone = _verify_outputs(tmp_path, "alone", cfg, capsys, caplog)
+    assert not forks and set(pids_of()) == {os.getpid()}
+    assert beside == alone
+    assert beside[0] == 0
+    assert set(beside[4]) == {"endpoints.csv", "verify_report.json"}
+    assert bool(beside[3]) == (name == "diverging")
+
+
+def _gone(pid, timeout=10.0):
+    """Whether process ``pid`` ends within ``timeout`` seconds; a zombie,
+    dead and waiting for its reaper, counts as ended."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            return True
+        time.sleep(0.01)
+    return False
+
+
+@needs_fork
+def test_a_reach_that_fails_beside_the_oracle_leaves_no_process(tmp_path,
+                                                                monkeypatch, capsys):
+    """The reach raises while the worker's two block workers sleep 60 s in
+    their blocks: verify exits 1 within seconds with the reach's error, as
+    in one process, and neither the worker nor its block workers outlive
+    the run."""
+    cfg = _write(tmp_path, _BACKWARD)
+    monkeypatch.setattr(oracle, "_BLOCK", 600)
+    monkeypatch.setattr(oracle, "_integrate_block", lambda *args: time.sleep(60))
+    pids_of = _block_pids(monkeypatch, tmp_path / "pids")
+    forks = _counted_forks(monkeypatch)
+
+    def failing(cfg):
+        deadline = time.monotonic() + 30
+        while forks and len(pids_of()) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise GeometryError("the reach failed")
+
+    monkeypatch.setattr("mmreach.cli.run_reach", failing)
+    args = ["verify", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]
+    _oracle_path(monkeypatch, forked=True)
+    start = time.monotonic()
+    assert main(args) == 1
+    assert time.monotonic() - start < 20
+    assert capsys.readouterr().err == "error: the reach failed\n"
+    assert len(forks) == 1 and len(set(pids_of())) == 2
+    for pid in forks + pids_of():
+        assert _gone(pid), pid
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    forks.clear()
+    _oracle_path(monkeypatch, forked=False)
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: the reach failed\n"
+    assert not forks
+
+
+_ZERO_AREA_UNION = {
+    "system": "bilinear",
+    "initial_set": {"type": "union", "members": [
+        {"shape": [[1, 0], [0, 1]], "lo": [0.0, 0.0], "hi": [0.5, 0.0]},
+        {"shape": [[1, 0], [0, 1]], "lo": [0.0, 0.1], "hi": [0.5, 0.1]}]},
+    "horizon": 0.1,
+    "dt": 0.01,
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("reach_fails", [False, True], ids=["oracle", "both"])
+def test_an_oracle_error_beside_the_reach_is_that_of_one_process(tmp_path, monkeypatch,
+                                                                 capsys, reach_fails):
+    """The worker's sampler refuses a union of zero-area members: verify
+    exits 1 with that error after the reach, as in one process. Where the
+    reach fails too, its error wins, as it did when it ran first."""
+    cfg = _write(tmp_path, _ZERO_AREA_UNION)
+
+    def failing(cfg):
+        raise GeometryError("no reach")
+
+    if reach_fails:
+        monkeypatch.setattr("mmreach.cli.run_reach", failing)
+    message = ("error: no reach\n" if reach_fails else
+               "error: cannot sample the union initial set: every member has a "
+               "zero-width side, so no draw from its bounding box lands in it\n")
+    args = ["verify", "--config", cfg, "--out", str(tmp_path / "out")]
+    forks = _counted_forks(monkeypatch)
+    for forked in (True, False):
+        _oracle_path(monkeypatch, forked)
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", message)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+_INTERRUPTED_REACH = """
+import os, signal, sys, time
+from mmreach import cli, oracle
+
+case = sys.argv[1]
+cpus = sorted(os.sched_getaffinity(0))
+oracle._FORK_ROW_STEPS = 0
+oracle._allowed_cpus = lambda: (cpus * 2)[:2]
+run_reach = cli.run_reach
+
+
+def interrupted(cfg):
+    try:
+        # as a terminal's Ctrl-C would: to every process of the foreground
+        # group, which is this process's own
+        os.killpg(0, signal.SIGINT)
+        time.sleep(30)
+    except KeyboardInterrupt:
+        print("interrupted")
+        if case == "raised":
+            raise
+    return run_reach(cfg)
+
+
+cli.run_reach = interrupted
+try:
+    print("exit", cli.main(sys.argv[2:]))
+except KeyboardInterrupt:
+    print("KeyboardInterrupt")
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left")
+except ChildProcessError:
+    print("no child is left")
+"""
+
+
+@needs_fork
+@pytest.mark.parametrize("case, outcome", [
+    ("raised", "interrupted\nKeyboardInterrupt\nno child is left\n"),
+    ("caught", "interrupted\naudited 2000 points: 0 violations, worst margin "),
+])
+def test_an_interrupt_during_the_reach_reaches_this_process_alone(tmp_path, case,
+                                                                  outcome):
+    """A SIGINT to the whole process group, as Ctrl-C sends it, during the
+    reach raises KeyboardInterrupt in this process only: left to propagate,
+    it ends the run with no child left; caught, the run goes on, and the
+    worker, which it never reached, delivers its sample. The CLI runs in a
+    child process that leads its own group."""
+    cfg = _write(tmp_path, _fast_box_config(sampling={"count": 2000, "seed": 7}))
+    src = str(Path(mm.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", _INTERRUPTED_REACH, case, "verify", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, start_new_session=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.startswith(outcome), child.stdout
+    if case == "caught":
+        assert child.stdout.endswith("\nexit 0\nno child is left\n")
+    assert child.stderr == ""
+
+
+_ON_CPUS = """
+import os, sys
+from mmreach import cli, oracle
+
+cpus = sorted(os.sched_getaffinity(0))
+listed = {"two": (cpus * 2)[:2], "one": cpus[:1]}[sys.argv[1]]
+oracle._allowed_cpus = lambda: listed
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@needs_fork
+def test_the_oracle_log_beside_the_reach_shows_as_in_one_process(tmp_path, monkeypatch,
+                                                                 capsys, caplog):
+    """2,000 trajectories of 200 steps, at the fork floor: 902 of them
+    diverge, and the worker's warning of them is handled in this process
+    after the reach, so its log records, and in a child process its
+    stderr, equal those of the oracle run in one process."""
+    raw = dict(_DIVERGING, sampling={"count": 2000, "seed": 0})
+    cfg = _write(tmp_path, raw)
+    assert 2000 * 200 >= oracle._FORK_ROW_STEPS
+    warning = ("mmreach.oracle", logging.WARNING,
+               "excluded 902 divergent trajectories of 2000")
+    forks = _counted_forks(monkeypatch)
+    cpus = sorted(os.sched_getaffinity(0))
+    outputs = []
+    for listed in ((cpus * 2)[:2], cpus[:1]):
+        monkeypatch.setattr(oracle, "_allowed_cpus", lambda listed=listed: listed)
+        outputs.append(_verify_outputs(tmp_path, f"{len(listed)}", cfg, capsys, caplog))
+    assert len(forks) == 1
+    assert outputs[0] == outputs[1] and outputs[0][3] == [warning]
+    src = str(Path(mm.__file__).resolve().parents[1])
+    children = [subprocess.run(
+        [sys.executable, "-c", _ON_CPUS, cpus, "verify", "--config", cfg,
+         "--out", str(tmp_path / cpus)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src}) for cpus in ("two", "one")]
+    assert [c.returncode for c in children] == [2, 2]
+    assert children[0].stdout == children[1].stdout
+    assert children[0].stderr == children[1].stderr == f"{warning[2]}\n"

@@ -896,6 +896,26 @@ def test_a_platform_that_cannot_place_a_worker_integrates_in_process(bilinear,
     assert _same_bits(witnesses, alone_witnesses)
 
 
+@needs_fork
+def test_the_oracle_forks_beside_its_caller_from_the_floor_on(monkeypatch):
+    """``_beside`` calls the sample in one forked worker where its
+    trajectories times their steps reach _FORK_ROW_STEPS and two CPUs are
+    listed; below the floor, or on one CPU, in this process."""
+    cpus = sorted(os.sched_getaffinity(0))
+    spec = mm.ReachSpec(1.0, 0.01)  # 100 steps
+    forks = _counted_forks(monkeypatch)
+    floor = oracle._FORK_ROW_STEPS // 100
+    for listed, count, forked in [((cpus * 2)[:2], floor - 1, False),
+                                  ((cpus * 2)[:2], floor, True),
+                                  (cpus[:1], 100 * floor, False)]:
+        monkeypatch.setattr(oracle, "_allowed_cpus", lambda listed=listed: listed)
+        with oracle._beside(os.getpid, spec, mm.SampleConfig(count=count)) as result:
+            assert (result() != os.getpid()) == forked
+        assert len(forks) == forked
+        forks.clear()
+    _no_child_left()
+
+
 def test_cgroup_cpu_quotas_are_read_up_to_the_root(tmp_path):
     """The cpu.max of this process's cgroup v2 and of each cgroup above it,
     in CPUs, where one sets a limit: "max", a missing or an unreadable file
@@ -991,13 +1011,20 @@ def _raise(error):
     raise error
 
 
+def _unpicklable():
+    error = MmreachError("cannot travel")
+    error.hook = lambda: None  # pickle refuses a lambda
+    return error
+
+
 @needs_fork
-@pytest.mark.parametrize("case", ["killed", "raises"])
+@pytest.mark.parametrize("case", ["killed", "raises", "unpicklable"])
 def test_a_failed_worker_surfaces_at_its_block(case, bilinear, monkeypatch):
     """Two workers over eight 7-row blocks: worker 0 fails at its second
     block, block 2 (rows 14 to 20). Blocks 0 and 1 come back, then block 2
     raises the worker's own error, or a MmreachError naming its rows and
-    exit status when the worker died; every worker is reaped."""
+    exit status when the worker died, or could not send the error it
+    raised and so left with status 1; every worker is reaped."""
     monkeypatch.setattr(oracle, "_BLOCK", 7)
     cpus = sorted(os.sched_getaffinity(0))
     monkeypatch.setattr(oracle, "_allowed_cpus", lambda: cpus[:1] * 2)
@@ -1006,6 +1033,8 @@ def test_a_failed_worker_surfaces_at_its_block(case, bilinear, monkeypatch):
                    (MmreachError, r"rows 14 to 20 .* died \(exit status -9\)")),
         "raises": (lambda: _raise(DivergenceError("block failed", 0.25)),
                    (DivergenceError, "^block failed$")),
+        "unpicklable": (lambda: _raise(_unpicklable()),
+                        (MmreachError, r"rows 14 to 20 .* died \(exit status 1\)")),
     }[case]
     _fail_in_workers(monkeypatch, fail)
     system, X, levels, steps, sizes = _batch_case("no_switches")
