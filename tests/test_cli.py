@@ -704,8 +704,6 @@ def test_union_audit_region_is_a_union_and_scales():
     assert np.allclose(shrunk.members[1].coords.hi, [2.75, 0.75])
 
 
-# the oracle runs beside the reach in a forked worker only where a process
-# can fork and set its CPUs
 needs_fork = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")),
     reason="the oracle forks only where a process can fork and set its CPUs")
