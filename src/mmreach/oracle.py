@@ -39,13 +39,13 @@ _BLOCK = 1 << 14  # rows integrated together: 256 KB per (N, 2) array
 _MIN_AREA_RATIO = 1e-9  # of a rejection-sampled region to its bounding box
 _CORNER_LEVEL_PROB = 0.2  # per-segment chance of an extreme disturbance level
 # _beside forks the oracle from this many trajectory steps (trajectories x
-# RK4 steps) on. On a 2-vCPU Xeon VM a fork and pipe round trip after a
-# reach, at 32 MB resident, took 2.2-4.0 ms, and the oracle in this process
-# 21-26 ns a trajectory step for the bilinear closed form, 130-200 ns for
-# the trig field: here the cheapest field runs about 10 ms, a few forks.
-_FORK_ROW_STEPS = 400_000
-
-_in_worker = False  # set in a forked worker, whose own workers stay in its group
+# RK4 steps) on. In end-to-end verify runs on a 2-vCPU Xeon VM, paired with
+# the oracle run after the reach, forking a trig field's oracle saved a
+# median 15 ms of wall time at 10^5 steps, faster in 60 of 70 pairs, and
+# 7 ms at 3 x 10^4, in 19 of 30, no clearer than the noise. Beside a
+# bilinear box's reach of under 30 ms it neither gained nor lost from 10^4
+# to 10^6 steps.
+_FORK_ROW_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -309,18 +309,21 @@ def _beside(sample, spec: ReachSpec, cfg: SampleConfig):
     """``result()``, the value of ``sample()``, which runs the oracle's
     ``cfg.count`` trajectories over ``spec``'s steps.
 
-    Where two or more CPUs are allowed and the trajectory steps reach
-    _FORK_ROW_STEPS, this process moves to the first allowed CPU and one
-    ``_forked`` worker, started on entry on the second, calls ``sample``
-    beside the caller's own work, and ``result`` reads its value back;
-    otherwise ``result`` calls ``sample`` in this process. ``sample`` must
-    not read what the caller computes meanwhile. The records that the
-    oracle's logger passes in the worker are collected there, not handled,
-    and ``result`` hands them to the logger's handlers in their order, so
-    they show where and as they would in this process.
+    Where two or more CPUs are allowed, the trajectory steps reach
+    _FORK_ROW_STEPS and the trajectories fit in one row block, this process
+    moves to the first allowed CPU and one ``_forked`` worker, started on
+    entry on the second, calls ``sample`` beside the caller's own work, and
+    ``result`` reads its value back; otherwise ``result`` calls ``sample``
+    in this process. More trajectories than a block already run on every
+    allowed CPU (``_block_workers``) and stay in this process, so a worker
+    forks none of its own. ``sample`` must not read what the caller
+    computes meanwhile. The records that the oracle's logger passes in the
+    worker are collected there, not handled, and ``result`` hands them to
+    the logger's handlers in their order, so they show where and as they
+    would in this process.
     """
     cpus = _allowed_cpus()
-    if (len(cpus) < 2
+    if (len(cpus) < 2 or cfg.count > _BLOCK
             or cfg.count * len(_step_sizes(spec.horizon, spec.dt)) < _FORK_ROW_STEPS):
         yield sample
         return
@@ -351,12 +354,12 @@ def _forked(jobs):
     it blocks on a full pipe until then. ``receive`` raises the error a
     worker sent in place of an item, and MmreachError, naming ``what`` the
     worker did, when the worker left without either. Every worker is
-    killed, if still running, and reaped on leaving the context: the
-    workers this process forks lead process groups of their own, which the
-    workers they fork in turn stay in, and each is killed with its group,
-    so no process of the tree outlives the context. SIGINT stays blocked in
-    the workers for their whole life, so an interrupt reaches this process
-    alone, which then kills them.
+    killed, if still running, and reaped on leaving the context. The
+    workers stay in this process's group, so a signal sent to the group,
+    as by ``timeout`` or a closed terminal, ends them with it; a worker
+    whose reader is gone leaves at its next write. SIGINT alone stays
+    blocked in the workers for their whole life, so an interrupt reaches
+    this process alone, which then kills them.
     """
     workers = []  # [pid or None once reaped, read end of its pipe]
     try:
@@ -378,8 +381,6 @@ def _forked(jobs):
                 if pid == 0:
                     _work(results, cpu, write, workers)
                 workers[-1][0] = pid
-                if not _in_worker:
-                    os.setpgid(pid, pid)  # as the worker does: either may run first
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 os.close(write)
@@ -392,9 +393,8 @@ def _forked(jobs):
 
 
 def _work(results, cpu, write, workers):
-    """A forked worker's life. It leads a process group of its own, unless
-    a worker forked it, and closes the read ends of its own and earlier
-    workers' pipes, so a pipe's reader is the parent alone. Moved to
+    """A forked worker's life. It closes the read ends of its own and
+    earlier workers' pipes, so a pipe's reader is the parent alone. Moved to
     ``cpu`` and then free to run on any allowed CPU, it writes to the pipe
     ``write`` each item of ``results()`` pickled after a 0 byte, or at its
     first error a 1 byte and the pickled error. It leaves through os._exit,
@@ -402,12 +402,8 @@ def _work(results, cpu, write, workers):
     the parent: with status 0 once it has written all, and 1 where it could
     not (an error that pickle cannot carry, a pipe the parent closed), which
     the parent reports as died."""
-    global _in_worker
     code = 1
     try:
-        if not _in_worker:
-            os.setpgid(0, 0)
-        _in_worker = True
         for _, pipe in workers:
             os.close(pipe.fileno())
         with open(write, "wb", closefd=False) as out:
@@ -454,10 +450,9 @@ def _receive(worker, what):
 
 
 def _end(worker):
-    """Kill a worker, with its process group if it leads one, and reap it:
-    its wait status. Unreaped, it holds its pid and its group's id."""
+    """Kill a worker and reap it: its wait status."""
     pid, worker[0] = worker[0], None
-    (os.kill if _in_worker else os.killpg)(pid, signal.SIGKILL)
+    os.kill(pid, signal.SIGKILL)
     return os.waitpid(pid, 0)[1]
 
 

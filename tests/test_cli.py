@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -722,7 +723,6 @@ _DIVERGING = {
     "decomposition": {"method": "closed_form", "sources": ["2*x1 - 1 + w1"]},
     "sampling": {"count": 300, "seed": 0},
 }
-# 2,000 rows: four 600-row blocks, which the worker fans out in turn
 _BACKWARD = {
     "system": "bilinear",
     "initial_set": {"type": "parallelotope", "shape": [[1.0, -2.0], [1.0, 1.0]],
@@ -809,19 +809,13 @@ def test_the_oracle_beside_the_reach_equals_the_in_process_run(name, tmp_path,
     and endpoints.csv of the run whose oracle runs after the reach in this
     process, bit for bit: box, parallelotope, vertex-hull and union starts,
     corner starts first, diverging rows (with the oracle's warning) and a
-    backward run whose worker fans its four row blocks out to workers of
-    its own."""
+    backward run."""
     cfg = _write(tmp_path, _OVERLAP_CASES[name])
-    monkeypatch.setattr(oracle, "_BLOCK", 600)
     pids_of = _block_pids(monkeypatch, tmp_path / "pids")
     forks = _counted_forks(monkeypatch)
     _oracle_path(monkeypatch, forked=True)
     beside = _verify_outputs(tmp_path, "beside", cfg, capsys, caplog)
-    assert len(forks) == 1  # the worker; it forks the block workers itself
-    assert os.getpid() not in pids_of()
-    if name == "backward":
-        assert len(pids_of()) == 4 and forks[0] not in pids_of()
-        assert len(set(pids_of())) == 2
+    assert len(forks) == 1 and set(pids_of()) == set(forks)
     (tmp_path / "pids").unlink()
     forks.clear()
     _oracle_path(monkeypatch, forked=False)
@@ -831,6 +825,37 @@ def test_the_oracle_beside_the_reach_equals_the_in_process_run(name, tmp_path,
     assert beside[0] == 0
     assert set(beside[4]) == {"endpoints.csv", "verify_report.json"}
     assert bool(beside[3]) == (name == "diverging")
+
+
+@needs_fork
+def test_a_sample_of_many_blocks_fans_out_after_the_reach(tmp_path, monkeypatch,
+                                                          capsys, caplog):
+    """A backward run of four 600-row blocks forks no worker beside the
+    reach: after it, two block workers integrate the blocks, as without the
+    overlap, and every output equals the run in this process, bit for bit.
+    So no worker forks workers of its own."""
+    cfg = _write(tmp_path, _BACKWARD)
+    monkeypatch.setattr(oracle, "_BLOCK", 600)
+    pids_of = _block_pids(monkeypatch, tmp_path / "pids")
+    forks = _counted_forks(monkeypatch)
+    reached = []
+    run_reach = mm.cli.run_reach
+
+    def reach(cfg):
+        reached.append(len(forks))
+        return run_reach(cfg)
+
+    monkeypatch.setattr("mmreach.cli.run_reach", reach)
+    _oracle_path(monkeypatch, forked=True)
+    fanned = _verify_outputs(tmp_path, "fanned", cfg, capsys, caplog)
+    assert reached == [0] and len(forks) == 2
+    assert len(pids_of()) == 4 and set(pids_of()) == set(forks)
+    (tmp_path / "pids").unlink()
+    forks.clear()
+    _oracle_path(monkeypatch, forked=False)
+    alone = _verify_outputs(tmp_path, "alone", cfg, capsys, caplog)
+    assert not forks and set(pids_of()) == {os.getpid()}
+    assert fanned == alone and fanned[0] == 0
 
 
 def _gone(pid, timeout=10.0):
@@ -851,12 +876,10 @@ def _gone(pid, timeout=10.0):
 @needs_fork
 def test_a_reach_that_fails_beside_the_oracle_leaves_no_process(tmp_path,
                                                                 monkeypatch, capsys):
-    """The reach raises while the worker's two block workers sleep 60 s in
-    their blocks: verify exits 1 within seconds with the reach's error, as
-    in one process, and neither the worker nor its block workers outlive
-    the run."""
+    """The reach raises while the worker sleeps 60 s in its block: verify
+    exits 1 within seconds with the reach's error, as in one process, and
+    the worker does not outlive the run."""
     cfg = _write(tmp_path, _BACKWARD)
-    monkeypatch.setattr(oracle, "_BLOCK", 600)
     monkeypatch.setattr(oracle, "_integrate_block", lambda *args: time.sleep(60))
     pids_of = _block_pids(monkeypatch, tmp_path / "pids")
     forks = _counted_forks(monkeypatch)
@@ -864,7 +887,7 @@ def test_a_reach_that_fails_beside_the_oracle_leaves_no_process(tmp_path,
 
     def failing(cfg):
         deadline = time.monotonic() + 30
-        while forks and len(pids_of()) < 2 and time.monotonic() < deadline:
+        while forks and not pids_of() and time.monotonic() < deadline:
             time.sleep(0.01)
         raised.append(time.monotonic())
         raise GeometryError("the reach failed")
@@ -875,9 +898,8 @@ def test_a_reach_that_fails_beside_the_oracle_leaves_no_process(tmp_path,
     assert main(args) == 1
     assert time.monotonic() - raised[0] < 10
     assert capsys.readouterr().err == "error: the reach failed\n"
-    assert len(forks) == 1 and len(set(pids_of())) == 2
-    for pid in forks + pids_of():
-        assert _gone(pid), pid
+    assert len(forks) == 1 and pids_of() == forks
+    assert _gone(forks[0])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     forks.clear()
@@ -988,6 +1010,72 @@ def test_an_interrupt_during_the_reach_reaches_this_process_alone(tmp_path, case
     assert child.stderr == ""
 
 
+_TERMINATED_REACH = """
+import os, signal, sys, time
+from mmreach import cli, oracle
+
+started, name = sys.argv[1:3]
+cpus = sorted(os.sched_getaffinity(0))
+oracle._FORK_ROW_STEPS = 0
+oracle._allowed_cpus = lambda: (cpus * 2)[:2]
+
+
+def asleep(*args):
+    open(started, "w").close()
+    time.sleep(60)
+
+
+oracle._integrate_block = asleep
+fork = os.fork
+forks = []
+
+
+def counted():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+
+def terminated(cfg):
+    deadline = time.monotonic() + 30
+    while not os.path.exists(started) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    print(*forks, flush=True)
+    # as timeout(1) or a closed terminal would: to every process of the
+    # group, which is this process's own
+    os.killpg(0, getattr(signal, name))
+    time.sleep(30)
+
+
+os.fork = counted
+cli.run_reach = terminated
+cli.main(sys.argv[3:])
+"""
+
+
+@needs_fork
+@pytest.mark.parametrize("name", ["SIGTERM", "SIGHUP"])
+def test_a_signal_to_the_group_during_the_reach_ends_the_worker(tmp_path, name):
+    """A SIGTERM or SIGHUP to the whole process group during the reach,
+    while the worker sleeps 60 s in its block, ends the run and the worker
+    at once: the worker shares the group, so nothing holds the run's
+    stdout open afterwards. The CLI runs in a child process that leads its
+    own group."""
+    cfg = _write(tmp_path, _fast_box_config(sampling={"count": 2000, "seed": 7}))
+    src = str(Path(mm.__file__).resolve().parents[1])
+    start = time.monotonic()
+    child = subprocess.run(
+        [sys.executable, "-c", _TERMINATED_REACH, str(tmp_path / "started"), name,
+         "verify", "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=50, start_new_session=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert time.monotonic() - start < 25
+    assert child.returncode == -getattr(signal, name), child.stderr
+    worker, = map(int, child.stdout.split())
+    assert _gone(worker, timeout=5.0)
+
+
 _ON_CPUS = """
 import os, sys
 from mmreach import cli, oracle
@@ -1002,7 +1090,7 @@ sys.exit(cli.main(sys.argv[2:]))
 @needs_fork
 def test_the_oracle_log_beside_the_reach_shows_as_in_one_process(tmp_path, monkeypatch,
                                                                  capsys, caplog):
-    """2,000 trajectories of 200 steps, at the fork floor: 902 of them
+    """2,000 trajectories of 200 steps, above the fork floor: 902 of them
     diverge, and the worker's warning of them is handled in this process
     after the reach, so its log records, and in a child process its
     stderr, equal those of the oracle run in one process."""

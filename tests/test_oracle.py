@@ -899,15 +899,19 @@ def test_a_platform_that_cannot_place_a_worker_integrates_in_process(bilinear,
 @needs_fork
 def test_the_oracle_forks_beside_its_caller_from_the_floor_on(monkeypatch):
     """``_beside`` calls the sample in one forked worker where its
-    trajectories times their steps reach _FORK_ROW_STEPS and two CPUs are
-    listed; below the floor, or on one CPU, in this process."""
+    trajectories times their steps reach _FORK_ROW_STEPS, the trajectories
+    fit in one row block and two CPUs are listed; below the floor, above
+    one block, or on one CPU, in this process."""
     cpus = sorted(os.sched_getaffinity(0))
     spec = mm.ReachSpec(1.0, 0.01)  # 100 steps
     forks = _counted_forks(monkeypatch)
     floor = oracle._FORK_ROW_STEPS // 100
+    assert floor <= oracle._BLOCK
     for listed, count, forked in [((cpus * 2)[:2], floor - 1, False),
                                   ((cpus * 2)[:2], floor, True),
-                                  (cpus[:1], 100 * floor, False)]:
+                                  ((cpus * 2)[:2], oracle._BLOCK, True),
+                                  ((cpus * 2)[:2], oracle._BLOCK + 1, False),
+                                  (cpus[:1], floor, False)]:
         monkeypatch.setattr(oracle, "_allowed_cpus", lambda listed=listed: listed)
         with oracle._beside(os.getpid, spec, mm.SampleConfig(count=count)) as result:
             assert (result() != os.getpid()) == forked
