@@ -32,7 +32,6 @@ from .geometry import (
     ptope_polygon,
 )
 from .multiorder import ReachOutcome, reach_plan, run_reach
-from .oracle import _beside, audit_containment, backward_witnesses, sample_endpoints
 from .sysdef import transform
 
 
@@ -222,6 +221,9 @@ def cmd_verify(args):
     reason = _verify_rejection(cfg)
     if reason is not None:
         raise ConfigError(reason)
+    # imported here so that check and reach load no oracle
+    from .oracle import _beside, audit_containment, backward_witnesses, sample_endpoints
+
     init = cfg.initial_set
     if isinstance(init, list):
         # the bound covers the polytope spanned by the vertices, so the

@@ -17,11 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import exprlang
-from .embed import ReachSpec
+from .embed import ReachSpec, SampleConfig
 from .errors import ConfigError, MmreachError
 from .geometry import Box, Parallelotope, UnionInitialSet, invert_shape
 from .multiorder import default_transform_family, reach_plan
-from .oracle import SampleConfig
 from .sysdef import SystemDef, preset_system
 
 _DIRECTIONS = ("forward", "backward")

@@ -5,13 +5,16 @@ trajectory of the underlying system (forward in time); integrating the
 embedding of the time-reversed field bounds backward reachable sets.
 ``reach_box`` is the one step from a decomposition method to a box:
 ``embedding`` prepares the decomposition, ``integrate`` steps it. Code that
-builds its own decomposition (``combine``) calls ``integrate``.
+builds its own decomposition (``combine``) calls ``integrate``. The oracle's
+``SampleConfig`` sits here beside ``ReachSpec``, so that a configuration
+names both without loading the oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 
@@ -64,6 +67,48 @@ class ReachSpec:
         if self.direction not in ("forward", "backward"):
             raise DimensionMismatchError(
                 f"direction must be 'forward' or 'backward', got {self.direction!r}"
+            )
+
+
+@dataclass(frozen=True)
+class SampleConfig:
+    """How to draw trajectory samples.
+
+    ``switch_count`` piecewise-constant disturbance switches are placed
+    uniformly over the horizon (snapped to the integration grid, which keeps
+    the signals admissible). ``init_mode`` is "uniform" or
+    "corners_plus_uniform"; the latter spends the first samples on corner
+    initial states paired with the two extreme constant disturbance signals.
+    """
+
+    count: int
+    seed: int = 0
+    switch_count: int = 4
+    init_mode: str = "uniform"
+
+    def __post_init__(self):
+        for name in ("count", "seed", "switch_count"):
+            value = getattr(self, name)
+            # a float or bool would fail only once sampling draws with it
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise DimensionMismatchError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+            # the sampler moves its PCG64 stream by offsets computed from
+            # these, and PCG64.advance refuses a numpy integer
+            object.__setattr__(self, name, int(value))
+        if self.count < 1:
+            raise DimensionMismatchError(f"count must be >= 1, got {self.count}")
+        if self.seed < 0:
+            raise DimensionMismatchError(f"seed must be >= 0, got {self.seed}")
+        if self.switch_count < 0:
+            raise DimensionMismatchError(
+                f"switch_count must be >= 0, got {self.switch_count}"
+            )
+        if self.init_mode not in ("uniform", "corners_plus_uniform"):
+            raise DimensionMismatchError(
+                f"init_mode must be 'uniform' or 'corners_plus_uniform', "
+                f"got {self.init_mode!r}"
             )
 
 

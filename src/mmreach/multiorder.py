@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import oracle
 from .embed import ReachSpec, reach_box
 from .errors import DimensionMismatchError, EmptyIntersectionError, GeometryError
 from .geometry import (
@@ -132,6 +131,8 @@ def reach_intersection(system, transforms, x0, spec: ReachSpec,
             outcome.areas.append(running.area())
     outcome.intersection = running
     if system.n != 2:
+        from . import oracle  # imported here so that a reach loads no oracle
+
         outcome.volume, outcome.volume_ci = oracle.intersection_volume_mc(
             outcome.parallelotopes
         )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import ReachSpec, _rk4, _step_sizes, _trajectory
+from .embed import ReachSpec, SampleConfig, _rk4, _step_sizes, _trajectory
 from .errors import DimensionMismatchError, GeometryError, MmreachError
 from .geometry import (
     Box,
@@ -46,38 +46,6 @@ _CORNER_LEVEL_PROB = 0.2  # per-segment chance of an extreme disturbance level
 # bilinear box's reach of under 30 ms it neither gained nor lost from 10^4
 # to 10^6 steps.
 _FORK_ROW_STEPS = 100_000
-
-
-@dataclass(frozen=True)
-class SampleConfig:
-    """How to draw trajectory samples.
-
-    ``switch_count`` piecewise-constant disturbance switches are placed
-    uniformly over the horizon (snapped to the integration grid, which keeps
-    the signals admissible). ``init_mode`` is "uniform" or
-    "corners_plus_uniform"; the latter spends the first samples on corner
-    initial states paired with the two extreme constant disturbance signals.
-    """
-
-    count: int
-    seed: int = 0
-    switch_count: int = 4
-    init_mode: str = "uniform"
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise DimensionMismatchError(f"count must be >= 1, got {self.count}")
-        if self.seed < 0:
-            raise DimensionMismatchError(f"seed must be >= 0, got {self.seed}")
-        if self.switch_count < 0:
-            raise DimensionMismatchError(
-                f"switch_count must be >= 0, got {self.switch_count}"
-            )
-        if self.init_mode not in ("uniform", "corners_plus_uniform"):
-            raise DimensionMismatchError(
-                f"init_mode must be 'uniform' or 'corners_plus_uniform', "
-                f"got {self.init_mode!r}"
-            )
 
 
 @dataclass

@@ -281,6 +281,36 @@ def test_occupancy_rejects_what_has_no_cell(points, cell):
         mm.occupancy_area(np.array(points), cell)
 
 
+@pytest.mark.parametrize("fields", [
+    {"count": 10.5},
+    {"count": 10.0},
+    {"count": True},
+    {"count": 10, "seed": 1.5},
+    {"count": 10, "seed": np.float64(1)},
+    {"count": 10, "switch_count": 2.5},
+    {"count": 10, "switch_count": False},
+], ids=["count_float", "count_integral_float", "count_bool", "seed_float",
+        "seed_numpy_float", "switch_count_float", "switch_count_bool"])
+def test_sample_config_refuses_a_count_seed_or_switch_count_that_is_no_integer(fields):
+    """Each was accepted, and sampling then died with an untyped TypeError."""
+    with pytest.raises(DimensionMismatchError, match="must be an integer"):
+        mm.SampleConfig(**fields)
+
+
+def test_sample_config_takes_numpy_integers():
+    """PCG64.advance refuses a numpy integer, so a numpy count or switch
+    count failed in sampling with an OverflowError; the fields hold Python
+    ints, so the sample is the int one's."""
+    system = mm.SystemDef.from_strings(1, 1, ["-x1 + w1"], [0.0], [0.1])
+    x0, spec = mm.Box([0.0], [1.0]), mm.ReachSpec(0.1, 0.01)
+    cfg = mm.SampleConfig(np.int64(10), seed=np.uint32(1), switch_count=np.int8(2))
+    assert cfg == mm.SampleConfig(10, seed=1, switch_count=2)
+    assert all(type(v) is int for v in (cfg.count, cfg.seed, cfg.switch_count))
+    ours = mm.sample_endpoints(system, x0, spec, cfg).points
+    ref = mm.sample_endpoints(system, x0, spec, mm.SampleConfig(10, 1, 2)).points
+    assert ours.tobytes() == ref.tobytes()
+
+
 def test_backward_witnesses_scalar_decay():
     s = mm.SystemDef.from_strings(1, 1, ["-x1"], [0.0], [0.0])
     x0 = mm.Parallelotope(np.array([[1.0]]),

@@ -8,6 +8,7 @@ positive control of the same harness.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,6 +80,27 @@ def test_tight_gives_no_finite_lower_bound_to_an_unbounded_component():
     except MmreachError:
         return
     assert value <= system.eval_field([0.0, -1e-9], [0.0])[0]
+
+
+@pytest.mark.xfail(strict=True, reason="item 21")
+def test_the_box_holds_an_extreme_that_rounding_cuts():
+    """x1' = x2 + w1, x2' = 0 from [0, 0.5]^2 with w1 in [-0.2, 0.2]: the
+    start (0.5, 0.5) under w1 = 0.2 (the float) reaches 0.5 + 0.5 + 0.2 at
+    T = 1, and RK4 is exact on this linear flow. The box's upper x1 is
+    1.1999999999999997, rounded one ulp inside that value."""
+    system = mm.SystemDef.from_strings(2, 1, ["x2 + w1", "0"], [-0.2], [0.2])
+    box = mm.reach_box(system, mm.Box([0.0, 0.0], [0.5, 0.5]),
+                       mm.ReachSpec(1.0, 0.1), "tight")
+    assert Fraction(box.hi[0]) >= Fraction(0.5) + Fraction(0.5) + Fraction(0.2)
+
+
+@pytest.mark.xfail(strict=True, reason="item 6")
+def test_a_flow_that_escapes_in_finite_time_is_refused():
+    """x' = x^2 from 3 is 3 / (1 - 3t), which escapes at t = 1/3; no finite
+    box bounds it at T = 0.5. Today the reach returns one near 3.66e70."""
+    system = mm.SystemDef.from_strings(1, 1, ["x1^2"], [0.0], [0.0])
+    with pytest.raises(MmreachError):
+        mm.reach_box(system, mm.Box([3.0], [3.0]), mm.ReachSpec(0.5, 0.1), "tight")
 
 
 def _random_field(rng):
