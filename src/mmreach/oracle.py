@@ -200,16 +200,30 @@ def _integrate_batch(system, X, signals, sizes):
     component that turns non-finite stays non-finite, and one finiteness
     test after the last step finds the diverged rows. Yields (starts,
     endpoints, alive mask) per block, in block order, diverged rows
-    included; the blocks are integrated by ``_block_workers``.
+    included.
+
+    With two or more blocks and two or more allowed CPUs, W = min(blocks,
+    CPUs) ``_forked`` workers integrate them: worker k starts on the k-th
+    allowed CPU and integrates blocks k, k + W, ..., read back here in block
+    order. A worker blocks on its full pipe until then, so this process
+    holds about one block per worker. Otherwise each block is integrated in
+    this process. The values are the same either way: a worker runs the
+    same integration on the same block, and its bits travel unchanged.
     """
     blocks = _row_blocks(len(X))
 
     def integrate(rows):
         return _integrate_block(system, X[rows], *signals(rows), sizes)
 
-    with _block_workers(integrate, blocks) as ends_of:
+    cpus = _allowed_cpus()[: len(blocks)]
+    cpus = cpus if len(cpus) > 1 else []  # one block or one CPU: no worker
+    jobs = [(cpu, lambda k=k: map(integrate, blocks[k::len(cpus)]))
+            for k, cpu in enumerate(cpus)]
+    with _forked(jobs) as receive:
         for i, rows in enumerate(blocks):
-            ends = ends_of(i)
+            ends = (receive(i % len(cpus), f"integrating rows {rows.start} to "
+                                           f"{rows.stop - 1} of a chunk")
+                    if cpus else integrate(rows))
             yield X[rows], ends, np.isfinite(ends).all(axis=1)
 
 
@@ -247,32 +261,6 @@ def _cpu_quotas(proc="/proc/self/cgroup", root="/sys/fs/cgroup"):
 
 
 @contextlib.contextmanager
-def _block_workers(integrate, blocks):
-    """``ends(i)``, the (rows, n) column-major endpoints ``integrate`` gives
-    for ``blocks[i]``, to be called for i = 0, 1, ... in order.
-
-    With two or more blocks and two or more allowed CPUs, W = min(blocks,
-    CPUs) ``_forked`` workers integrate them: worker k starts on the k-th
-    allowed CPU and integrates blocks k, k + W, ..., which ``ends`` reads
-    back in block order. A worker blocks on its full pipe until they are
-    read, so the parent holds about one block per worker. Otherwise ``ends``
-    integrates the block in this process. The values are the same either
-    way: a worker runs the same ``integrate`` on the same block, and its
-    bits travel unchanged.
-    """
-    cpus = _allowed_cpus()[: len(blocks)]
-    count = len(cpus)
-    if count < 2:
-        yield lambda i: integrate(blocks[i])
-        return
-    jobs = [(cpu, lambda k=k: map(integrate, blocks[k::count]))
-            for k, cpu in enumerate(cpus)]
-    with _forked(jobs) as receive:
-        yield lambda i: receive(i % count, f"integrating rows {blocks[i].start} "
-                                           f"to {blocks[i].stop - 1} of a chunk")
-
-
-@contextlib.contextmanager
 def _beside(sample, spec: ReachSpec, cfg: SampleConfig):
     """``result()``, the value of ``sample()``, which runs the oracle's
     ``cfg.count`` trajectories over ``spec``'s steps.
@@ -283,33 +271,18 @@ def _beside(sample, spec: ReachSpec, cfg: SampleConfig):
     entry on the second, calls ``sample`` beside the caller's own work, and
     ``result`` reads its value back; otherwise ``result`` calls ``sample``
     in this process. More trajectories than a block already run on every
-    allowed CPU (``_block_workers``) and stay in this process, so a worker
+    allowed CPU (``_integrate_batch``) and stay in this process, so a worker
     forks none of its own. ``sample`` must not read what the caller
-    computes meanwhile. The records that the oracle's logger passes in the
-    worker are collected there, not handled, and ``result`` hands them to
-    the logger's handlers in their order, so they show where and as they
-    would in this process.
+    computes meanwhile.
     """
     cpus = _allowed_cpus()
     if (len(cpus) < 2 or cfg.count > _BLOCK
             or cfg.count * len(_step_sizes(spec.horizon, spec.dt)) < _FORK_ROW_STEPS):
         yield sample
         return
-
-    def collected():
-        records = []
-        log.addFilter(records.append)  # returns None: the record stops here
-        return [(sample(), records)]
-
     _place(cpus[0])
-    with _forked([(cpus[1], collected)]) as receive:
-        def result():
-            value, records = receive(0, "sampling the trajectories")
-            for record in records:
-                log.callHandlers(record)
-            return value
-
-        yield result
+    with _forked([(cpus[1], lambda: [sample()])]) as receive:
+        yield lambda: receive(0, "sampling the trajectories")
 
 
 @contextlib.contextmanager
@@ -318,16 +291,18 @@ def _forked(jobs):
     the k-th of ``jobs``' (cpu, results) pairs, which a forked worker of its
     own computes from entry on, starting on ``cpu`` (``_work``).
 
-    A worker sends each item down its own pipe, where ``receive`` reads it;
-    it blocks on a full pipe until then. ``receive`` raises the error a
-    worker sent in place of an item, and MmreachError, naming ``what`` the
-    worker did, when the worker left without either. Every worker is
-    killed, if still running, and reaped on leaving the context. The
-    workers stay in this process's group, so a signal sent to the group,
-    as by ``timeout`` or a closed terminal, ends them with it; a worker
-    whose reader is gone leaves at its next write. SIGINT alone stays
-    blocked in the workers for their whole life, so an interrupt reaches
-    this process alone, which then kills them.
+    A worker sends each item down its own pipe, with the records that the
+    oracle's logger passed meanwhile, and blocks on a full pipe until
+    ``receive`` reads them. ``receive`` hands the records to the logger's
+    handlers, in their order, so they show as they would in this process;
+    then it returns the item, or raises the error a worker sent in its
+    place, or MmreachError, naming ``what`` the worker did, when the worker
+    left without either. Every worker is killed, if still running, and
+    reaped on leaving the context. The workers stay in this process's
+    group, so a signal sent to the group, as by ``timeout`` or a closed
+    terminal, ends them with it; a worker whose reader is gone leaves at its
+    next write. SIGINT alone stays blocked in the workers for their whole
+    life, so an interrupt reaches this process alone, which then kills them.
     """
     workers = []  # [pid or None once reaped, read end of its pipe]
     try:
@@ -364,26 +339,29 @@ def _work(results, cpu, write, workers):
     """A forked worker's life. It closes the read ends of its own and
     earlier workers' pipes, so a pipe's reader is the parent alone. Moved to
     ``cpu`` and then free to run on any allowed CPU, it writes to the pipe
-    ``write`` each item of ``results()`` pickled after a 0 byte, or at its
-    first error a 1 byte and the pickled error. It leaves through os._exit,
-    which runs no exit handler and flushes no stdio buffer it shares with
-    the parent: with status 0 once it has written all, and 1 where it could
-    not (an error that pickle cannot carry, a pipe the parent closed), which
-    the parent reports as died."""
+    ``write`` one pickled (True, item, records) per item of ``results()``,
+    or at its first error (False, error, records): the records are those the
+    oracle's logger passed since the last write, collected, not handled. It
+    leaves through os._exit, which runs no exit handler and flushes no stdio
+    buffer it shares with the parent: with status 0 once it has written
+    all, and 1 where it could not (an error that pickle cannot carry, a
+    pipe the parent closed), which the parent reports as died."""
     code = 1
     try:
         for _, pipe in workers:
             os.close(pipe.fileno())
+        records = []
+        log.addFilter(records.append)  # returns None: the record stops here
         with open(write, "wb", closefd=False) as out:
             try:
                 _place(cpu)
                 for item in results():
-                    data = pickle.dumps(item, protocol=5)  # whole, or not at all
-                    out.write(b"\0")
-                    out.write(data)
+                    # pickled whole before a byte is written
+                    out.write(pickle.dumps((True, item, records), protocol=5))
                     out.flush()
+                    records.clear()
             except Exception as exc:  # raised by the parent in place of its item
-                out.write(b"\1" + pickle.dumps(exc, protocol=5))
+                out.write(pickle.dumps((False, exc, records), protocol=5))
         code = 0
     finally:
         os._exit(code)
@@ -401,20 +379,20 @@ def _place(cpu):
 
 
 def _receive(worker, what):
-    """A worker's next item, or the error it sent in its place, or
-    MmreachError if it left without either."""
-    status = worker[1].read(1)
-    if status in (b"\0", b"\1"):
-        try:
-            item = pickle.load(worker[1])
-        except (EOFError, pickle.UnpicklingError):  # cut short: the worker died
-            pass
-        else:
-            if status == b"\1":
-                raise item
-            return item
-    code = os.waitstatus_to_exitcode(_end(worker))
-    raise MmreachError(f"the oracle worker {what} died (exit status {code})")
+    """A worker's next item, or the error it sent in its place, once the
+    log records sent with it are handled; MmreachError if it left without
+    either."""
+    try:
+        ok, value, records = pickle.load(worker[1])
+    except (EOFError, pickle.UnpicklingError):  # cut short: the worker died
+        code = os.waitstatus_to_exitcode(_end(worker))
+        raise MmreachError(
+            f"the oracle worker {what} died (exit status {code})") from None
+    for record in records:
+        log.callHandlers(record)
+    if not ok:
+        raise value
+    return value
 
 
 def _end(worker):

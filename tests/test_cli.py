@@ -349,6 +349,17 @@ def test_verify_degenerate_run_is_clean(tmp_path):
     assert abs(doc["worst_margin"]) <= 1e-6
 
 
+def test_verify_of_a_two_point_vertex_set_audits_every_endpoint(tmp_path):
+    """Two vertices span a segment, which the oracle samples along."""
+    raw = _fast_box_config(initial_set={"type": "vertices",
+                                        "points": [[0.0, -0.25], [0.75, 0.25]]})
+    cfg = _write(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    doc = json.loads((out / "verify_report.json").read_text())
+    assert doc["total"] == 800 and doc["violations"] == 0
+
+
 def test_verify_backward_run(tmp_path, capsys):
     raw = {
         "system": "bilinear",

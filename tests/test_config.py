@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mmreach.cli import main
 from mmreach.config import load_config, parse_config, preset_names
 from mmreach.errors import ConfigError
 
@@ -234,3 +235,69 @@ def test_check_rejects_what_reach_would(tmp_path, change, location):
         load_config(path)
     assert err.value.location == (location or str(tmp_path))
 
+
+def _with(**change):
+    return {**_base_raw(), **change}
+
+
+_SYSTEM = {"n": 2, "m": 1, "field": ["x1*x2 + w1", "x1 + 1"],
+           "w_lo": [0.0], "w_hi": [0.25]}
+_LINE = {"system": {"n": 1, "m": 1, "field": ["w1"], "w_lo": [0.0], "w_hi": [0.0]},
+         "initial_set": {"type": "box", "lo": [0.0], "hi": [1.0]}, "horizon": 1.0}
+
+
+@pytest.mark.parametrize("raw, location, message", [
+    ([], "", "top level must be a table"),
+    (_with(horizon="1"), "horizon", "expected a number, got '1'"),
+    (_with(direction="sideways"), "direction",
+     "direction must be one of ('forward', 'backward')"),
+    (_with(system=5), "system", "expected a preset name or a system table"),
+    (_with(system={**_SYSTEM, "n": 2.0}), "system.n", "expected an integer, got 2.0"),
+    (_with(system={**_SYSTEM, "n": 0}), "system", "invalid dimensions n=0, m=1"),
+    (_with(system={**_SYSTEM, "field": ["x1"]}), "system.field",
+     "field must list exactly 2 expressions"),
+    (_with(system={**_SYSTEM, "field": [1, "x1"]}), "system.field[0]",
+     "expected an expression string"),
+    (_with(initial_set=[]), "initial_set", "expected a table with a 'type' key"),
+    (_with(initial_set={"type": "ball"}), "initial_set",
+     "type must be one of ('box', 'parallelotope', 'vertices', 'union'), got 'ball'"),
+    (_with(initial_set={"type": "box", "lo": 0.0, "hi": [1.0, 1.0]}),
+     "initial_set.lo", "expected a non-empty list of numbers"),
+    (_with(initial_set={"type": "box", "lo": [0.0], "hi": [1.0, 1.0]}),
+     "initial_set.lo", "expected 2 entries, got 1"),
+    (_with(initial_set={"type": "parallelotope", "shape": "eye",
+                        "lo": [0.0, 0.0], "hi": [1.0, 1.0]}),
+     "initial_set.shape", "expected a matrix (list of rows)"),
+    (_with(initial_set={"type": "vertices", "points": []}), "initial_set.points",
+     "expected a non-empty list of points"),
+    (_with(initial_set={"type": "union", "members": []}), "initial_set.members",
+     "expected a non-empty member list"),
+    (_with(decomposition="tight"), "decomposition", "expected a table"),
+    (_with(decomposition={"method": "exact"}), "decomposition",
+     "method must be one of ('tight', 'jacobian_sign', 'monotone', 'closed_form'), "
+     "got 'exact'"),
+    (_with(transforms=[]), "transforms", "expected a table"),
+    (_with(transforms={"matrices": []}), "transforms.matrices",
+     "expected a non-empty matrix list"),
+    (_with(transforms={"matrices": [[[1.0, 0.0], [1.0]]]}), "transforms.matrices[0]",
+     "matrix rows have unequal lengths"),
+    (_with(transforms={"matrices": [np.eye(3).tolist()]}), "transforms.matrices[0]",
+     "expected a 2x2 matrix"),
+    ({**_LINE, "transforms": {"family": "rotations", "count": 3}}, "transforms",
+     "rotation family requires a planar system"),
+    (_with(transforms={"family": "shears"}), "transforms",
+     "expected 'matrices' or family: 'rotations'"),
+    (_with(sampling=5), "sampling", "expected a table"),
+])
+def test_a_malformed_table_is_refused_at_its_location(tmp_path, capsys, raw, location,
+                                                      message):
+    """Each error names where in the file it is, and ``check`` exits 1 with
+    it."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.location == location
+    assert str(err.value) == (f"{location}: {message}" if location else message)
+    assert main(["check", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"

@@ -697,6 +697,26 @@ def test_check_flags_planted_fault(bilinear):
     assert not report.ok()
 
 
+@pytest.mark.parametrize("field, source, faulty", [
+    ("-w1", "-w1", True),  # decreases in w
+    ("w1", "w2", True),  # increases in wh
+    ("w1", "w1", False),
+])
+def test_check_flags_a_disturbance_order_fault(field, source, faulty):
+    """Condition 4: a component must not decrease in w nor increase in wh.
+    Each source is consistent on the diagonal, so only condition 4 tells
+    the faulty ones."""
+    system = mm.SystemDef.from_strings(1, 1, [field], [-1.0], [1.0])
+    d = mm.closed_form_decomposition(system, mm.parse_closed_form(system, [source]))
+    report = mm.check_decomposition(d, probes=50, seed=0)
+    assert report.consistency_residual == 0.0
+    assert report.violations_cond2 == report.violations_cond3 == 0
+    assert (report.violations_cond4 > 0) == faulty
+    assert report.violations == report.violations_cond4
+    assert [w[0] for w in report.witnesses] == [4] * min(report.violations, 10)
+    assert report.ok() != faulty
+
+
 def test_tight_dominates_other_decompositions(cubic, rng):
     """The extremal construction bounds every valid decomposition."""
     trans = mm.transform(cubic, T1)

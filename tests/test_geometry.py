@@ -397,3 +397,14 @@ def test_regions_compare_by_value(skew_shape):
     for region in (box, ptope, tri, union):
         with pytest.raises(TypeError):
             hash(region)
+
+
+def test_a_closed_or_clockwise_loop_is_the_canonical_polygon():
+    """A loop that repeats its first vertex at the end, or runs clockwise,
+    builds the counterclockwise polygon, lexicographically smallest vertex
+    first."""
+    square = mm.Polygon2D([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    closed = mm.Polygon2D([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+    clockwise = mm.Polygon2D([[1.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    assert closed == square and clockwise == square
+    assert square.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]

@@ -62,6 +62,20 @@ def test_zero_horizon_returns_initial_points(bilinear):
         "177e2986c49a28d89582fd723037158552924b64d5387f964e5f07cd6d0300b0")
 
 
+def test_a_point_or_segment_polygon_is_sampled_on_it(bilinear):
+    """A one-vertex polygon's starts are its point; a two-vertex polygon's
+    lie on its segment and spread along it."""
+    spec, cfg = mm.ReachSpec(0.0, 0.01), mm.SampleConfig(count=200, seed=3)
+    point = mm.sample_endpoints(bilinear, mm.Polygon2D([[0.3, -0.4]]), spec, cfg)
+    assert len(point) == 200 and (point.points == [0.3, -0.4]).all()
+    segment = mm.Polygon2D([[0.0, 0.0], [1.0, 0.5]])
+    starts = mm.sample_endpoints(bilinear, segment, spec, cfg).points
+    assert len(starts) == 200
+    assert np.all(segment.margins(starts) >= -1e-15)
+    assert np.all((0.0 <= starts[:, 0]) & (starts[:, 0] <= 1.0))
+    assert len(np.unique(starts[:, 0])) == 200
+
+
 def test_corners_plus_uniform_hits_extreme_flows(trig):
     x0 = mm.Box([0.5, 0.5], [1.0, 1.0])
     spec = mm.ReachSpec(0.5, 2e-3)
@@ -947,6 +961,41 @@ def test_the_oracle_forks_beside_its_caller_from_the_floor_on(monkeypatch):
             assert (result() != os.getpid()) == forked
         assert len(forks) == forked
         forks.clear()
+    _no_child_left()
+
+
+@needs_fork
+def test_a_record_logged_before_a_forked_error_is_handled_before_it(monkeypatch):
+    """A sample that logs a warning and then raises: the warning reaches the
+    oracle logger's handlers before the error reaches the caller, from the
+    forked worker as in one process. The forked run used to lose it."""
+    monkeypatch.setattr(oracle, "_FORK_ROW_STEPS", 0)
+    spec = mm.ReachSpec(0.1, 0.01)
+    cpus = sorted(os.sched_getaffinity(0))
+    forks = _counted_forks(monkeypatch)
+    handled = []
+    handler = logging.Handler()
+    handler.emit = lambda record: handled.append(record.getMessage())
+
+    def sample():
+        oracle.log.warning("logged before the failure")
+        raise GeometryError("the sample failed")
+
+    outcomes = []
+    oracle.log.addHandler(handler)
+    try:
+        for listed in ((cpus * 2)[:2], cpus[:1]):
+            monkeypatch.setattr(oracle, "_allowed_cpus", lambda listed=listed: listed)
+            try:
+                with oracle._beside(sample, spec, mm.SampleConfig(count=10)) as result:
+                    result()
+            except GeometryError as exc:
+                outcomes.append((str(exc), list(handled)))
+            handled.clear()
+    finally:
+        oracle.log.removeHandler(handler)
+    assert len(forks) == 1
+    assert outcomes == [("the sample failed", ["logged before the failure"])] * 2
     _no_child_left()
 
 
