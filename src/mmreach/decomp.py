@@ -361,20 +361,16 @@ def _search_kernel(name, n, m, free, fi, code=None):
         if code is None:
             return f"{target} = {call}"
         lines, expr = code
-        return "\n".join(["try:", *(f"    {line}" for line in lines),
-                          f"    {target} = {expr}",
-                          "except (ArithmeticError, ValueError):",
-                          f"    {target} = {call}"])
+        return "\n".join(exprlang._guarded([*lines, f"{target} = {expr}"],
+                                            [f"{target} = {call}"]))
 
     head = _indent("".join(f"{x}, " for x in names) + "= v\n"
                    + "".join(f"lo{c}, hi{c}, " for c in range(len(free))) + "= bounds", 1)
     source = {"probe": _probe_source, "descend": _descent_source}[name](
         head, [names[j] for j in free], slot)
-    env = dict(exprlang._SCALAR_ENV, fi=fi, range=range, inf=math.inf,
-               FD_STEP=FD_STEP, STEPS=_GRID_DENSE - 1.0, ROUNDS=_DESCENT_MAX_ROUNDS,
-               TOL=OPTIMIZER_TOL)
-    exec(source, env)
-    return env[name]
+    return exprlang._compile(source, name, fi=fi, range=range, inf=math.inf,
+                             FD_STEP=FD_STEP, STEPS=_GRID_DENSE - 1.0,
+                             ROUNDS=_DESCENT_MAX_ROUNDS, TOL=OPTIMIZER_TOL)
 
 
 def tight_decomposition(system):

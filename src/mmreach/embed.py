@@ -27,7 +27,7 @@ from .errors import (
     EvalError,
     StepOrderError,
 )
-from .exprlang import _SCALAR_ENV, _scalar_code
+from .exprlang import _compile, _guarded, _scalar_code
 from .geometry import Box
 from .sysdef import reverse_time
 
@@ -70,6 +70,17 @@ class ReachSpec:
             )
 
 
+def _integer(name, value, least):
+    """The integer ``value`` of the argument ``name`` as an int; a bool, a
+    non-integer (which would fail only once sampling draws with it) or a
+    value below ``least`` raises DimensionMismatchError."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise DimensionMismatchError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DimensionMismatchError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SampleConfig:
     """How to draw trajectory samples.
@@ -87,24 +98,10 @@ class SampleConfig:
     init_mode: str = "uniform"
 
     def __post_init__(self):
-        for name in ("count", "seed", "switch_count"):
-            value = getattr(self, name)
-            # a float or bool would fail only once sampling draws with it
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise DimensionMismatchError(
-                    f"{name} must be an integer, got {value!r}"
-                )
+        for name, least in (("count", 1), ("seed", 0), ("switch_count", 0)):
             # the sampler moves its PCG64 stream by offsets computed from
             # these, and PCG64.advance refuses a numpy integer
-            object.__setattr__(self, name, int(value))
-        if self.count < 1:
-            raise DimensionMismatchError(f"count must be >= 1, got {self.count}")
-        if self.seed < 0:
-            raise DimensionMismatchError(f"seed must be >= 0, got {self.seed}")
-        if self.switch_count < 0:
-            raise DimensionMismatchError(
-                f"switch_count must be >= 0, got {self.switch_count}"
-            )
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         if self.init_mode not in ("uniform", "corners_plus_uniform"):
             raise DimensionMismatchError(
                 f"init_mode must be 'uniform' or 'corners_plus_uniform', "
@@ -172,7 +169,7 @@ def _order_test(n):
     the stacked state v, compiled once per n: true exactly when no pair is
     out of order or has a NaN, the states ``_ordered`` returns unchanged."""
     chain = " and ".join(f"v[{i}] <= v[{n + i}]" for i in range(n)) or "True"
-    return eval(f"lambda v: {chain}", {"__builtins__": {}})
+    return _compile(f"def in_order(v):\n    return {chain}\n", "in_order")
 
 
 def _step_sizes(horizon, dt):
@@ -190,9 +187,6 @@ def _step_sizes(horizon, dt):
 # a + c * k (the first stage's state is the step's own)
 _STAGES = (("t", None, None), ("t + hh", "hh", 1), ("t + hh", "hh", 2),
            ("t + h", "h", 3))
-
-# the generated step's globals: the scalar code's, and the finiteness test
-_STEP_ENV = dict(_SCALAR_ENV, isfinite=math.isfinite)
 
 
 @functools.cache
@@ -231,15 +225,13 @@ def _float_step(p, code=None):
             continue
         # a finite left-to-right sum means finite values; where the sum
         # overflows, the component loop returns these values
+        inline = _guarded(
+            [*lines, *(f"k{j}_{i} = {e}" for i, e in enumerate(exprs)),
+             f"fast = isfinite({' + '.join(f'k{j}_{i}' for i in range(p))})"],
+            ["fast = False"])
         body += [*(f"v{i} = {state(i)}" for i in range(p)),
                  f"fast = {order or 'True'}",
-                 "if fast:",
-                 "    try:",
-                 *(f"        {line}" for line in lines),
-                 *(f"        k{j}_{i} = {e}" for i, e in enumerate(exprs)),
-                 f"        fast = isfinite({' + '.join(f'k{j}_{i}' for i in range(p))})",
-                 "    except (ArithmeticError, ValueError):",
-                 "        fast = False",
+                 "if fast:", *(f"    {line}" for line in inline),
                  "if not fast:",
                  f"    {k} = f([{row(lambda i: f'v{i}')}], {time})"]
     body += ["h6 = h / 6.0",
@@ -248,9 +240,7 @@ def _float_step(p, code=None):
     source = ("def make(f):\n    def step(x, t, h):\n"
               + "".join(f"        {line}\n" for line in body)
               + "    return step\n")
-    env = dict(_STEP_ENV)
-    exec(source, env)
-    return env["make"]
+    return _compile(source, "make")
 
 
 def _rk4(f, x, sizes, post, code=None):

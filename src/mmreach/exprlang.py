@@ -276,7 +276,8 @@ def _right_fold(name):
 
 def _table(var, ops):
     """A backend table: ``var`` writes a variable and ``ops`` the operators;
-    constants and negation read the same in every backend."""
+    constants read the same in every backend, and so does negation unless
+    ``ops`` writes it."""
     return {"const": lambda c: repr(c.value), "var": var,
             "neg": lambda a: f"(-{a})", **ops}
 
@@ -296,21 +297,17 @@ _SCALAR_TABLE = _table(lambda v: f"{v.kind}[{v.index}]", {
     "^": _call("pow"),
 })
 
-# row batches x (N, n), w (N, m); min/max fold pairwise from the right
-_BATCH_TABLE = _table(lambda v: f"{v.kind}[:, {v.index}]", {
-    **{f: _call(f"np.{f}") for f in _UNARY_FUNCS + _INTERNAL_FUNCS},
-    **{op: _infix(op) for op in "+-*/"},
-    "^": _call("np.power"),
-    "min": _right_fold("np.minimum"),
-    "max": _right_fold("np.maximum"),
-})
-
-
-# the numpy ufunc of each operator of _BATCH_TABLE, which ``batch_into_fn``
-# calls with ``out=``
+# the numpy ufunc of each operator
 _UFUNCS = {"neg": "negative", "+": "add", "-": "subtract", "*": "multiply",
            "/": "divide", "^": "power", "min": "minimum", "max": "maximum",
            **{f: f for f in _UNARY_FUNCS + _INTERNAL_FUNCS}}
+
+# row batches x (N, n), w (N, m); every operator is its ufunc's call, so an
+# operator of constants gives numpy's value too (1/0 is inf), and min/max
+# fold pairwise from the right
+_BATCH_TABLE = _table(lambda v: f"{v.kind}[:, {v.index}]", {
+    op: (_right_fold if op in _NARY_FUNCS else _call)(f"np.{ufunc}")
+    for op, ufunc in _UFUNCS.items()})
 
 _ZERO, _ONE = Const(0.0), Const(1.0)
 
@@ -333,15 +330,13 @@ def _has_var(node):
 
 def _batch_into_code(node):
     """A statement writing the batch value of ``node`` into the 1-D array
-    ``o``: the root operator's ufunc with ``out=o`` over the ``_BATCH_TABLE``
-    code of its operands, or a copy where no operator runs per row (a
+    ``o``: its ``_BATCH_TABLE`` code, whose root is an operator's ufunc call
+    that takes ``out=o`` last, or a copy where no operator runs per row (a
     constant, a bare variable, an expression of constants)."""
+    code = _gen(node, _BATCH_TABLE)
     if not _has_var(node) or not _children(node):
-        return f"o[...] = {_gen(node, _BATCH_TABLE)}"
-    args = [_gen(child, _BATCH_TABLE) for child in _children(node)]
-    if node.op in ("min", "max"):  # the outermost call of the right fold
-        args = [args[0], _BATCH_TABLE[node.op](*args[1:])]
-    return f"np.{_UFUNCS[node.op]}({', '.join(args)}, out=o)"
+        return f"o[...] = {code}"
+    return f"{code[:-1]}, out=o)"
 
 
 def to_source(node):
@@ -349,17 +344,37 @@ def to_source(node):
     return _gen(node, _SOURCE_TABLE)
 
 
-# the scalar code catches the two exception types (see ExprAst.scalar_fn)
+# the globals of generated scalar code: its functions, the two exception
+# types of ``_guarded`` and the finiteness test of the inline RK4 step
 _SCALAR_ENV = {
     **{f: getattr(math, f) for f in ("sin", "cos", "tan", "exp", "sqrt", "log", "pow")},
     "sign": lambda a: a if a != a else float((a > 0) - (a < 0)),  # as np.sign
     "abs": abs,
+    "isfinite": math.isfinite,
     "ArithmeticError": ArithmeticError,
     "ValueError": ValueError,
     "__builtins__": {},
 }
 
 _BATCH_ENV = {"np": np, "__builtins__": {}}
+
+
+def _guarded(lines, fallback):
+    """The scalar statements ``lines`` under the one guard of generated
+    code, with the statements ``fallback`` run instead where a float or
+    ``math`` operation raises (where IEEE arithmetic gives +-inf or NaN)."""
+    return ["try:", *(f"    {line}" for line in lines),
+            "except (ArithmeticError, ValueError):",
+            *(f"    {line}" for line in fallback)]
+
+
+def _compile(source, name, env=_SCALAR_ENV, **names):
+    """The function ``name`` that the generated ``source`` defines, run in a
+    copy of ``env`` (the scalar code's globals by default) with ``names``
+    added: every generated function is compiled here."""
+    env = dict(env, **names)
+    exec(source, env)
+    return env[name]
 
 
 class ExprAst:
@@ -407,20 +422,14 @@ class ExprAst:
         """
         if self._scalar is None:
             lines, (expr,) = _scalar_code([self.root])
-            code = ("def fn(x, w):\n"
-                    "    try:\n"
-                    + "".join(f"        {line}\n" for line in lines)
-                    + f"        return ({expr})\n"
-                    "    except (ArithmeticError, ValueError):\n"
-                    "        return fallback(x, w)\n")
+            body = _guarded([*lines, f"return ({expr})"], ["return fallback(x, w)"])
+            code = "def fn(x, w):\n" + "".join(f"    {line}\n" for line in body)
 
             def fallback(x, w):  # the batch value at the one row (x, w)
                 return float(self.batch_fn()(np.array([x], dtype=float),
                                              np.array([w], dtype=float))[0])
 
-            env = dict(_SCALAR_ENV, fallback=fallback)
-            exec(code, env)
-            self._scalar = env["fn"]
+            self._scalar = _compile(code, "fn", fallback=fallback)
         return self._scalar
 
     def batch_fn(self):
@@ -442,9 +451,7 @@ class ExprAst:
         warnings are the caller's to silence."""
         if self._into is None:
             code = f"def fn(x, w, o):\n    {_batch_into_code(self.root)}\n"
-            env = dict(_BATCH_ENV)
-            exec(code, env)
-            self._into = env["fn"]
+            self._into = _compile(code, "fn", _BATCH_ENV)
         return self._into
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import ReachSpec, SampleConfig, _rk4, _step_sizes, _trajectory
+from .embed import ReachSpec, SampleConfig, _integer, _rk4, _step_sizes, _trajectory
 from .errors import DimensionMismatchError, GeometryError, MmreachError
 from .geometry import (
     Box,
@@ -562,8 +562,8 @@ def audit_containment(points, region, tol=CONTAINMENT_TOL):
             f"unsupported region type {type(region).__name__}"
         )
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        pts = pts.reshape(-1, pts.shape[-1] if pts.ndim else 1)
+    if pts.ndim != 2:  # one point, or no point at all
+        pts = pts.reshape(-1, pts.shape[-1] if pts.ndim and pts.size else 1)
     if len(pts) == 0:
         return ContainmentReport(total=0, violations=0, worst_margin=np.inf)
     margins = np.empty(len(pts))
@@ -660,12 +660,11 @@ def intersection_volume_mc(ptopes, samples=10**6, seed=0):
 
     Samples uniformly in the intersection of the members' bounding boxes,
     drawn and tested one row block at a time. Returns (volume, ci95).
-    ``samples`` must be at least 1.
+    ``samples`` must be an integer of at least 1, ``seed`` one of at least 0.
     """
     if not ptopes:
         raise DimensionMismatchError("no parallelotopes given")
-    if samples < 1:
-        raise DimensionMismatchError(f"samples must be >= 1, got {samples}")
+    samples, seed = _integer("samples", samples, 1), _integer("seed", seed, 0)
     boxes = [p.bounding_box() for p in ptopes]
     lo = np.max([b.lo for b in boxes], axis=0)
     hi = np.min([b.hi for b in boxes], axis=0)

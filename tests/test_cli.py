@@ -583,6 +583,35 @@ def test_reach_seed_and_dt_overrides(tmp_path):
     assert doc["meta"]["seed"] == 99
 
 
+_DIVIDES_BY_ZERO = "x1*0 + 1/0 + w1"
+
+
+@pytest.mark.parametrize("method, command, message", [
+    ("tight", "reach", "error: embedding field diverged near t=0: "
+                       "decomposition component 1 is non-finite"),
+    ("closed_form", "check", "decomposition component 1 is non-finite"),
+    ("closed_form", "reach", "error: decomposition component 1 is non-finite"),
+])
+def test_a_field_dividing_by_zero_is_a_typed_error(tmp_path, capsys, method, command,
+                                                   message):
+    """1/0 in a field is numpy's inf, which the decomposition reports as a
+    non-finite component in one error line; it was an untyped
+    ZeroDivisionError traceback from the batch code."""
+    decomposition = {"method": method}
+    if method == "closed_form":
+        decomposition["sources"] = [_DIVIDES_BY_ZERO]
+    cfg = _write(tmp_path, {
+        "system": {"n": 1, "m": 1, "field": [_DIVIDES_BY_ZERO],
+                   "w_lo": [0.0], "w_hi": [0.1]},
+        "initial_set": {"type": "box", "lo": [0.0], "hi": [1.0]},
+        "horizon": 0.1, "dt": 0.01, "decomposition": decomposition})
+    out = [] if command == "check" else ["--out", str(tmp_path / "out"), "--quiet"]
+    assert main([command, "--config", cfg, *out]) == 1
+    err = capsys.readouterr().err
+    assert message in err and err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_nan_dt_override_is_rejected(tmp_path, capsys):
     cfg = _write(tmp_path, _fast_box_config())
     assert main(["reach", "--config", cfg, "--out", str(tmp_path / "out"),
@@ -960,6 +989,7 @@ def test_an_oracle_error_beside_the_reach_is_that_of_one_process(tmp_path, monke
 
 _INTERRUPTED_REACH = """
 import os, signal, sys, time
+signal.signal(signal.SIGINT, signal.default_int_handler)
 from mmreach import cli, oracle
 
 case = sys.argv[1]

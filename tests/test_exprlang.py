@@ -119,6 +119,17 @@ def test_special_values_agree_across_backends(src, x, expected):
     np.testing.assert_array_equal(values, [expected] * 2)
 
 
+def test_constants_divide_as_numpy_does():
+    """An operator between constants is numpy's in the batch code, so 1/0 is
+    inf there and evaluate names the division; the batch code once raised
+    ZeroDivisionError, through the scalar code's fallback too."""
+    e = mm.parse("1/0 + x1", 1, 0)
+    with pytest.raises(EvalError) as err:
+        mm.evaluate(e, [1.0], [])
+    assert err.value.subexpression == "(1.0 / 0.0)"
+    assert e.batch_fn()(np.array([[1.0]]), np.empty((1, 0))).tolist() == [math.inf]
+
+
 def test_evaluate_sees_the_special_values_numpy_gives():
     """sqrt(-1) is NaN, which max keeps; 1/0 is inf, which min drops."""
     with pytest.raises(EvalError) as err:

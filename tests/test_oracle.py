@@ -196,6 +196,13 @@ def test_an_audit_of_no_point_is_not_ok():
     assert not rep.ok
 
 
+def test_an_empty_point_list_is_an_audit_of_no_point():
+    """``[]`` gives the report of ``np.empty((0, 2))``; it once failed in
+    numpy's reshape with an untyped ValueError."""
+    box = mm.Box([0.0, 0.0], [1.0, 1.0])
+    assert mm.audit_containment([], box) == mm.audit_containment(np.empty((0, 2)), box)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
 def test_audit_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
     """A NaN tol counted no violation: a point at margin -4 passed."""
@@ -396,12 +403,20 @@ def test_intersection_volume_mc():
     assert vol == 0.0
 
 
-@pytest.mark.parametrize("samples", [0, -1])
-def test_intersection_volume_mc_needs_a_sample(samples):
-    """No sample has no mean: the volume would be NaN."""
+_BAD_MC_ARGUMENTS = {"0": {"samples": 0}, "-1": {"samples": -1},
+                     "1.5": {"samples": 1.5}, "True": {"samples": True},
+                     "seed=-1": {"seed": -1}, "seed=1.5": {"seed": 1.5},
+                     "seed=True": {"seed": True}}
+
+
+@pytest.mark.parametrize("arguments", _BAD_MC_ARGUMENTS.values(), ids=_BAD_MC_ARGUMENTS)
+def test_intersection_volume_mc_needs_a_sample(arguments):
+    """No sample has no mean: the volume would be NaN. A float or bool
+    sample count or seed, or a negative seed, is refused as SampleConfig
+    refuses it; each failed in range or numpy, or ran one sample for True."""
     unit = mm.Parallelotope(np.eye(2), mm.Box([0, 0], [1, 1]))
     with pytest.raises(DimensionMismatchError):
-        mm.intersection_volume_mc([unit, unit], samples=samples)
+        mm.intersection_volume_mc([unit, unit], **arguments)
 
 
 def test_occupancy_estimate_converges(bilinear, example1_ptope):
@@ -1136,6 +1151,7 @@ def test_a_failed_worker_surfaces_at_its_block(case, bilinear, monkeypatch):
 
 _FAILING_RUN = """
 import os, signal, sys, threading, time
+signal.signal(signal.SIGINT, signal.default_int_handler)
 import numpy as np, mmreach as mm
 from mmreach import oracle
 from mmreach.errors import DivergenceError, MmreachError
