@@ -33,7 +33,6 @@ _EXPORTS = {
         "ReachSpec",
         "SampleConfig",
         "Trajectory",
-        "embedding",
         "integrate",
         "reach_box",
     ),

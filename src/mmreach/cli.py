@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import ProblemConfig, load_config, preset_names
-from .embed import ReachSpec, embedding
+from .embed import ReachSpec, reach_box
 from .errors import ConfigError, MmreachError
 from .geometry import (
     Box,
@@ -31,8 +31,7 @@ from .geometry import (
     convex_hull_2d,
     ptope_polygon,
 )
-from .multiorder import ReachOutcome, reach_plan, run_reach
-from .sysdef import transform
+from .multiorder import ReachOutcome, reach_parallelotope, reach_plan, run_reach
 
 
 def _initial_set_jsonable(cfg: ProblemConfig):
@@ -79,10 +78,7 @@ def result_json(cfg: ProblemConfig, outcome: ReachOutcome, seed, timestamp=None)
             "kind": outcome.kind,
             "options": _method_options_jsonable(cfg.method_options),
         },
-        "boxes": [
-            {"t": t, "lo": [float(v) for v in box.lo], "hi": [float(v) for v in box.hi]}
-            for t, box in outcome.boxes
-        ],
+        "boxes": [{"t": t, **box.to_jsonable()} for t, box in outcome.boxes],
         "parallelotopes": [p.to_jsonable() for p in outcome.parallelotopes],
     }
     if outcome.intersection is not None:
@@ -168,14 +164,15 @@ def _verify_rejection(cfg):
 
 def cmd_check(args):
     cfg = load_config(args.config)
-    # prepare every embedding the run integrates: a transformed field may not
-    # compile, and a decomposition method may reject the field it is given
+    # take the run's first step from every member it reaches: a transformed
+    # field may not compile, a decomposition method may reject the field it
+    # is given, and the step itself may fail; a horizon of 0 takes no step
+    spec = ReachSpec(min(cfg.spec.dt, cfg.spec.horizon), cfg.spec.dt,
+                     cfg.spec.direction)
     for where, member in reach_plan(cfg.initial_set, cfg.transforms):
+        reach = reach_parallelotope if isinstance(member, Parallelotope) else reach_box
         try:
-            system = cfg.system
-            if isinstance(member, Parallelotope):
-                system, member = transform(system, member.shape), member.coords
-            embedding(system, member, cfg.spec, cfg.method, **cfg.method_options)
+            reach(cfg.system, member, spec, cfg.method, **cfg.method_options)
         except MmreachError as exc:
             raise ConfigError(str(exc), where) from exc
     if not args.quiet:

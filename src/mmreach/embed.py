@@ -3,9 +3,9 @@
 One simulation of the 2n-dimensional embedding system bounds every disturbed
 trajectory of the underlying system (forward in time); integrating the
 embedding of the time-reversed field bounds backward reachable sets.
-``reach_box`` is the one step from a decomposition method to a box:
-``embedding`` prepares the decomposition, ``integrate`` steps it. Code that
-builds its own decomposition (``combine``) calls ``integrate``. The oracle's
+``reach_box`` is the one step from a decomposition method to a box: it
+builds the decomposition and ``integrate`` steps it. Code that builds its
+own decomposition (``combine``) calls ``integrate``. The oracle's
 ``SampleConfig`` sits here beside ``ReachSpec``, so that a configuration
 names both without loading the oracle.
 """
@@ -364,11 +364,12 @@ def integrate(d: Decomposition, x0: Box, spec: ReachSpec):
                               last_time=t) from exc
 
 
-def embedding(system, x0: Box, spec: ReachSpec, method="tight", **options):
-    """The ``method`` decomposition whose embedding ``reach_box`` integrates:
-    of the time-reversed field for a backward ``spec``. A ``closed_form``
-    decomposition, the one method whose diagonal is not the field by
-    construction, is spot-checked on the diagonal at points of ``x0``."""
+def reach_box(system, x0: Box, spec: ReachSpec, method="tight", **options):
+    """Box over-approximation of the reachable set from ``x0`` at the horizon:
+    the embedding of the ``method`` decomposition, integrated; for a backward
+    ``spec``, of the time-reversed field. A ``closed_form`` decomposition,
+    the one method whose diagonal is not the field by construction, is first
+    spot-checked on the diagonal at points of ``x0``."""
     field = "field"
     if spec.direction == "backward":
         system, field = reverse_time(system), "time-reversed field"
@@ -382,12 +383,5 @@ def embedding(system, x0: Box, spec: ReachSpec, method="tight", **options):
             if float(np.max(gap)) > DIAGONAL_TOL:
                 raise EvalError(f"closed_form decomposition does not match the "
                                 f"{field} on the diagonal", f"at x={p}")
-    return d
-
-
-def reach_box(system, x0: Box, spec: ReachSpec, method="tight", **options):
-    """Box over-approximation of the reachable set from ``x0`` at the horizon:
-    the ``embedding`` for ``method``, integrated."""
-    d = embedding(system, x0, spec, method, **options)
     final = integrate(d, x0, spec).final_state
     return Box(final[:d.n], final[d.n:])

@@ -193,11 +193,8 @@ class Parallelotope(Region):
         return Box(verts.min(axis=0), verts.max(axis=0))
 
     def to_jsonable(self):
-        return {
-            "shape": [[float(v) for v in row] for row in self.shape],
-            "lo": [float(v) for v in self.coords.lo],
-            "hi": [float(v) for v in self.coords.hi],
-        }
+        return {"shape": [[float(v) for v in row] for row in self.shape],
+                **self.coords.to_jsonable()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,8 +309,16 @@ def ptope_polygon(p: Parallelotope):
     return Polygon2D(np.array(ptope_vertices(p)))
 
 
+def _finite(pts):
+    """``pts``; a NaN or infinite coordinate raises GeometryError."""
+    if not np.all(np.isfinite(pts)):
+        raise GeometryError("polygon has non-finite vertices")
+    return pts
+
+
 def _canonical_vertices(vertices):
-    pts = np.array(vertices, dtype=float).reshape(-1, 2)
+    # tested before deduplication, which would pass over a NaN as a repeat
+    pts = _finite(np.array(vertices, dtype=float).reshape(-1, 2))
     keep = [pts[0]]
     for q in pts[1:]:
         if np.max(np.abs(q - keep[-1])) > DEDUP_TOL:
@@ -354,8 +359,6 @@ class Polygon2D(Region):
 
     def __post_init__(self):
         pts = _canonical_vertices(self.vertices)
-        if not np.all(np.isfinite(pts)):
-            raise GeometryError("polygon has non-finite vertices")
         if len(pts) >= 3:
             _check_convex(pts)
         pts.flags.writeable = False
@@ -406,7 +409,8 @@ class Polygon2D(Region):
 
 def convex_hull_2d(points):
     """Convex hull of 2-D points as a canonical Polygon2D (monotone chain)."""
-    pts = sorted({(float(p[0]), float(p[1])) for p in points})
+    # tested before the chain, which may drop a NaN point as a turn
+    pts = _finite(sorted({(float(p[0]), float(p[1])) for p in points}))
     if len(pts) == 1:
         return Polygon2D(np.array([pts[0]]))
 

@@ -175,6 +175,11 @@ def test_check_builds_every_system_the_run_integrates(tmp_path, capsys,
     assert "does not compile" in capsys.readouterr().err
 
 
+# builds with tight, but every value of its field is inf
+_INFINITE_SYSTEM = {"n": 1, "m": 1, "field": ["x1*0 + 1/0 + w1"],
+                    "w_lo": [0.0], "w_hi": [0.1]}
+
+
 @pytest.mark.parametrize("change, message", [
     ({"system": "cubic", "decomposition": {"method": "monotone"}},
      "initial_set: dF1/dx2 = -9.175e-01 < 0 at a sampled point"),
@@ -186,7 +191,12 @@ def test_check_builds_every_system_the_run_integrates(tmp_path, capsys,
       "decomposition": {"method": "jacobian_sign", "domain_lo": [-3, -3],
                         "domain_hi": [3, 3]}},
      "initial_set: dF1/dx2 changes sign over the sampled domain"),
-], ids=["monotone-cubic", "monotone-sheared-bilinear", "jacobian-sign-cubic"])
+    ({"system": _INFINITE_SYSTEM, "initial_set": {"type": "box", "lo": [0.0],
+                                                  "hi": [1.0]}},
+     "initial_set: embedding field diverged near t=0: decomposition component "
+     "1 is non-finite: at x=[0.0], w=[0.0], xh=[1.0], wh=[0.1]"),
+], ids=["monotone-cubic", "monotone-sheared-bilinear", "jacobian-sign-cubic",
+        "tight-first-step"])
 def test_check_rejects_a_decomposition_reach_would_reject(tmp_path, capsys,
                                                           change, message):
     """check used to print "configuration OK" for these; reach fails before
@@ -197,6 +207,20 @@ def test_check_rejects_a_decomposition_reach_would_reject(tmp_path, capsys,
     assert main(["reach", "--config", cfg, "--out", str(tmp_path / "out"),
                  "--quiet"]) == 1
     assert capsys.readouterr().err == f"error: {message.split(': ', 1)[1]}\n"
+
+
+def test_check_takes_no_step_at_horizon_zero(tmp_path, capsys):
+    """check takes the run's first step only, so where the run takes none it
+    passes a field that fails at any step, and so does reach."""
+    cfg = _write(tmp_path, _fast_box_config(
+        system=_INFINITE_SYSTEM, horizon=0.0,
+        initial_set={"type": "box", "lo": [0.0], "hi": [1.0]}))
+    assert main(["check", "--config", cfg]) == 0
+    assert "configuration OK" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["reach", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    doc = json.loads((out / "result.json").read_text())
+    assert doc["boxes"] == [{"t": 0.0, "lo": [0.0], "hi": [1.0]}]
 
 
 @pytest.mark.parametrize("method", ["monotone", "jacobian_sign"])

@@ -242,6 +242,14 @@ def test_polygon_rejects_nonconvex():
         mm.Polygon2D(np.array([[0, 0], [2, 0], [1, 0.2], [0, 2.0]]))
 
 
+def test_a_nan_vertex_is_refused_not_dropped():
+    """Both used to return the triangle without the NaN point."""
+    with pytest.raises(GeometryError, match="^polygon has non-finite vertices$"):
+        mm.Polygon2D(np.array([[0, 0], [np.nan, np.nan], [1, 0], [0, 1]]))
+    with pytest.raises(GeometryError, match="^polygon has non-finite vertices$"):
+        mm.convex_hull_2d([[0, 0], [np.nan, 0.5], [1, 0], [0, 1]])
+
+
 def test_polygon_area_examples(example1_ptope):
     assert _rect(0, 1, 0, 1).area() == pytest.approx(1.0)
     hexagon = mm.Polygon2D(np.array([
